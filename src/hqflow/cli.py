@@ -246,11 +246,13 @@ def build_grid(cfg, dom, scale=1):
         n_t = cfg.int_("grid.n_theta")
         return geometry.build_grid(dom, n_r=n_r * scale, n_theta=n_t * scale)
     except ValueError as exc:
-        path = "grid.n" if is_square else "grid.n_r"
+        path = ("grid.n" if is_square else
+                "grid.n_theta" if "n_theta" in str(exc) else "grid.n_r")
         raise ConfigError(path, str(exc)) from exc
 
 
 _SPEC_HINTS = (
+    ("cfl", "flow.cfl"),
     ("phi", "problem.phi"),
     ("f must", "problem.f"),
     ("right side f", "problem.f"),
@@ -362,13 +364,18 @@ def _formats(cfg):
 
 def _run_settings(cfg):
     mode = cfg.word("flow.mode", ("steady", "translating"), default="steady")
-    return dict(mode=mode,
-                t_max=cfg.float_("flow.t_max", 50.0),
-                tol_steady=cfg.float_("flow.tol_steady", 1e-8),
-                tol_trans=cfg.float_("flow.tol_trans", 1e-8),
-                window=cfg.int_("flow.window", 50),
-                checkpoint_every=cfg.int_("flow.checkpoint_every", 100),
-                mean_shift=cfg.bool_("flow.mean_shift", False))
+    settings = dict(mode=mode,
+                    t_max=cfg.float_("flow.t_max", 50.0),
+                    tol_steady=cfg.float_("flow.tol_steady", 1e-8),
+                    tol_trans=cfg.float_("flow.tol_trans", 1e-8),
+                    window=cfg.int_("flow.window", 50),
+                    checkpoint_every=cfg.int_("flow.checkpoint_every", 100),
+                    mean_shift=cfg.bool_("flow.mean_shift", False))
+    for key in ("window", "checkpoint_every"):
+        if settings[key] < 1:
+            raise ConfigError(f"flow.{key}",
+                              f"must be at least 1, got {settings[key]}")
+    return settings
 
 
 _FLOW_EXIT = {"steady": 0, "translating": 0, "t_max": 4, "diverged": 3}

@@ -45,10 +45,7 @@ def _phantom_pad(u, nt):
 
 def _polar_coeffs(grid):
     """Chain-rule coefficient arrays of the radial map, full grid shape."""
-    dom = grid.domain
-    a = b = getattr(dom, "radius", None)
-    if a is None:
-        a, b = dom.a, dom.b
+    a, b = grid.domain.a, grid.domain.b
     r = grid.r[:, None]
     ct = np.cos(grid.theta)[None, :]
     st = np.sin(grid.theta)[None, :]
@@ -104,16 +101,14 @@ def hessian(grid, u):
         nr, nt = grid.shape
         dr, dt = grid.dr, grid.dtheta
         P = _phantom_pad(u, nt)
-        ur = (P[2:nr + 1] - P[:nr - 1]) / (2.0 * dr)
+        ur, ut = _polar_first(grid, u)
+        ur, ut = ur[:-1], ut[:-1]
         urr = (P[2:nr + 1] - 2.0 * P[1:nr] + P[:nr - 1]) / dr**2
         Pl = np.roll(P, -1, axis=1)
         Pr = np.roll(P, 1, axis=1)
         urt = (Pl[2:nr + 1] - Pr[2:nr + 1] - Pl[:nr - 1] + Pr[:nr - 1]) \
             / (4.0 * dr * dt)
-        ui = u[:-1]
-        ut = (np.roll(ui, -1, axis=1) - np.roll(ui, 1, axis=1)) / (2.0 * dt)
-        utt = (np.roll(ui, -1, axis=1) - 2.0 * ui
-               + np.roll(ui, 1, axis=1)) / dt**2
+        utt = (Pl[1:nr] - 2.0 * P[1:nr] + Pr[1:nr]) / dt**2
         a, b, r, ct, st, rx, ry, tx, ty = _polar_coeffs(grid)
         r, ct, st = r[:-1], np.broadcast_to(ct, u.shape)[:-1], \
             np.broadcast_to(st, u.shape)[:-1]
@@ -348,15 +343,35 @@ def _solve_increasing(fun, x0, max_iter=50):
 
 
 def _polar_boundary_geometry(grid):
-    dom = grid.domain
-    a = b = getattr(dom, "radius", None)
-    if a is None:
-        a, b = dom.a, dom.b
+    a, b = grid.domain.a, grid.domain.b
     th = grid.theta
     grr = (np.cos(th) / a) ** 2 + (np.sin(th) / b) ** 2
     grt = np.sin(th) * np.cos(th) * (1.0 / b**2 - 1.0 / a**2)
     sq = np.sqrt(grr)
     return sq, grt / sq
+
+
+def _square_closure_nodes(n):
+    """Index tuples of the Neumann closure on an n x n lattice.
+
+    Returns (face, face1, face2) for the non-corner boundary nodes and
+    their first and second inward neighbors along the normal line, and
+    (corners, cx1, cx2, cy1, cy2) for the four corners and their first
+    and second inward neighbors along the row (x) and the column (y).
+    """
+    i = np.arange(1, n - 1)
+    faces = []
+    for d in (0, 1, 2):
+        near, far = np.full_like(i, d), np.full_like(i, n - 1 - d)
+        # for each i: the nodes on the left, right, bottom and top faces
+        faces.append((np.stack((i, i, near, far), axis=1).ravel(),
+                      np.stack((near, far, i, i), axis=1).ravel()))
+    corners = ((0, 0, n - 1, n - 1), (0, n - 1, 0, n - 1))
+    cx1 = ((0, 0, n - 1, n - 1), (1, n - 2, 1, n - 2))
+    cx2 = ((0, 0, n - 1, n - 1), (2, n - 3, 2, n - 3))
+    cy1 = ((1, 1, n - 2, n - 2), (0, n - 1, 0, n - 1))
+    cy2 = ((2, 2, n - 3, n - 3), (0, n - 1, 0, n - 1))
+    return faces, (corners, cx1, cx2, cy1, cy2)
 
 
 def apply_neumann(grid, u, phi, max_sweeps=50):
@@ -389,20 +404,9 @@ def apply_neumann(grid, u, phi, max_sweeps=50):
                 break
         u[-1] = ub
         return u
-    n = grid.shape[0]
     h = grid.h
-    idx = []
-    w1 = []
-    w2 = []
-    # non-corner face nodes: (boundary index, first and second inward
-    # neighbors along the normal line)
-    for i in range(1, n - 1):
-        idx += [(i, 0), (i, n - 1), (0, i), (n - 1, i)]
-        w1 += [(i, 1), (i, n - 2), (1, i), (n - 2, i)]
-        w2 += [(i, 2), (i, n - 3), (2, i), (n - 3, i)]
-    idx = tuple(np.array(v) for v in zip(*idx))
-    w1 = tuple(np.array(v) for v in zip(*w1))
-    w2 = tuple(np.array(v) for v in zip(*w2))
+    (idx, w1, w2), (corners, cx1, cx2, cy1, cy2) = \
+        _square_closure_nodes(grid.shape[0])
     known = (-4.0 * u[w1] + u[w2]) / (2.0 * h)
     xb, yb = grid.x[idx], grid.y[idx]
     slope = 3.0 / (2.0 * h)
@@ -411,11 +415,6 @@ def apply_neumann(grid, u, phi, max_sweeps=50):
         return slope * v + known - phi(xb, yb, v)
 
     u[idx] = _solve_increasing(resid_face, u[idx])
-    corners = ((0, 0, n - 1, n - 1), (0, n - 1, 0, n - 1))
-    cx1 = ((0, 0, n - 1, n - 1), (1, n - 2, 1, n - 2))
-    cx2 = ((0, 0, n - 1, n - 1), (2, n - 3, 2, n - 3))
-    cy1 = ((1, 1, n - 2, n - 2), (0, n - 1, 0, n - 1))
-    cy2 = ((2, 2, n - 3, n - 3), (0, n - 1, 0, n - 1))
     known_c = 0.5 * (-4.0 * (u[cx1] + u[cy1]) + (u[cx2] + u[cy2])) / (2.0 * h)
     xc, yc = grid.x[corners], grid.y[corners]
 
@@ -437,17 +436,14 @@ def interp_at(grid, u, point):
     u = np.asarray(u, dtype=float)
     px, py = float(point[0]), float(point[1])
     if grid.backend == "polar":
-        dom = grid.domain
-        a = b = getattr(dom, "radius", None)
-        if a is None:
-            a, b = dom.a, dom.b
+        a, b = grid.domain.a, grid.domain.b
         rr = math.hypot(px / a, py / b)
         th = math.atan2(py / b, px / a) % (2.0 * math.pi)
         rr = min(rr, 1.0)
         nr, nt = grid.shape
         dr, dt = grid.dr, grid.dtheta
         P = _phantom_pad(u, nt)
-        # padded row p sits at signed radius (p - 1/2) dr
+        # padded row p sits at signed r = (p - 1/2) dr
         p = int(math.floor(rr / dr + 0.5))
         p = min(max(p, 0), nr - 1)
         fr = rr / dr + 0.5 - p
@@ -482,18 +478,12 @@ def neumann_residual(grid, u, phi):
         ut = (np.roll(ub, -1) - np.roll(ub, 1)) / (2.0 * grid.dtheta)
         out[-1] = sq * ur + ct * ut - phi(grid.x[-1], grid.y[-1], ub)
         return out
-    n = grid.shape[0]
     h = grid.h
+    (face, _, _), (corners, cx1, cx2, cy1, cy2) = \
+        _square_closure_nodes(grid.shape[0])
     gx, gy = gradient(grid, u)
     un = gx * grid.normal_x + gy * grid.normal_y
-    mask = grid.boundary_mask.copy()
-    corners = ((0, 0, n - 1, n - 1), (0, n - 1, 0, n - 1))
-    mask[corners] = False
-    out[mask] = un[mask] - phi(grid.x[mask], grid.y[mask], u[mask])
-    cx1 = ((0, 0, n - 1, n - 1), (1, n - 2, 1, n - 2))
-    cx2 = ((0, 0, n - 1, n - 1), (2, n - 3, 2, n - 3))
-    cy1 = ((1, 1, n - 2, n - 2), (0, n - 1, 0, n - 1))
-    cy2 = ((2, 2, n - 3, n - 3), (0, n - 1, 0, n - 1))
+    out[face] = un[face] - phi(grid.x[face], grid.y[face], u[face])
     uc = u[corners]
     dn = (3.0 * uc - 0.5 * 4.0 * (u[cx1] + u[cy1])
           + 0.5 * (u[cx2] + u[cy2])) / (2.0 * h)

@@ -4,13 +4,14 @@ domains.
 
 The right side is evaluated from the closed-form 2x2 eigenvalue pair of
 the discrete Hessian, guarded so the spectrum stays in the Garding cone
-Gamma_k.  Forward Euler updates interior nodes; azimuthal modes too
-fine for their ring near the polar axis are slaved to their harmonic
-extension from the first resolving ring (removing the azimuthal CFL
-restriction without losing the O(r^m) physical content); the boundary
-ring is re-slaved to the Neumann closure after every step.  A step
-that would leave the cone is retried with a halved dt, up to 20 times,
-after which the state is declared diverged.
+Gamma_k.  `step` and `run` advance through one guarded update: forward
+Euler on interior nodes with dt = cfl h_min^2 / (4 g_max); azimuthal
+modes too fine for their ring near the polar axis are slaved to their
+harmonic extension from the first resolving ring (removing the
+azimuthal CFL restriction without losing the O(r^m) physical content);
+the boundary ring is re-slaved to the Neumann closure.  A step that
+would leave the cone is retried with a halved dt, up to 20 times, after
+which the state is declared diverged.
 
 Runs record monitor series (extrema of u and u_t, gradient and Hessian
 sups, the quotient floor, oscillation) that mirror the a priori bounds
@@ -30,12 +31,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import discretize, exprparse, geometry, symmfunc
+from . import discretize, exprparse, symmfunc
 from .symmfunc import AdmissibilityError
 
 __all__ = [
     "ProblemSpec", "FlowState", "MonitorRecord", "RunResult",
-    "DivergenceError", "rhs", "select_dt", "step", "monitors", "run",
+    "DivergenceError", "rhs", "select_dt", "step", "run",
     "initial_state", "decay_rate", "monitor_report", "write_monitor_csv",
     "min_update_spacing",
 ]
@@ -98,6 +99,14 @@ def _interior_slice(grid):
     return (slice(1, -1), slice(1, -1))
 
 
+def _mode_caps(grid):
+    """Highest azimuthal mode each interior ring of a polar grid evolves:
+    about pi r_j / dr, at least 2 and at most n_theta / 2."""
+    n_r, n_t = grid.shape
+    return np.minimum(n_t // 2, np.maximum(
+        2, np.ceil(np.pi * (np.arange(n_r - 1) + 0.5)).astype(int)))
+
+
 def _filter_plan(grid):
     """Slaving plan for azimuthal modes the inner rings cannot resolve.
 
@@ -112,12 +121,9 @@ def _filter_plan(grid):
     """
     if grid.backend != "polar":
         return None
-    n_r, n_t = grid.shape
-    half = n_t // 2
-    n_int = n_r - 1
-    caps = np.minimum(half, np.maximum(
-        2, np.ceil(np.pi * (np.arange(n_int) + 0.5)).astype(int)))
-    modes = np.arange(half + 1)
+    n_int = grid.shape[0] - 1
+    caps = _mode_caps(grid)
+    modes = np.arange(grid.shape[1] // 2 + 1)
     src = np.minimum(np.searchsorted(caps, modes, side="left"), n_int - 1)
     slaved = np.arange(n_int)[:, None] < src[None, :]
     if not slaved.any():
@@ -134,13 +140,8 @@ def min_update_spacing(grid):
     if grid.backend == "cartesian":
         return grid.h
     dom = grid.domain
-    scale = dom.radius if isinstance(dom, geometry.Disk) else min(dom.a, dom.b)
-    n_r, n_t = grid.shape
-    half = n_t // 2
-    cut = np.minimum(half, np.maximum(
-        2, np.ceil(np.pi * (np.arange(n_r) + 0.5)).astype(int)))
-    azim = np.pi * grid.r[:-1] / cut[:n_r - 1]
-    return scale * min(grid.dr, float(azim.min()))
+    azim = np.pi * grid.r[:-1] / _mode_caps(grid)
+    return min(dom.a, dom.b) * min(grid.dr, float(azim.min()))
 
 
 def _osc(a):
@@ -184,6 +185,9 @@ class ProblemSpec:
 
     def _validate(self):
         grid = self.grid
+        if not (math.isfinite(self.cfl) and self.cfl > 0.0):
+            raise ValueError(f"cfl must be finite and positive, got "
+                             f"{self.cfl:g}")
         if self.growth_rate is not None and self.growth_rate <= 0:
             raise ValueError("growth_rate must be positive when given")
         if self.damping_rate is not None and self.damping_rate >= 0:
@@ -234,9 +238,7 @@ class ProblemSpec:
                         f"damping_rate = {self.damping_rate:.6g}")
             else:
                 self.damping_rate = worst
-        ev = _evaluate(self, u0c)
-        if not ev.ok_all:
-            raise _admissibility_error(self, ev, prefix="initial data ")
+        ev = _admissible_evaluate(self, u0c, prefix="initial data ")
         if self.require_nonnegative_initial_speed:
             gap = ev.q - fval
             if np.min(gap) < -1e-8:
@@ -319,7 +321,12 @@ def _evaluate(spec, u):
     return _FieldEval(ok, q, g_max, ut, lam_hi, lam_lo, trace)
 
 
-def _admissibility_error(spec, ev, prefix=""):
+def _admissible_evaluate(spec, u, prefix=""):
+    """`_evaluate`, raising AdmissibilityError at the first interior node
+    whose Hessian leaves the cone."""
+    ev = _evaluate(spec, u)
+    if ev.ok_all:
+        return ev
     idx = np.unravel_index(int(np.argmax(~ev.ok)), ev.ok.shape)
     node = _to_grid_node(spec, idx)
     sigma1 = float(ev.sigma1[idx])
@@ -330,26 +337,29 @@ def _admissibility_error(spec, ev, prefix=""):
     err = AdmissibilityError(m, value, node=node)
     if prefix:
         err.args = (prefix + err.args[0],)
-    return err
+    raise err
 
 
 def rhs(u, spec, t=0.0):
     """u_t on interior nodes (boundary entries are zero)."""
-    ev = _evaluate(spec, np.asarray(u, dtype=float))
-    if not ev.ok_all:
-        raise _admissibility_error(spec, ev)
+    ev = _admissible_evaluate(spec, np.asarray(u, dtype=float))
     out = np.zeros(spec.grid.shape)
     out[spec._interior] = ev.ut
     return out
 
 
-def select_dt(state, spec):
-    """CFL-style bound cfl*h_min^2/(2n*g_max) for the explicit update."""
-    ev = _evaluate(spec, state.u)
+def _stable_dt(spec, ev):
+    """CFL-style bound cfl*h_min^2/(2n*g_max) for the explicit update,
+    from the evaluation `ev` of the current state."""
     g = float(np.max(ev.g_max)) if ev.ok_all else float("nan")
     if not math.isfinite(g) or g <= 0.0:
         raise DivergenceError(f"speed bound g_max = {g} is not usable")
     return spec.cfl * spec.h_min**2 / (4.0 * g)
+
+
+def select_dt(state, spec):
+    """CFL-style bound cfl*h_min^2/(2n*g_max) for the explicit update."""
+    return _stable_dt(spec, _evaluate(spec, state.u))
 
 
 @dataclass
@@ -419,63 +429,53 @@ def _tendency(spec, ut):
     return _slave_modes(plan, ut.copy(), spec.grid.shape[1])
 
 
-def _attempt(spec, u, ut_int, dt):
-    """One trial Euler update; returns (u_new, eval) or None."""
-    u_new = u.copy()
-    u_new[spec._interior] += dt * ut_int
-    u_new = _apply_pole_filter(spec, u_new)
-    u_new = discretize.apply_neumann(spec.grid, u_new, spec.phi)
-    ev = _evaluate(spec, u_new)
-    if not ev.ok_all:
-        return None
-    return u_new, ev
+def _guarded_update(spec, state, ev, dt):
+    """Forward Euler step from `state` at the speed of its evaluation
+    `ev`, followed by the pole filter and the Neumann closure.
+
+    dt halves each time the result leaves the cone, up to _MAX_HALVINGS
+    times.  Returns the new state and its evaluation; when every trial
+    fails, the old state marked diverged (carrying the last dt) and `ev`.
+    """
+    for _ in range(_MAX_HALVINGS + 1):
+        u_new = state.u.copy()
+        u_new[spec._interior] += dt * ev.ut
+        u_new = _apply_pole_filter(spec, u_new)
+        u_new = discretize.apply_neumann(spec.grid, u_new, spec.phi)
+        ev_new = _evaluate(spec, u_new)
+        if ev_new.ok_all:
+            return FlowState(t=state.t + dt, u=u_new, dt=dt,
+                             step_count=state.step_count + 1), ev_new
+        dt *= 0.5
+    return FlowState(t=state.t, u=state.u, dt=dt,
+                     step_count=state.step_count, diverged=True), ev
 
 
 def step(state, spec):
     """One guarded Euler step; dt starts at state.dt and halves on cone
     exit, up to 20 times, after which the state is marked diverged."""
-    ev = _evaluate(spec, state.u)
-    if not ev.ok_all:
-        raise _admissibility_error(spec, ev)
-    dt = state.dt if state.dt > 0 else select_dt(state, spec)
-    for _ in range(_MAX_HALVINGS + 1):
-        got = _attempt(spec, state.u, ev.ut, dt)
-        if got is not None:
-            u_new, _ = got
-            return FlowState(t=state.t + dt, u=u_new, dt=dt,
-                             step_count=state.step_count + 1)
-        dt *= 0.5
-    return FlowState(t=state.t, u=state.u, dt=dt,
-                     step_count=state.step_count, diverged=True)
+    ev = _admissible_evaluate(spec, state.u)
+    dt = state.dt if state.dt > 0 else _stable_dt(spec, ev)
+    return _guarded_update(spec, state, ev, dt)[0]
 
 
-def _record(spec, state, ev):
-    grid = spec.grid
-    gx, gy = discretize.gradient(grid, state.u)
-    sup_grad = float(np.max(np.hypot(gx, gy)))
-    sup_hess = float(np.max(np.maximum(np.abs(ev.lam_hi), np.abs(ev.lam_lo))))
-    ut = _tendency(spec, ev.ut)
+def _record(spec, state, ev, ut):
+    """MonitorRecord of `state`, given its evaluation and tendency."""
+    gx, gy = discretize.gradient(spec.grid, state.u)
     return MonitorRecord(
         t=state.t,
         max_ut=float(np.max(ut)),
         min_ut=float(np.min(ut)),
         min_u=float(np.min(state.u)),
         max_u=float(np.max(state.u)),
-        sup_grad=sup_grad,
-        sup_hess=sup_hess,
+        sup_grad=float(np.max(np.hypot(gx, gy))),
+        sup_hess=float(np.max(np.maximum(np.abs(ev.lam_hi),
+                                         np.abs(ev.lam_lo)))),
         min_quotient=float(np.min(ev.q)),
         osc_u=_osc(state.u),
         amplitude_bound=spec.amplitude_bound,
         quotient_floor=spec.quotient_floor,
     )
-
-
-def monitors(state, spec):
-    """MonitorRecord of the current state."""
-    ev = _evaluate(spec, state.u)
-    if not ev.ok_all:
-        raise _admissibility_error(spec, ev)
-    return _record(spec, state, ev)
 
 
 @dataclass
@@ -516,21 +516,27 @@ def run(spec, mode="steady", t_max=50.0, tol_steady=1e-8, tol_trans=1e-8,
     """
     if mode not in ("steady", "translating"):
         raise ValueError(f"unknown mode {mode!r}")
+    for name, value in (("window", window),
+                        ("checkpoint_every", checkpoint_every)):
+        if value < 1:
+            raise ValueError(f"{name} must be at least 1, got {value!r}")
     state = initial_state(spec)
     ev = _evaluate(spec, state.u)
-    ut = _tendency(spec, ev.ut)
-    records = [_record(spec, state, ev)]
-    series = {"t": [state.t], "max_ut": [float(np.max(ut))],
-              "min_ut": [float(np.min(ut))],
-              "mean_ut": [float(np.mean(ut))],
-              "osc_ut": [_osc(ut)],
-              "max_abs_ut": [float(np.max(np.abs(ut)))]}
-    gap_osc = []
+    records = []
+    series = {name: [] for name in ("t", "max_ut", "min_ut", "mean_ut",
+                                    "osc_ut", "max_abs_ut")}
     means = deque(maxlen=window)
-    means.append(series["mean_ut"][0])
-    prev_u = state.u
-    shifts = 0
-    status = "t_max"
+
+    def log(state, ev, ut):
+        """Append the checkpoint's MonitorRecord and u_t series."""
+        records.append(_record(spec, state, ev, ut))
+        series["t"].append(state.t)
+        series["max_ut"].append(float(np.max(ut)))
+        series["min_ut"].append(float(np.min(ut)))
+        series["mean_ut"].append(float(np.mean(ut)))
+        series["osc_ut"].append(_osc(ut))
+        series["max_abs_ut"].append(float(np.max(np.abs(ut))))
+        means.append(series["mean_ut"][-1])
 
     def stopped():
         if mode == "steady":
@@ -539,33 +545,21 @@ def run(spec, mode="steady", t_max=50.0, tol_steady=1e-8, tol_trans=1e-8,
                     and max(means) - min(means) < tol_trans)
         return series["osc_ut"][-1] < tol_trans and drift_ok
 
-    if stopped():
-        status = mode if mode == "steady" else "translating"
-        return RunResult(state, records, status, spec.monitor_tol, gap_osc,
-                         series, {"shifts": 0})
-
-    while state.t < t_max:
-        g = float(np.max(ev.g_max))
-        if not math.isfinite(g) or g <= 0.0:
+    log(state, ev, _tendency(spec, ev.ut))
+    gap_osc = []
+    prev_u = state.u
+    shifts = 0
+    status = mode if stopped() else "t_max"
+    while status == "t_max" and state.t < t_max:
+        try:
+            dt = min(_stable_dt(spec, ev), t_max - state.t)
+        except DivergenceError:
             state.diverged = True
+        else:
+            state, ev = _guarded_update(spec, state, ev, dt)
+        if state.diverged:
             status = "diverged"
-            break
-        dt = spec.cfl * spec.h_min**2 / (4.0 * g)
-        dt = min(dt, t_max - state.t)
-        got = None
-        for _ in range(_MAX_HALVINGS + 1):
-            got = _attempt(spec, state.u, ev.ut, dt)
-            if got is not None:
-                break
-            dt *= 0.5
-        if got is None:
-            state.diverged = True
-            status = "diverged"
-            break
-        u_new, ev = got
-        state = FlowState(t=state.t + dt, u=u_new, dt=dt,
-                          step_count=state.step_count + 1)
-        if state.step_count % checkpoint_every == 0 or state.t >= t_max:
+        elif state.step_count % checkpoint_every == 0 or state.t >= t_max:
             ut = _tendency(spec, ev.ut)
             if mean_shift and _osc(ut) < _SHIFT_GATE:
                 slope = _log_f_slope(spec, state.u)
@@ -575,25 +569,13 @@ def run(spec, mode="steady", t_max=50.0, tol_steady=1e-8, tol_trans=1e-8,
                     ev = _evaluate(spec, state.u)
                     ut = _tendency(spec, ev.ut)
                     shifts += 1
-            records.append(_record(spec, state, ev))
-            series["t"].append(state.t)
-            series["max_ut"].append(float(np.max(ut)))
-            series["min_ut"].append(float(np.min(ut)))
-            series["mean_ut"].append(float(np.mean(ut)))
-            series["osc_ut"].append(_osc(ut))
-            series["max_abs_ut"].append(float(np.max(np.abs(ut))))
-            means.append(series["mean_ut"][-1])
+            log(state, ev, ut)
             gap_osc.append(_osc(state.u - prev_u))
             prev_u = state.u
             if stopped():
-                status = mode if mode == "steady" else "translating"
-                break
-    else:
-        status = "t_max"
-    if state.diverged:
-        status = "diverged"
+                status = mode
     if records[-1].t < state.t:
-        records.append(_record(spec, state, _evaluate(spec, state.u)))
+        records.append(_record(spec, state, ev, _tendency(spec, ev.ut)))
     return RunResult(state, records, status, spec.monitor_tol, gap_osc,
                      series, {"shifts": shifts})
 

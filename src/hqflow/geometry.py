@@ -38,6 +38,16 @@ class Disk:
         if not self.radius > 0.0:
             raise ValueError("disk radius must be positive")
 
+    @property
+    def a(self):
+        """Semi-axis along x1, as on an ellipse: the radius."""
+        return self.radius
+
+    @property
+    def b(self):
+        """Semi-axis along x2, as on an ellipse: the radius."""
+        return self.radius
+
 
 @dataclass(frozen=True)
 class Ellipse:
@@ -150,10 +160,7 @@ def boundary_integral(dom, g, panels=4096):
                        ((-ones, s[::-1]))):
             total += float(np.sum(np.asarray(g(xs, ys), dtype=float) * w))
         return total
-    if isinstance(dom, Disk):
-        a = b = dom.radius
-    else:
-        a, b = dom.a, dom.b
+    a, b = dom.a, dom.b
     th = np.arange(panels) * (2.0 * math.pi / panels)
     xs, ys = a * np.cos(th), b * np.sin(th)
     speed = np.sqrt((a * np.sin(th)) ** 2 + (b * np.cos(th)) ** 2)
@@ -200,10 +207,7 @@ def _build_polar(dom, n_r, n_theta):
         raise ValueError("polar grid needs n_r >= 4")
     if n_theta < 8 or n_theta % 2:
         raise ValueError("polar grid needs an even n_theta >= 8")
-    if isinstance(dom, Disk):
-        a = b = dom.radius
-    else:
-        a, b = dom.a, dom.b
+    a, b = dom.a, dom.b
     dr = 1.0 / (n_r - 0.5)
     r = (np.arange(n_r) + 0.5) * dr
     dtheta = 2.0 * math.pi / n_theta
@@ -277,8 +281,7 @@ def area_weights(grid):
     order.  Cartesian grids use the 2-D trapezoid weights.
     """
     if grid.backend == "polar":
-        dom = grid.domain
-        ab = dom.radius**2 if isinstance(dom, Disk) else dom.a * dom.b
+        ab = grid.domain.a * grid.domain.b
         dr, dt = grid.dr, grid.dtheta
         n_r = grid.shape[0]
         cell = grid.r * dr
@@ -296,9 +299,7 @@ def area_weights(grid):
 def mesh_size(grid):
     """Coarsest physical node spacing, the `h` of O(h^2) error bounds."""
     if grid.backend == "polar":
-        dom = grid.domain
-        scale = dom.radius if isinstance(dom, Disk) else max(dom.a, dom.b)
-        return scale * max(grid.dr, grid.dtheta)
+        return max(grid.domain.a, grid.domain.b) * max(grid.dr, grid.dtheta)
     return grid.h
 
 

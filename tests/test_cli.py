@@ -62,6 +62,20 @@ def write_cfg(tmp_path, text, name="run.cfg"):
     return str(path)
 
 
+def run_module(args, tmp_path, timeout=None):
+    """`python -m hqflow.cli ARGS` in tmp_path, importing the same hqflow
+    as this process, whether it comes from an install or from
+    PYTHONPATH=src; cwd=tmp_path keeps the working directory from
+    supplying it instead."""
+    pkg_root = os.path.dirname(os.path.dirname(hqflow.__file__))
+    env = dict(os.environ, HQFLOW_OUT=str(tmp_path))
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [pkg_root, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "hqflow.cli", *args], capture_output=True,
+        text=True, cwd=tmp_path, env=env, timeout=timeout)
+
+
 class TestConfigParsing:
     def test_pairs_comments_and_blanks(self):
         pairs = cli.parse_config_text(
@@ -192,6 +206,29 @@ class TestFlowCommand:
             'problem.f = "1"', 'problem.f = "1 +"'))
         assert cli.main(["flow", cfg]) == 2
         assert "problem.f" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cfl", ["0", "-0.1", "nan"])
+    def test_unusable_cfl_exit_2(self, tmp_path, cfl):
+        # with dt <= 0 a run never reaches t_max; the timeout turns such
+        # a hang into a failure
+        cfg = write_cfg(tmp_path, FLOW_CFG + f"flow.cfl = {cfl}\n")
+        proc = run_module(["flow", cfg], tmp_path, timeout=120)
+        assert proc.returncode == 2
+        assert "config error at flow.cfl" in proc.stderr
+
+    @pytest.mark.parametrize("key", ["flow.window", "flow.checkpoint_every"])
+    def test_zero_loop_setting_exit_2(self, tmp_path, capsys, key):
+        cfg = write_cfg(tmp_path, FLOW_CFG.replace(
+            "flow.checkpoint_every = 50\n", "") + f"{key} = 0\n")
+        assert cli.main(["flow", cfg]) == 2
+        assert f"config error at {key}: must be at least 1" in \
+            capsys.readouterr().err
+
+    def test_odd_n_theta_reported_at_its_key(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, FLOW_CFG.replace(
+            "grid.n_theta = 24", "grid.n_theta = 15"))
+        assert cli.main(["flow", cfg]) == 2
+        assert "config error at grid.n_theta" in capsys.readouterr().err
 
     def test_u_in_u0_rejected(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, FLOW_CFG.replace(
@@ -338,16 +375,7 @@ class TestConvergeCommand:
 
 class TestEntryPoint:
     def test_module_invocation(self, tmp_path):
-        # The child must import the same hqflow as this process, whether
-        # it comes from an install or from PYTHONPATH=src; cwd=tmp_path
-        # keeps the working directory from supplying it instead.
-        pkg_root = os.path.dirname(os.path.dirname(hqflow.__file__))
-        env = dict(os.environ, HQFLOW_OUT=str(tmp_path))
-        env["PYTHONPATH"] = os.pathsep.join(
-            filter(None, [pkg_root, env.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "hqflow.cli", "verify", "--trials", "0"],
-            capture_output=True, text=True, cwd=tmp_path, env=env)
+        proc = run_module(["verify", "--trials", "0"], tmp_path)
         assert proc.returncode == 0
         assert "vacuously" in proc.stderr
 

@@ -50,12 +50,16 @@ class TestRhs:
                                     u0="(x1^2 + x2^2)/2",
                                     require_nonnegative_initial_speed=False)
             ut = flow.rhs(u, spec)
+            g_max = flow._evaluate(spec, u).g_max
             for i in range(grid.shape[0] - 1):
                 for j in range(0, grid.shape[1], 3):
                     a = np.array([[hxx[i, j], hxy[i, j]],
                                   [hxy[i, j], hyy[i, j]]])
-                    want, _ = symmfunc.log_quotient_matrix(a, k, l)
+                    want, F = symmfunc.log_quotient_matrix(a, k, l)
                     assert abs(ut[i, j] - want) <= 1e-10
+                    # the dt rule's speed bound is the top eigenvalue of F
+                    top = np.linalg.eigvalsh(F)[-1]
+                    assert abs(g_max[i, j] - top) <= 1e-10 * abs(top)
         del spec1
 
     def test_concave_data_rejected_with_node(self):
@@ -111,6 +115,13 @@ class TestValidation:
             u0="(x1^2 + x2^2)/2 + 0.1*(1 - x1^2 - x2^2)^2")
         assert 0.0 < bump.initial_neumann_residual < 0.1
 
+    @pytest.mark.parametrize("cfl", [0.0, -0.1, math.nan, math.inf])
+    def test_unusable_cfl_rejected(self, cfl):
+        with pytest.raises(ValueError, match="cfl must be finite and "
+                                             "positive"):
+            flow.ProblemSpec(disk_grid(), 1, 0, f="1", phi="1",
+                             u0="(x1^2 + x2^2)/2", cfl=cfl)
+
     def test_amplitude_and_floor_need_both_rates(self):
         spec = quadratic_disk_spec()
         assert spec.amplitude_bound is None
@@ -136,6 +147,10 @@ class TestDtSelection:
         # ring 0 keeps two azimuthal modes: spacing pi*(dr/2)/2
         want = math.pi * grid.dr / 4.0
         assert abs(flow.min_update_spacing(grid) - want) <= 1e-15
+        # the same caps drive the pole filter's slaving plan
+        caps = flow._mode_caps(grid)
+        assert flow.min_update_spacing(grid) == min(
+            grid.dr, float(np.min(np.pi * grid.r[:-1] / caps)))
         sq = square_grid(17)
         assert flow.min_update_spacing(sq) == sq.h
 
@@ -155,6 +170,52 @@ class TestDtSelection:
             with pytest.raises((flow.DivergenceError,
                                 symmfunc.AdmissibilityError)):
                 flow.select_dt(state, spec)
+
+
+class TestPoleFilter:
+    """The slaving map S of `_slave_modes` on the interior rings."""
+
+    @staticmethod
+    def plan_and_fields(n_r=16, n_t=32, seed=0):
+        grid = disk_grid(n_r, n_t)
+        plan = flow._filter_plan(grid)
+        rng = np.random.default_rng(seed)
+        u, v = rng.standard_normal((2, n_r - 1, n_t))
+        return grid, plan, u, v
+
+    @staticmethod
+    def slave(plan, block):
+        return flow._slave_modes(plan, block.copy(), block.shape[1])
+
+    def test_linear(self):
+        _, plan, u, v = self.plan_and_fields()
+        lhs = self.slave(plan, 2.5 * u - 0.75 * v)
+        rhs = 2.5 * self.slave(plan, u) - 0.75 * self.slave(plan, v)
+        assert np.max(np.abs(lhs - rhs)) <= 1e-12
+
+    def test_idempotent(self):
+        _, plan, u, _ = self.plan_and_fields()
+        once = self.slave(plan, u)
+        assert np.max(np.abs(self.slave(plan, once) - once)) <= 1e-12
+        assert np.max(np.abs(once - u)) > 1e-3
+
+    def test_resolved_modes_pass_through(self):
+        grid, plan, u, _ = self.plan_and_fields()
+        caps = flow._mode_caps(grid)
+        before = np.fft.rfft(u, axis=1)
+        after = np.fft.rfft(self.slave(plan, u), axis=1)
+        for j, cap in enumerate(caps):
+            assert np.max(np.abs(after[j, :cap + 1]
+                                 - before[j, :cap + 1])) <= 1e-12
+        # the innermost ring keeps modes 0..2 only
+        assert caps[0] == 2
+        assert np.max(np.abs(after[0, 3:] - before[0, 3:])) > 1e-3
+        # slaved modes follow r^m, so harmonic r^m cos(m theta) is kept
+        r, theta = grid.r[:-1, None], grid.theta[None, :]
+        for m in (3, 7, 16):
+            harmonic = r**m * np.cos(m * theta)
+            assert np.max(np.abs(self.slave(plan, harmonic)
+                                 - harmonic)) <= 1e-12
 
 
 class TestStep:
@@ -286,6 +347,12 @@ class TestTranslatingRun:
         report = flow.monitor_report(result, spec, mode="translating")
         assert report["gap_osc_nonincreasing"]["ok"]
         assert report["all_ok"]["ok"], report
+
+    @pytest.mark.parametrize("setting", ["window", "checkpoint_every"])
+    def test_loop_settings_below_one_rejected(self, setting):
+        spec = quadratic_disk_spec(n_r=8, n_t=16)
+        with pytest.raises(ValueError, match=setting):
+            flow.run(spec, mode="translating", **{setting: 0})
 
     def test_t_max_status(self):
         spec = quadratic_disk_spec(n_r=8, n_t=16)
