@@ -362,10 +362,19 @@ def _formats(cfg):
     return fmts
 
 
+def _time_limit(cfg, path, default):
+    """A t_max setting: a run with an infinite or NaN limit never ends,
+    and one with a limit <= 0 takes no step."""
+    value = cfg.float_(path, default)
+    if not (math.isfinite(value) and value > 0.0):
+        raise ConfigError(path, f"must be finite and positive, got {value}")
+    return value
+
+
 def _run_settings(cfg):
     mode = cfg.word("flow.mode", ("steady", "translating"), default="steady")
     settings = dict(mode=mode,
-                    t_max=cfg.float_("flow.t_max", 50.0),
+                    t_max=_time_limit(cfg, "flow.t_max", 50.0),
                     tol_steady=cfg.float_("flow.tol_steady", 1e-8),
                     tol_trans=cfg.float_("flow.tol_trans", 1e-8),
                     window=cfg.int_("flow.window", 50),
@@ -430,7 +439,7 @@ def cmd_eigen(args):
     eps0 = cfg.float_("eigen.eps0", 1.0)
     n_halvings = cfg.int_("eigen.n_halvings", 6)
     tol = cfg.float_("eigen.tol", 1e-8)
-    t_max = cfg.float_("eigen.t_max", 400.0)
+    t_max = _time_limit(cfg, "eigen.t_max", 400.0)
     check_translation = cfg.bool_("eigen.check_translation", False)
     formats = _formats(cfg)
     out = _out_dir(cfg)

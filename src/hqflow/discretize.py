@@ -13,16 +13,26 @@ Hessian values are produced for interior nodes only (the flow never
 needs boundary Hessians; boundary values are slaved to the closure),
 and the returned arrays hold zeros on the boundary rows.
 
-The closure relation (one-sided normal derivative) = phi(x, u_b) is
-strictly increasing in u_b whenever phi_u <= 0, so each boundary node
-has a unique solution; the solver verifies a sign change before running
-safeguarded Newton.  Square corners enforce the mean of the two
-one-sided face relations.  On the ellipse the normal derivative picks
-up a tangential term, which couples neighboring boundary nodes; those
-are relaxed by Jacobi sweeps (the term vanishes identically on the
-disk, where one sweep suffices).
+The closure relation (one-sided normal derivative) = phi(x, u_b) has
+two solvers.  When phi is a field that declares it does not depend on u
+(`phi.depends_on_u is False`), the relation is affine in the boundary
+values and is solved directly: node by node on the disk and the square
+(faces first, then corners from the closed faces), and on the ellipse,
+where the normal derivative picks up a tangential term that couples
+neighboring boundary nodes, by the inverse of that cyclic tridiagonal
+system.  For any other phi the relation is strictly increasing in u_b
+whenever phi_u <= 0, so each boundary node has a unique solution; the
+solver verifies a sign change before running safeguarded Newton, and
+relaxes the ellipse coupling by Jacobi sweeps (the term vanishes
+identically on the disk, where one sweep suffices).  Square corners
+enforce the mean of the two one-sided face relations either way.
+
+The per-grid constants (chain-rule coefficients, boundary geometry,
+closure coefficients) are built once per grid and kept read-only in a
+small cache keyed on the grid object.
 """
 
+import functools
 import math
 from collections import defaultdict
 from dataclasses import dataclass
@@ -43,6 +53,21 @@ def _phantom_pad(u, nt):
     return P
 
 
+# Grid is a frozen dataclass with eq=False, so it hashes by identity and
+# a cache entry lives as long as the cache holds its grid.
+_per_grid = functools.lru_cache(maxsize=8)
+
+
+def _read_only(*arrays):
+    """The arrays of a cached result, each made read-only so no caller
+    can change what the cache hands to the next one."""
+    for arr in arrays:
+        if isinstance(arr, np.ndarray):
+            arr.flags.writeable = False
+    return arrays
+
+
+@_per_grid
 def _polar_coeffs(grid):
     """Chain-rule coefficient arrays of the radial map, full grid shape."""
     a, b = grid.domain.a, grid.domain.b
@@ -53,7 +78,27 @@ def _polar_coeffs(grid):
     ry = st / b
     tx = -st / (a * r)
     ty = ct / (b * r)
-    return a, b, r, ct, st, rx, ry, tx, ty
+    return (a, b) + _read_only(r, ct, st, rx, ry, tx, ty)
+
+
+@_per_grid
+def _polar_hessian_weights(grid):
+    """Interior-row weights of the polar Hessian, products of the
+    chain-rule coefficients: those of u_r and u_theta in gx and gy, of
+    gx and gy in the map-curvature terms m_rt and m_tt, and of u_rr,
+    m_rt and m_tt in hxx, hxy and hyy.  Each product is formed in the
+    order the unfactored expression would form it, so the Hessian's
+    values do not depend on the caching."""
+    a, b, r, ct, st, rx, ry, tx, ty = _polar_coeffs(grid)
+    shape = (grid.shape[0] - 1, grid.shape[1])
+    r, ct, st = r[:-1], np.broadcast_to(ct, shape), np.broadcast_to(st, shape)
+    rx, ry = np.broadcast_to(rx, shape), np.broadcast_to(ry, shape)
+    tx, ty = tx[:-1], ty[:-1]
+    return _read_only(
+        rx, tx, ry, ty, a * st, b * ct, a * r * ct, b * r * st,
+        rx * rx, 2.0 * rx * tx, tx * tx,
+        rx * ry, rx * ty + tx * ry, tx * ty,
+        ry * ry, 2.0 * ry * ty, ty * ty)
 
 
 def _polar_first(grid, u):
@@ -109,21 +154,18 @@ def hessian(grid, u):
         urt = (Pl[2:nr + 1] - Pr[2:nr + 1] - Pl[:nr - 1] + Pr[:nr - 1]) \
             / (4.0 * dr * dt)
         utt = (Pl[1:nr] - 2.0 * P[1:nr] + Pr[1:nr]) / dt**2
-        a, b, r, ct, st, rx, ry, tx, ty = _polar_coeffs(grid)
-        r, ct, st = r[:-1], np.broadcast_to(ct, u.shape)[:-1], \
-            np.broadcast_to(st, u.shape)[:-1]
-        rx, ry = np.broadcast_to(rx, u.shape)[:-1], \
-            np.broadcast_to(ry, u.shape)[:-1]
-        tx, ty = tx[:-1], ty[:-1]
+        (rx, tx, ry, ty, k_rt_x, k_rt_y, k_tt_x, k_tt_y,
+         xx_rr, xx_rt, xx_tt, xy_rr, xy_rt, xy_tt,
+         yy_rr, yy_rt, yy_tt) = _polar_hessian_weights(grid)
         gx = rx * ur + tx * ut
         gy = ry * ur + ty * ut
         # subtract the curvature of the map: M = H_(r,theta) - gx*X - gy*Y
         # with X, Y the second-derivative tensors of x(r,th), y(r,th)
-        m_rt = urt + a * st * gx - b * ct * gy
-        m_tt = utt + a * r * ct * gx + b * r * st * gy
-        hxx[:-1] = rx * rx * urr + 2.0 * rx * tx * m_rt + tx * tx * m_tt
-        hxy[:-1] = rx * ry * urr + (rx * ty + tx * ry) * m_rt + tx * ty * m_tt
-        hyy[:-1] = ry * ry * urr + 2.0 * ry * ty * m_rt + ty * ty * m_tt
+        m_rt = urt + k_rt_x * gx - k_rt_y * gy
+        m_tt = utt + k_tt_x * gx + k_tt_y * gy
+        hxx[:-1] = xx_rr * urr + xx_rt * m_rt + xx_tt * m_tt
+        hxy[:-1] = xy_rr * urr + xy_rt * m_rt + xy_tt * m_tt
+        hyy[:-1] = yy_rr * urr + yy_rt * m_rt + yy_tt * m_tt
         return hxx, hxy, hyy
     h2 = grid.h ** 2
     hxx[1:-1, 1:-1] = (u[1:-1, 2:] - 2.0 * u[1:-1, 1:-1]
@@ -342,15 +384,42 @@ def _solve_increasing(fun, x0, max_iter=50):
     return x
 
 
+@_per_grid
 def _polar_boundary_geometry(grid):
+    """|grad r| and the tangential weight of the normal derivative on the
+    boundary ring: u_nu = sq * u_r + ct * u_theta."""
     a, b = grid.domain.a, grid.domain.b
     th = grid.theta
     grr = (np.cos(th) / a) ** 2 + (np.sin(th) / b) ** 2
     grt = np.sin(th) * np.cos(th) * (1.0 / b**2 - 1.0 / a**2)
     sq = np.sqrt(grr)
-    return sq, grt / sq
+    return _read_only(sq, grt / sq)
 
 
+@_per_grid
+def _polar_closure(grid):
+    """Coefficients of the boundary relation on the outer ring,
+
+        slope * u_b + c1 * u[-2] + c2 * u[-3] + tangential term = phi,
+
+    and, when the tangential term couples neighboring boundary nodes
+    (the ellipse), the inverse of its cyclic tridiagonal matrix; None
+    on the disk, where the term vanishes."""
+    sq, ct = _polar_boundary_geometry(grid)
+    w = sq / (2.0 * grid.dr)
+    inverse = None
+    if np.any(ct != 0.0):
+        n = grid.shape[1]
+        i = np.arange(n)
+        k = ct / (2.0 * grid.dtheta)
+        A = np.diag(3.0 * w)
+        A[i, (i + 1) % n] += k
+        A[i, (i - 1) % n] -= k
+        inverse = np.linalg.inv(A)
+    return _read_only(3.0 * w, -4.0 * w, w, inverse)
+
+
+@functools.lru_cache(maxsize=8)
 def _square_closure_nodes(n):
     """Index tuples of the Neumann closure on an n x n lattice.
 
@@ -371,7 +440,8 @@ def _square_closure_nodes(n):
     cx2 = ((0, 0, n - 1, n - 1), (2, n - 3, 2, n - 3))
     cy1 = ((1, 1, n - 2, n - 2), (0, n - 1, 0, n - 1))
     cy2 = ((2, 2, n - 3, n - 3), (0, n - 1, 0, n - 1))
-    return faces, (corners, cx1, cx2, cy1, cy2)
+    return tuple(_read_only(*pair) for pair in faces), \
+        (corners, cx1, cx2, cy1, cy2)
 
 
 def apply_neumann(grid, u, phi, max_sweeps=50):
@@ -380,17 +450,24 @@ def apply_neumann(grid, u, phi, max_sweeps=50):
     `phi` is called as phi(x, y, u) with arrays of boundary data.  The
     one-sided discrete normal derivative at each boundary node is
     driven to phi within 1e-12; square corners satisfy the mean of
-    their two face relations.
+    their two face relations.  A phi whose `depends_on_u` attribute is
+    False makes the relation affine in the boundary values: it is
+    solved directly, with phi evaluated once.  Any other phi is solved
+    by bracketed Newton, with up to `max_sweeps` Jacobi sweeps for the
+    ellipse coupling.
     """
     u = np.array(u, dtype=float)
+    affine = getattr(phi, "depends_on_u", None) is False
     if grid.backend == "polar":
-        dr = grid.dr
-        sq, ct = _polar_boundary_geometry(grid)
+        slope, c1, c2, inverse = _polar_closure(grid)
         xb, yb = grid.x[-1], grid.y[-1]
-        known = sq * (-4.0 * u[-2] + u[-3]) / (2.0 * dr)
-        slope = sq * 3.0 / (2.0 * dr)
+        known = c1 * u[-2] + c2 * u[-3]
+        if affine:
+            rhs = phi(xb, yb, u[-1]) - known
+            u[-1] = rhs / slope if inverse is None else inverse @ rhs
+            return u
+        _, ct = _polar_boundary_geometry(grid)
         ub = u[-1].copy()
-        coupled = bool(np.any(ct != 0.0))
         for _ in range(max_sweeps):
             tang = ct * (np.roll(ub, -1) - np.roll(ub, 1)) / (2.0 * grid.dtheta)
 
@@ -400,28 +477,35 @@ def apply_neumann(grid, u, phi, max_sweeps=50):
             ub_new = _solve_increasing(resid, ub)
             change = float(np.max(np.abs(ub_new - ub)))
             ub = ub_new
-            if not coupled or change <= 1e-13 * (1.0 + np.max(np.abs(ub))):
+            if inverse is None \
+                    or change <= 1e-13 * (1.0 + np.max(np.abs(ub))):
                 break
         u[-1] = ub
         return u
     h = grid.h
-    (idx, w1, w2), (corners, cx1, cx2, cy1, cy2) = \
-        _square_closure_nodes(grid.shape[0])
-    known = (-4.0 * u[w1] + u[w2]) / (2.0 * h)
-    xb, yb = grid.x[idx], grid.y[idx]
     slope = 3.0 / (2.0 * h)
+    (face, f1, f2), (corners, cx1, cx2, cy1, cy2) = \
+        _square_closure_nodes(grid.shape[0])
+    fluxes = (None, None)
+    if affine:
+        # phi once, at the face nodes followed by the corners
+        both = tuple(np.concatenate(ij) for ij in zip(face, corners))
+        fluxes = np.split(phi(grid.x[both], grid.y[both], u[both]),
+                        [face[0].size])
 
-    def resid_face(v):
-        return slope * v + known - phi(xb, yb, v)
+    def close(nodes, known, flux):
+        """Values at `nodes` solving slope * v + known = phi(x, v); `flux`
+        is phi there when it does not depend on v."""
+        if flux is not None:
+            return (flux - known) / slope
+        x, y = grid.x[nodes], grid.y[nodes]
+        return _solve_increasing(
+            lambda v: slope * v + known - phi(x, y, v), u[nodes])
 
-    u[idx] = _solve_increasing(resid_face, u[idx])
-    known_c = 0.5 * (-4.0 * (u[cx1] + u[cy1]) + (u[cx2] + u[cy2])) / (2.0 * h)
-    xc, yc = grid.x[corners], grid.y[corners]
-
-    def resid_corner(v):
-        return slope * v + known_c - phi(xc, yc, v)
-
-    u[corners] = _solve_increasing(resid_corner, u[corners])
+    u[face] = close(face, (-4.0 * u[f1] + u[f2]) / (2.0 * h), fluxes[0])
+    u[corners] = close(corners, 0.5 * (-4.0 * (u[cx1] + u[cy1])
+                                       + (u[cx2] + u[cy2])) / (2.0 * h),
+                       fluxes[1])
     return u
 
 

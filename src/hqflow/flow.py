@@ -53,9 +53,28 @@ class DivergenceError(RuntimeError):
 
 def _as_field(obj, slot):
     """Normalize an expression string / parsed expression / callable /
-    grid array to a vectorized callable; `slot` picks the allowed
-    variables."""
+    grid array (u0 only) to a vectorized callable; `slot` picks the
+    allowed variables.
+
+    The result carries `depends_on_u`: True or False when known, None
+    for an opaque callable.  A field this function already made for the
+    same slot is returned unchanged, so the flag survives being passed
+    on to another ProblemSpec.
+    """
+    if getattr(obj, "field_slot", None) == slot:
+        return obj
+    fn = _make_field(obj, slot)
+    fn.field_slot = slot
+    return fn
+
+
+def _make_field(obj, slot):
     if isinstance(obj, np.ndarray):
+        if slot != "u0":
+            raise TypeError(
+                f"a grid array is accepted only for u0, not for {slot!r}; "
+                f"pass an expression or a callable of (x, y, u)")
+
         def fn(x, y, u=None, _v=obj.astype(float, copy=True)):
             return np.broadcast_to(_v, np.shape(x))
 
@@ -386,12 +405,17 @@ class MonitorRecord:
     quotient_floor: float = None
 
 
+def _initial(spec):
+    """Closed initial data with a stable starting dt, and its evaluation."""
+    state = FlowState(t=0.0, u=spec.u0_grid.copy(), dt=0.0)
+    ev = _evaluate(spec, state.u)
+    state.dt = _stable_dt(spec, ev)
+    return state, ev
+
+
 def initial_state(spec):
     """Closed initial data with a stable starting dt."""
-    u = spec.u0_grid.copy()
-    state = FlowState(t=0.0, u=u, dt=0.0)
-    state.dt = select_dt(state, spec)
-    return state
+    return _initial(spec)[0]
 
 
 def _slave_modes(plan, block, n_t):
@@ -520,8 +544,9 @@ def run(spec, mode="steady", t_max=50.0, tol_steady=1e-8, tol_trans=1e-8,
                         ("checkpoint_every", checkpoint_every)):
         if value < 1:
             raise ValueError(f"{name} must be at least 1, got {value!r}")
-    state = initial_state(spec)
-    ev = _evaluate(spec, state.u)
+    if not (math.isfinite(t_max) and t_max > 0.0):
+        raise ValueError(f"t_max must be finite and positive, got {t_max!r}")
+    state, ev = _initial(spec)
     records = []
     series = {name: [] for name in ("t", "max_ut", "min_ut", "mean_ut",
                                     "osc_ut", "max_abs_ut")}

@@ -20,6 +20,9 @@ import pytest
 
 from hqflow import cli, elliptic, flow, geometry, verify
 
+# The suite takes most of the full test run; `-m "not slow"` skips it.
+pytestmark = pytest.mark.slow
+
 CliRun = namedtuple("CliRun", "code wall out args")
 
 U_STAR = "(x1^2 + x2^2)/2 + 0.1*exp(x1/2)"

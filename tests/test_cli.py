@@ -216,6 +216,18 @@ class TestFlowCommand:
         assert proc.returncode == 2
         assert "config error at flow.cfl" in proc.stderr
 
+    @pytest.mark.parametrize("t_max", ["inf", "nan", "0", "-1"])
+    def test_unusable_t_max_exit_2(self, tmp_path, t_max):
+        # with tol_trans = 0 only t_max ends a translating run, so an
+        # infinite limit would hang; the timeout turns that into a failure
+        cfg = write_cfg(tmp_path, FLOW_CFG.replace(
+            "flow.t_max = 40.0", f"flow.t_max = {t_max}").replace(
+            "flow.tol_trans = 1e-7", "flow.tol_trans = 0"))
+        proc = run_module(["flow", cfg], tmp_path, timeout=120)
+        assert proc.returncode == 2
+        assert "config error at flow.t_max: must be finite and positive" \
+            in proc.stderr
+
     @pytest.mark.parametrize("key", ["flow.window", "flow.checkpoint_every"])
     def test_zero_loop_setting_exit_2(self, tmp_path, capsys, key):
         cfg = write_cfg(tmp_path, FLOW_CFG.replace(
@@ -269,6 +281,14 @@ class TestEigenCommand:
         assert "eigen solve failed" in capsys.readouterr().err
         d = json.loads((tmp_path / "o" / "summary.json").read_text())
         assert d["status"] == "diverged"
+
+    @pytest.mark.parametrize("t_max", ["inf", "nan", "0", "-1"])
+    def test_unusable_t_max_exit_2(self, tmp_path, t_max):
+        cfg = write_cfg(tmp_path, EIGEN_CFG + f"eigen.t_max = {t_max}\n")
+        proc = run_module(["eigen", cfg], tmp_path, timeout=120)
+        assert proc.returncode == 2
+        assert "config error at eigen.t_max: must be finite and positive" \
+            in proc.stderr
 
     def test_noncontracting_trace_exit_5(self, tmp_path, monkeypatch):
         cfg = write_cfg(tmp_path, EIGEN_CFG)

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from hqflow import discretize, geometry
+from hqflow import discretize, flow, geometry
 
 
 def _orders(errs):
@@ -199,6 +199,95 @@ class TestNeumannClosure:
         u = np.zeros(g.shape)
         with pytest.raises(ValueError, match="sign change"):
             discretize.apply_neumann(g, u, lambda x, y, v: 100.0 * v)
+
+
+CLOSURE_GRIDS = {
+    "disk": lambda: geometry.build_grid(geometry.Disk(1.0),
+                                        n_r=16, n_theta=32),
+    "ellipse": lambda: geometry.build_grid(geometry.Ellipse(1.4, 0.8),
+                                           n_r=16, n_theta=32),
+    "square": lambda: geometry.build_grid(geometry.Square(1.0), n=17),
+}
+
+
+def _closure_input(g):
+    u = 0.5 * (g.x**2 + g.y**2) + 0.1 * np.sin(1.3 * g.x + 0.4 * g.y)
+    u[g.boundary_mask] = 0.0
+    return u
+
+
+@pytest.mark.parametrize("name", sorted(CLOSURE_GRIDS))
+class TestAffineClosure:
+    """The direct closure for a phi that declares no u-dependence,
+    against the bracketed Newton closure of the same formula."""
+
+    def test_matches_newton_path(self, name):
+        g = CLOSURE_GRIDS[name]()
+        direct_phi = flow._as_field("1 + x1/3", "phi")
+        assert direct_phi.depends_on_u is False
+        u = _closure_input(g)
+        direct = discretize.apply_neumann(g, u, direct_phi)
+        newton = discretize.apply_neumann(g, u, lambda x, y, v: 1 + x / 3)
+        assert np.max(np.abs(direct - newton)) <= 1e-12
+        assert np.max(np.abs(
+            discretize.neumann_residual(g, direct, direct_phi))) <= 1e-12
+        inner = ~g.boundary_mask
+        assert np.array_equal(direct[inner], u[inner])
+
+    def test_idempotent(self, name):
+        g = CLOSURE_GRIDS[name]()
+        phi = flow._as_field("1 + x1/3", "phi")
+        once = discretize.apply_neumann(g, _closure_input(g), phi)
+        assert np.array_equal(discretize.apply_neumann(g, once, phi), once)
+
+    def test_dispatch_on_depends_on_u(self, name, monkeypatch):
+        # only a phi that declares depends_on_u = False skips Newton;
+        # u-dependent and opaque ones still solve to 1e-12
+        g = CLOSURE_GRIDS[name]()
+        u = _closure_input(g)
+        newton_calls = []
+        solve = discretize._solve_increasing
+
+        def counting(fun, x0, max_iter=50):
+            newton_calls.append(1)
+            return solve(fun, x0, max_iter)
+
+        monkeypatch.setattr(discretize, "_solve_increasing", counting)
+        discretize.apply_neumann(g, u, flow._as_field("1 + x1/3", "phi"))
+        assert not newton_calls
+        for phi in (flow._as_field("1 + x1/3 - u", "phi"),
+                    flow._as_field(lambda x, y, v: 1 + x / 3 - v, "phi")):
+            assert phi.depends_on_u is not False
+            out = discretize.apply_neumann(g, u, phi)
+            assert newton_calls
+            assert np.max(np.abs(
+                discretize.neumann_residual(g, out, phi))) <= 1e-12
+            newton_calls.clear()
+
+
+class TestGridCache:
+    def test_cached_coefficients_are_shared_and_read_only(self):
+        g = geometry.build_grid(geometry.Ellipse(1.4, 0.8), n_r=8, n_theta=16)
+        for fn in (discretize._polar_coeffs,
+                   discretize._polar_hessian_weights,
+                   discretize._polar_boundary_geometry,
+                   discretize._polar_closure):
+            first = fn(g)
+            assert fn(g) is first
+            arrays = [a for a in first if isinstance(a, np.ndarray)]
+            assert arrays
+            for arr in arrays:
+                with pytest.raises(ValueError):
+                    arr[...] = 0.0
+
+    def test_grids_do_not_share_entries(self):
+        small = geometry.build_grid(geometry.Disk(1.0), n_r=8, n_theta=16)
+        large = geometry.build_grid(geometry.Disk(2.0), n_r=8, n_theta=16)
+        u = 0.5 * (small.x**2 + small.y**2)
+        hxx = discretize.hessian(small, u)[0]
+        discretize.hessian(large, u)
+        assert np.array_equal(discretize.hessian(small, u)[0], hxx)
+        assert np.max(np.abs(hxx[small.interior_mask] - 1.0)) <= 1e-12
 
 
 class TestStencils:

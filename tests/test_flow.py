@@ -134,6 +134,33 @@ class TestValidation:
         assert spec2.quotient_floor > 0
 
 
+class TestFields:
+    def test_normalized_field_passes_through(self):
+        for expr, depends in (("1 + x1/3", False), ("1 - u", True)):
+            phi = flow._as_field(expr, "phi")
+            assert phi.depends_on_u is depends
+            assert flow._as_field(phi, "phi") is phi
+        opaque = flow._as_field(lambda x, y, u: np.ones_like(x), "phi")
+        assert opaque.depends_on_u is None
+        assert flow._as_field(opaque, "phi") is opaque
+
+    def test_respecified_phi_keeps_its_flag(self):
+        # elliptic.solve_regularized and the CLI translation check build
+        # a second ProblemSpec from spec.phi
+        spec = quadratic_disk_spec(n_r=8, n_t=16)
+        again = flow.ProblemSpec(spec.grid, 1, 0, f="1", phi=spec.phi,
+                                 u0=spec.u0_grid)
+        assert again.phi is spec.phi
+        assert again.phi.depends_on_u is False
+
+    @pytest.mark.parametrize("slot", ["f", "phi"])
+    def test_grid_array_only_for_u0(self, slot):
+        grid = disk_grid(8, 16)
+        assert flow._as_field(np.ones(grid.shape), "u0").depends_on_u is False
+        with pytest.raises(TypeError, match=f"only for u0, not for '{slot}'"):
+            flow._as_field(np.ones(grid.shape), slot)
+
+
 class TestDtSelection:
     def test_matches_speed_bound_formula(self):
         spec = quadratic_disk_spec()
@@ -353,6 +380,29 @@ class TestTranslatingRun:
         spec = quadratic_disk_spec(n_r=8, n_t=16)
         with pytest.raises(ValueError, match=setting):
             flow.run(spec, mode="translating", **{setting: 0})
+
+    @pytest.mark.parametrize("t_max", [math.inf, math.nan, 0.0, -1.0])
+    def test_unbounded_or_empty_t_max_rejected(self, t_max):
+        spec = quadratic_disk_spec(n_r=8, n_t=16)
+        with pytest.raises(ValueError, match="t_max"):
+            flow.run(spec, mode="translating", t_max=t_max)
+
+    def test_initial_state_evaluated_once(self, monkeypatch):
+        # one Hessian for ProblemSpec validation, one for the initial
+        # state, one per step (no dt halvings on this run)
+        calls = []
+        hessian = discretize.hessian
+
+        def counting(grid, u):
+            calls.append(1)
+            return hessian(grid, u)
+
+        monkeypatch.setattr(discretize, "hessian", counting)
+        spec = quadratic_disk_spec(n_r=8, n_t=16)
+        result = flow.run(spec, mode="translating", t_max=0.05,
+                          checkpoint_every=10)
+        assert result.state.step_count > 10
+        assert len(calls) == result.state.step_count + 2
 
     def test_t_max_status(self):
         spec = quadratic_disk_spec(n_r=8, n_t=16)
