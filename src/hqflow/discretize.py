@@ -13,19 +13,19 @@ Hessian values are produced for interior nodes only (the flow never
 needs boundary Hessians; boundary values are slaved to the closure),
 and the returned arrays hold zeros on the boundary rows.
 
-The closure relation (one-sided normal derivative) = phi(x, u_b) has
-two solvers.  When phi is a field that declares it does not depend on u
-(`phi.depends_on_u is False`), the relation is affine in the boundary
-values and is solved directly: node by node on the disk and the square
-(faces first, then corners from the closed faces), and on the ellipse,
-where the normal derivative picks up a tangential term that couples
-neighboring boundary nodes, by the inverse of that cyclic tridiagonal
-system.  For any other phi the relation is strictly increasing in u_b
-whenever phi_u <= 0, so each boundary node has a unique solution; the
-solver verifies a sign change before running safeguarded Newton, and
-relaxes the ellipse coupling by Jacobi sweeps (the term vanishes
-identically on the disk, where one sweep suffices).  Square corners
-enforce the mean of the two one-sided face relations either way.
+The closure relation (one-sided normal derivative) = phi(x, u_b) reads
+M u_b + (inner-row terms) = phi(x, u_b).  M is the diagonal `slope` on
+the disk and on the square; on the ellipse the normal derivative picks
+up a tangential term that couples neighboring boundary nodes, and M is
+a cyclic tridiagonal matrix.  Square corners enforce the mean of their
+two one-sided face relations, which reach only face nodes, so the faces
+are closed first and the corners from them.  One Newton iteration
+solves the relation on every grid: each step solves the linearization
+(M - diag(d)) u_b = phi - d u_b_old - (inner-row terms), d the
+finite-difference phi_u.  A phi that declares it does not depend on u
+(`phi.depends_on_u is False`) makes the relation affine, and one step
+with d = 0 solves it exactly.  For phi_u <= 0 the relation is strictly
+increasing in u_b; a step whose slope - d is not positive is refused.
 
 The per-grid constants (chain-rule coefficients, boundary geometry,
 closure coefficients) are built once per grid and kept read-only in a
@@ -146,11 +146,11 @@ def hessian(grid, u):
         nr, nt = grid.shape
         dr, dt = grid.dr, grid.dtheta
         P = _phantom_pad(u, nt)
-        ur, ut = _polar_first(grid, u)
-        ur, ut = ur[:-1], ut[:-1]
-        urr = (P[2:nr + 1] - 2.0 * P[1:nr] + P[:nr - 1]) / dr**2
         Pl = np.roll(P, -1, axis=1)
         Pr = np.roll(P, 1, axis=1)
+        ur = (P[2:nr + 1] - P[:nr - 1]) / (2.0 * dr)
+        ut = (Pl[1:nr] - Pr[1:nr]) / (2.0 * dt)
+        urr = (P[2:nr + 1] - 2.0 * P[1:nr] + P[:nr - 1]) / dr**2
         urt = (Pl[2:nr + 1] - Pr[2:nr + 1] - Pl[:nr - 1] + Pr[:nr - 1]) \
             / (4.0 * dr * dt)
         utt = (Pl[1:nr] - 2.0 * P[1:nr] + Pr[1:nr]) / dt**2
@@ -333,57 +333,6 @@ def apply_stencil(entries, u_flat):
     return sum(w * u_flat[idx] for idx, w in entries)
 
 
-def _solve_increasing(fun, x0, max_iter=50):
-    """Vector root solve of componentwise strictly increasing relations.
-
-    Brackets each root by geometric expansion (verifying the sign
-    change), then runs Newton with finite-difference slopes, falling
-    back to bisection whenever a step leaves its bracket.
-    """
-    x0 = np.asarray(x0, dtype=float)
-    span = 1.0 + np.abs(x0)
-    lo = x0 - span
-    rlo = np.asarray(fun(lo), dtype=float)
-    s = span.copy()
-    for _ in range(60):
-        bad = rlo > 0.0
-        if not bad.any():
-            break
-        s = np.where(bad, 2.0 * s, s)
-        lo = np.where(bad, lo - s, lo)
-        rlo = np.where(bad, fun(lo), rlo)
-    hi = x0 + span
-    rhi = np.asarray(fun(hi), dtype=float)
-    s = span.copy()
-    for _ in range(60):
-        bad = rhi < 0.0
-        if not bad.any():
-            break
-        s = np.where(bad, 2.0 * s, s)
-        hi = np.where(bad, hi + s, hi)
-        rhi = np.where(bad, fun(hi), rhi)
-    if (rlo > 0.0).any() or (rhi < 0.0).any():
-        raise ValueError(
-            "boundary relation has no sign change; is phi increasing in u?")
-    x = np.clip(x0, lo, hi)
-    r = np.asarray(fun(x), dtype=float)
-    tol = 1e-13 * (1.0 + float(np.max(np.abs(x0))))
-    for _ in range(max_iter):
-        if float(np.max(np.abs(r))) <= tol:
-            break
-        delta = 1e-7 * (1.0 + np.abs(x))
-        slope = (np.asarray(fun(x + delta)) - r) / delta
-        with np.errstate(divide="ignore", invalid="ignore"):
-            newton = x - r / slope
-        ok = (slope > 0.0) & np.isfinite(newton) & (newton > lo) & (newton < hi)
-        xn = np.where(ok, newton, 0.5 * (lo + hi))
-        r = np.asarray(fun(xn), dtype=float)
-        lo = np.where(r <= 0.0, xn, lo)
-        hi = np.where(r > 0.0, xn, hi)
-        x = xn
-    return x
-
-
 @_per_grid
 def _polar_boundary_geometry(grid):
     """|grad r| and the tangential weight of the normal derivative on the
@@ -403,11 +352,11 @@ def _polar_closure(grid):
         slope * u_b + c1 * u[-2] + c2 * u[-3] + tangential term = phi,
 
     and, when the tangential term couples neighboring boundary nodes
-    (the ellipse), the inverse of its cyclic tridiagonal matrix; None
-    on the disk, where the term vanishes."""
+    (the ellipse), the cyclic tridiagonal matrix A of the u_b terms and
+    its inverse; None for both on the disk, where the term vanishes."""
     sq, ct = _polar_boundary_geometry(grid)
     w = sq / (2.0 * grid.dr)
-    inverse = None
+    A = inverse = None
     if np.any(ct != 0.0):
         n = grid.shape[1]
         i = np.arange(n)
@@ -416,7 +365,7 @@ def _polar_closure(grid):
         A[i, (i + 1) % n] += k
         A[i, (i - 1) % n] -= k
         inverse = np.linalg.inv(A)
-    return _read_only(3.0 * w, -4.0 * w, w, inverse)
+    return _read_only(3.0 * w, -4.0 * w, w, A, inverse)
 
 
 @functools.lru_cache(maxsize=8)
@@ -444,69 +393,89 @@ def _square_closure_nodes(n):
         (corners, cx1, cx2, cy1, cy2)
 
 
-def apply_neumann(grid, u, phi, max_sweeps=50):
-    """Return a copy of u whose boundary values satisfy u_nu = phi(x, u).
-
-    `phi` is called as phi(x, y, u) with arrays of boundary data.  The
-    one-sided discrete normal derivative at each boundary node is
-    driven to phi within 1e-12; square corners satisfy the mean of
-    their two face relations.  A phi whose `depends_on_u` attribute is
-    False makes the relation affine in the boundary values: it is
-    solved directly, with phi evaluated once.  Any other phi is solved
-    by bracketed Newton, with up to `max_sweeps` Jacobi sweeps for the
-    ellipse coupling.
-    """
-    u = np.array(u, dtype=float)
-    affine = getattr(phi, "depends_on_u", None) is False
+@_per_grid
+def _boundary_nodes(grid):
+    """Index of the closed nodes in u, their coordinates, and the
+    diagonal of the closure matrix M there: the outer ring on the polar
+    grids, the face nodes followed by the corners on the square."""
     if grid.backend == "polar":
-        slope, c1, c2, inverse = _polar_closure(grid)
-        xb, yb = grid.x[-1], grid.y[-1]
-        known = c1 * u[-2] + c2 * u[-3]
-        if affine:
-            rhs = phi(xb, yb, u[-1]) - known
-            u[-1] = rhs / slope if inverse is None else inverse @ rhs
-            return u
-        _, ct = _polar_boundary_geometry(grid)
-        ub = u[-1].copy()
-        for _ in range(max_sweeps):
-            tang = ct * (np.roll(ub, -1) - np.roll(ub, 1)) / (2.0 * grid.dtheta)
+        return (-1,) + _read_only(grid.x[-1], grid.y[-1],
+                                  _polar_closure(grid)[0])
+    (face, _, _), (corners, _, _, _, _) = _square_closure_nodes(grid.shape[0])
+    both = tuple(np.concatenate(ij) for ij in zip(face, corners))
+    return (both,) + _read_only(grid.x[both], grid.y[both],
+                                3.0 / (2.0 * grid.h))
 
-            def resid(v):
-                return slope * v + known + tang - phi(xb, yb, v)
 
-            ub_new = _solve_increasing(resid, ub)
-            change = float(np.max(np.abs(ub_new - ub)))
-            ub = ub_new
-            if inverse is None \
-                    or change <= 1e-13 * (1.0 + np.max(np.abs(ub))):
-                break
-        u[-1] = ub
-        return u
+def _close_linear(grid, u, g, d=None):
+    """Write into u the boundary values that solve the closure relation
+    with phi replaced by g + d * u_b, both in `_boundary_nodes` order.
+    d = None stands for d = 0 and uses the cached inverse on the
+    ellipse."""
+    if grid.backend == "polar":
+        slope, c1, c2, A, inverse = _polar_closure(grid)
+        rhs = g - (c1 * u[-2] + c2 * u[-3])
+        if A is None:
+            u[-1] = rhs / (slope if d is None else slope - d)
+        elif d is None:
+            u[-1] = inverse @ rhs
+        else:
+            u[-1] = np.linalg.solve(A - np.diag(d), rhs)
+        return
     h = grid.h
     slope = 3.0 / (2.0 * h)
     (face, f1, f2), (corners, cx1, cx2, cy1, cy2) = \
         _square_closure_nodes(grid.shape[0])
-    fluxes = (None, None)
-    if affine:
-        # phi once, at the face nodes followed by the corners
-        both = tuple(np.concatenate(ij) for ij in zip(face, corners))
-        fluxes = np.split(phi(grid.x[both], grid.y[both], u[both]),
-                        [face[0].size])
+    m = face[0].size
+    sf, sc = (slope, slope) if d is None else (slope - d[:m], slope - d[m:])
+    u[face] = (g[:m] - (-4.0 * u[f1] + u[f2]) / (2.0 * h)) / sf
+    u[corners] = (g[m:] - 0.5 * (-4.0 * (u[cx1] + u[cy1])
+                                 + (u[cx2] + u[cy2])) / (2.0 * h)) / sc
 
-    def close(nodes, known, flux):
-        """Values at `nodes` solving slope * v + known = phi(x, v); `flux`
-        is phi there when it does not depend on v."""
-        if flux is not None:
-            return (flux - known) / slope
-        x, y = grid.x[nodes], grid.y[nodes]
-        return _solve_increasing(
-            lambda v: slope * v + known - phi(x, y, v), u[nodes])
 
-    u[face] = close(face, (-4.0 * u[f1] + u[f2]) / (2.0 * h), fluxes[0])
-    u[corners] = close(corners, 0.5 * (-4.0 * (u[cx1] + u[cy1])
-                                       + (u[cx2] + u[cy2])) / (2.0 * h),
-                       fluxes[1])
-    return u
+_MAX_NEWTON = 50
+
+
+def apply_neumann(grid, u, phi):
+    """Return a copy of u whose boundary values satisfy u_nu = phi(x, u).
+
+    `phi` is called as phi(x, y, u) with arrays of boundary data.  The
+    one-sided discrete normal derivative at each boundary node is
+    driven to phi within 1e-13 (1 + max|u_b|); square corners satisfy
+    the mean of their two face relations.  The relation is solved by
+    Newton on the boundary values of all nodes at once.  A phi whose
+    `depends_on_u` attribute is False makes it affine: one step solves
+    it, with phi evaluated once.  Raises ValueError when phi is not
+    finite at an iterate, when the relation is not increasing in u
+    (phi_u >= the stencil slope), or after 50 steps.
+    """
+    u = np.array(u, dtype=float)
+    nodes, x, y, slope = _boundary_nodes(grid)
+    p = phi(x, y, u[nodes])
+    if getattr(phi, "depends_on_u", None) is False:
+        _close_linear(grid, u, p)
+        return u
+    v = np.array(u[nodes])
+    for _ in range(_MAX_NEWTON):
+        if not np.all(np.isfinite(p)):
+            raise ValueError("phi is not finite at the boundary values")
+        delta = 1e-7 * (1.0 + np.abs(v))
+        d = (phi(x, y, v + delta) - p) / delta
+        if not np.all(slope - d > 0.0):
+            raise ValueError(
+                "boundary relation is not increasing in u and need not "
+                "have a sign change; is phi increasing in u?")
+        _close_linear(grid, u, p - d * v, d)
+        v_new = np.array(u[nodes])
+        p_new = phi(x, y, v_new)
+        # the step made the normal derivative p + d (v_new - v), so this
+        # is the relation residual at v_new
+        res = float(np.max(np.abs(p + d * (v_new - v) - p_new)))
+        v, p = v_new, p_new
+        if res <= 1e-13 * (1.0 + float(np.max(np.abs(v)))):
+            return u
+    raise ValueError(f"Neumann closure did not converge in {_MAX_NEWTON} "
+                     f"Newton steps; relation residual {res:.3g}")
 
 
 def interp_at(grid, u, point):

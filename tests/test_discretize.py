@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hqflow import discretize, flow, geometry
 
@@ -200,6 +201,26 @@ class TestNeumannClosure:
         with pytest.raises(ValueError, match="sign change"):
             discretize.apply_neumann(g, u, lambda x, y, v: 100.0 * v)
 
+    @pytest.mark.parametrize("n_theta", [128, 256])
+    def test_ellipse_coupling_stronger_than_slope(self, n_theta):
+        # with few rings and many angles the tangential coupling outweighs
+        # the radial slope; the closure must still solve the relation
+        g = geometry.build_grid(geometry.Ellipse(1.4, 0.8), n_r=4,
+                                n_theta=n_theta)
+        phi = flow._as_field("1 + x1/3 - u", "phi")
+        out = discretize.apply_neumann(g, _closure_input(g), phi)
+        assert np.max(np.abs(
+            discretize.neumann_residual(g, out, phi))) <= 1e-12
+
+    def test_newton_that_does_not_converge_is_rejected(self):
+        # phi_u runs from -1e4 at u = 0 to about 0 far away, so Newton
+        # from u_b = 50 jumps between about +-1300 without settling
+        g = geometry.build_grid(geometry.Square(1.0), n=17)
+        u = np.full(g.shape, 50.0)
+        with pytest.raises(ValueError, match="did not converge"):
+            discretize.apply_neumann(
+                g, u, lambda x, y, v: -1e4 * np.arctan(v))
+
 
 CLOSURE_GRIDS = {
     "disk": lambda: geometry.build_grid(geometry.Disk(1.0),
@@ -218,8 +239,8 @@ def _closure_input(g):
 
 @pytest.mark.parametrize("name", sorted(CLOSURE_GRIDS))
 class TestAffineClosure:
-    """The direct closure for a phi that declares no u-dependence,
-    against the bracketed Newton closure of the same formula."""
+    """The one-step closure for a phi that declares no u-dependence,
+    against the Newton iteration on the same formula."""
 
     def test_matches_newton_path(self, name):
         g = CLOSURE_GRIDS[name]()
@@ -240,29 +261,69 @@ class TestAffineClosure:
         once = discretize.apply_neumann(g, _closure_input(g), phi)
         assert np.array_equal(discretize.apply_neumann(g, once, phi), once)
 
-    def test_dispatch_on_depends_on_u(self, name, monkeypatch):
-        # only a phi that declares depends_on_u = False skips Newton;
-        # u-dependent and opaque ones still solve to 1e-12
+    def test_dispatch_on_depends_on_u(self, name):
+        # only a phi that declares depends_on_u = False is evaluated once;
+        # u-dependent and opaque ones are iterated to 1e-12
         g = CLOSURE_GRIDS[name]()
         u = _closure_input(g)
-        newton_calls = []
-        solve = discretize._solve_increasing
+        affine = flow._as_field("1 + x1/3", "phi")
+        calls = []
 
-        def counting(fun, x0, max_iter=50):
-            newton_calls.append(1)
-            return solve(fun, x0, max_iter)
+        def counted(x, y, v):
+            calls.append(1)
+            return affine(x, y, v)
 
-        monkeypatch.setattr(discretize, "_solve_increasing", counting)
-        discretize.apply_neumann(g, u, flow._as_field("1 + x1/3", "phi"))
-        assert not newton_calls
+        counted.depends_on_u = False
+        discretize.apply_neumann(g, u, counted)
+        assert len(calls) == 1
         for phi in (flow._as_field("1 + x1/3 - u", "phi"),
                     flow._as_field(lambda x, y, v: 1 + x / 3 - v, "phi")):
             assert phi.depends_on_u is not False
             out = discretize.apply_neumann(g, u, phi)
-            assert newton_calls
             assert np.max(np.abs(
                 discretize.neumann_residual(g, out, phi))) <= 1e-12
-            newton_calls.clear()
+
+    def test_phi_not_finite_is_rejected(self, name):
+        # sqrt(u) has no value at u_b = -2, so there is nothing to solve
+        g = CLOSURE_GRIDS[name]()
+        u = _closure_input(g)
+        u[g.boundary_mask] = -2.0
+        with np.errstate(invalid="ignore"), \
+                pytest.raises(ValueError, match="not finite"):
+            discretize.apply_neumann(
+                g, u, lambda x, y, v: 1 - v + np.sqrt(v))
+
+
+PROPERTY_GRIDS = {
+    "disk": geometry.build_grid(geometry.Disk(1.0), n_r=6, n_theta=12),
+    "ellipse": geometry.build_grid(geometry.Ellipse(1.4, 0.8),
+                                   n_r=6, n_theta=12),
+    "square": geometry.build_grid(geometry.Square(1.0), n=9),
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(name=st.sampled_from(sorted(PROPERTY_GRIDS)),
+       g=st.tuples(*[st.floats(-3.0, 3.0)] * 3),
+       c=st.floats(0.0, 4.0, exclude_min=True),
+       seed=st.integers(0, 2**32 - 1),
+       scale=st.floats(0.0, 5.0))
+def test_closure_properties(name, g, c, seed, scale):
+    """For phi = g(x) - c u, the closure solves the relation, is
+    idempotent, and leaves the interior alone."""
+    grid = PROPERTY_GRIDS[name]
+
+    def phi(x, y, v):
+        return g[0] + g[1] * x + g[2] * y - c * v
+
+    u = scale * np.random.default_rng(seed).standard_normal(grid.shape)
+    once = discretize.apply_neumann(grid, u, phi)
+    assert np.max(np.abs(discretize.neumann_residual(grid, once, phi))) \
+        <= 1e-12
+    twice = discretize.apply_neumann(grid, once, phi)
+    assert np.max(np.abs(twice - once)) <= 1e-12
+    inner = ~grid.boundary_mask
+    assert np.array_equal(once[inner], u[inner])
 
 
 class TestGridCache:
@@ -271,7 +332,8 @@ class TestGridCache:
         for fn in (discretize._polar_coeffs,
                    discretize._polar_hessian_weights,
                    discretize._polar_boundary_geometry,
-                   discretize._polar_closure):
+                   discretize._polar_closure,
+                   discretize._boundary_nodes):
             first = fn(g)
             assert fn(g) is first
             arrays = [a for a in first if isinstance(a, np.ndarray)]
