@@ -29,8 +29,9 @@ files: nothing time- or host-dependent is written.
 
 Exit codes: 0 success; 1 a measured property failed (verify suite, or
 convergence orders off target); 2 config or argument error; 3 a run
-diverged or a damped solve failed; 4 the flow hit its time horizon;
-5 the damping trace did not contract.
+diverged, reached a state where f or phi cannot be evaluated, or a
+damped solve failed; 4 the flow hit its time horizon; 5 the damping
+trace did not contract.
 """
 
 import argparse
@@ -252,6 +253,8 @@ def build_grid(cfg, dom, scale=1):
 
 
 _SPEC_HINTS = (
+    ("eps0", "eigen.eps0"),
+    ("n_halvings", "eigen.n_halvings"),
     ("cfl", "flow.cfl"),
     ("phi", "problem.phi"),
     ("f must", "problem.f"),
@@ -390,6 +393,20 @@ def _run_settings(cfg):
 _FLOW_EXIT = {"steady": 0, "translating": 0, "t_max": 4, "diverged": 3}
 
 
+def _run(spec, settings):
+    """`flow.run`, or None after reporting on stderr a run that failed.
+
+    The spec and the settings are validated before the run, so a
+    ValueError from it means f or phi could not be evaluated, or the
+    Neumann closure not solved, at a state the run reached."""
+    try:
+        return flow.run(spec, **settings)
+    except ValueError as exc:
+        print(f"run failed at grid {spec.grid.shape}: {exc}",
+              file=sys.stderr)
+        return None
+
+
 def cmd_flow(args):
     cfg = load_config(args.config)
     dom = build_domain(cfg)
@@ -400,7 +417,9 @@ def cmd_flow(args):
     out = _out_dir(cfg)
     meta = _meta("flow", cfg.digest, grid)
 
-    result = flow.run(spec, **settings)
+    result = _run(spec, settings)
+    if result is None:
+        return 3
     checks = flow.monitor_report(result, spec, mode=settings["mode"])
     summary = {
         "meta": meta,
@@ -419,6 +438,9 @@ def cmd_flow(args):
         "mesh_size": geometry.mesh_size(grid),
         "monitors": checks,
     }
+    if settings["mode"] == "translating":
+        # max|u_t| tends to the speed there, not to zero
+        del summary["decay_rate"]
     lines = _meta_lines(meta)
     if "csv" in formats:
         flow.write_monitor_csv(os.path.join(out, "monitors.csv"), result,
@@ -501,6 +523,8 @@ def cmd_eigen(args):
 def cmd_verify(args):
     trials = args.trials
     seed = args.seed
+    if trials is not None and trials < 0:
+        raise ConfigError("--trials", f"must be nonnegative, got {trials}")
     results = verify.run_suite(trials=trials, seed=seed)
     all_ok = all(r.ok for r in results.values())
     vacuous = any(r.vacuous for r in results.values())
@@ -577,7 +601,9 @@ def cmd_converge(args):
         if meta is None:
             meta = _meta("converge", cfg.digest, grid)
         spec = build_spec(cfg, grid)
-        result = flow.run(spec, **settings)
+        result = _run(spec, settings)
+        if result is None:
+            return 3
         if result.status != "steady":
             print(f"level with grid {grid.shape} ended with status "
                   f"{result.status!r}", file=sys.stderr)

@@ -12,6 +12,8 @@ pole is crossed with the phantom rule u(-r, theta) = u(r, theta + pi).
 Hessian values are produced for interior nodes only (the flow never
 needs boundary Hessians; boundary values are slaved to the closure),
 and the returned arrays hold zeros on the boundary rows.
+`difference_operators` holds the same weights as COO triplets of flat
+node indices, built apart from the array operators as their reference.
 
 The closure relation (one-sided normal derivative) = phi(x, u_b) reads
 M u_b + (inner-row terms) = phi(x, u_b).  M is the diagonal `slope` on
@@ -34,13 +36,11 @@ small cache keyed on the grid object.
 
 import functools
 import math
-from collections import defaultdict
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "gradient", "hessian", "stencils", "Stencils",
+    "gradient", "hessian", "difference_operators",
     "apply_neumann", "neumann_residual", "interp_at",
 ]
 
@@ -177,160 +177,87 @@ def hessian(grid, u):
     return hxx, hxy, hyy
 
 
-@dataclass(frozen=True)
-class Stencils:
-    """Per-node finite-difference weights in Cartesian components.
+def difference_operators(grid):
+    """The Cartesian difference operators as COO triplets of flat node
+    indices: (d1, d2, d11, d12, d22), each a (rows, cols, vals) tuple.
 
-    Each field maps flat node index -> list of (flat neighbor index,
-    weight) pairs; d11/d12/d22 exist for interior nodes only (None at
-    boundary entries), d1/d2 everywhere.
+    d1 and d2 (the x and y derivatives) have rows at every node; d11,
+    d12 and d22 only at interior nodes.  A (row, col) pair may repeat,
+    and its weights add, so an operator applies to a field u as
+    np.bincount(rows, vals * u.ravel()[cols], minlength=u.size).  The
+    weights come from the native difference formulas and the chain rule
+    of the map, not from `gradient` or `hessian`, which they reproduce
+    to round-off; they serve as the explicit reference for both.
     """
-    d1: list
-    d2: list
-    d11: list
-    d12: list
-    d22: list
+    polar = grid.backend == "polar"
+    n_t = grid.shape[1]
+    J, I = np.indices(grid.shape)
 
+    def native(nodes, taps):
+        """sum_k w_k u[j + dj_k, i + di_k] at the nodes J[nodes], I[nodes]
+        for taps (dj_k, di_k, w_k); on the polar grids i wraps and row -1
+        is the phantom ring."""
+        j, i = J[nodes].ravel(), I[nodes].ravel()
+        dj, di, w = (np.array(col)[:, None] for col in zip(*taps))
+        jj, ii = j + dj, i + di
+        if polar:
+            ii = np.where(jj < 0, ii + n_t // 2, ii) % n_t
+            jj = np.maximum(jj, 0)
+        return (np.broadcast_to(j * n_t + i, jj.shape).ravel(),
+                (jj * n_t + ii).ravel(), np.broadcast_to(w, jj.shape).ravel())
 
-def _combine(coeff_terms):
-    """Linear combination of stencil dicts: [(coeff, dict), ...]."""
-    out = defaultdict(float)
-    for c, d in coeff_terms:
-        if c == 0.0:
-            continue
-        for key, w in d.items():
-            out[key] += c * w
-    return out
+    def comb(*terms):
+        """sum_k c_k op_k, each c_k a field of per-row coefficients."""
+        return (np.concatenate([rows for _, (rows, _, _) in terms]),
+                np.concatenate([cols for _, (_, cols, _) in terms]),
+                np.concatenate([np.broadcast_to(c, grid.shape).ravel()[rows]
+                                * vals for c, (rows, _, vals) in terms]))
 
+    if not polar:
+        h, every = grid.h, slice(None)
+        c, q = 1.0 / (2.0 * h), 1.0 / (4.0 * h**2)
+        # central inside, forward on the first and backward on the last
+        # line of nodes
+        first = [(slice(0, 1), [(0, -3 * c), (1, 4 * c), (2, -c)]),
+                 (slice(1, -1), [(1, c), (-1, -c)]),
+                 (slice(-1, None), [(0, 3 * c), (-1, -4 * c), (-2, c)])]
+        second = [(-1, 1 / h**2), (0, -2 / h**2), (1, 1 / h**2)]
+        inner = (slice(1, -1), slice(1, -1))
+        return (
+            comb(*[(1.0, native((every, sl), [(0, s, w) for s, w in taps]))
+                   for sl, taps in first]),
+            comb(*[(1.0, native((sl, every), [(s, 0, w) for s, w in taps]))
+                   for sl, taps in first]),
+            native(inner, [(0, s, w) for s, w in second]),
+            native(inner, [(1, 1, q), (1, -1, -q), (-1, 1, -q), (-1, -1, q)]),
+            native(inner, [(s, 0, w) for s, w in second]))
 
-def _polar_stencils(grid):
-    nr, nt = grid.shape
     dr, dt = grid.dr, grid.dtheta
-    a, b, r_all, _, _, rx_all, ry_all, tx_all, ty_all = _polar_coeffs(grid)
-
-    def node(j, i):
-        i %= nt
-        if j == -1:
-            return (0, (i + nt // 2) % nt)
-        return (j, i)
-
-    def flat(key):
-        return key[0] * nt + key[1]
-
-    d1 = [None] * (nr * nt)
-    d2 = [None] * (nr * nt)
-    d11 = [None] * (nr * nt)
-    d12 = [None] * (nr * nt)
-    d22 = [None] * (nr * nt)
-    ct = np.cos(grid.theta)
-    st = np.sin(grid.theta)
-    for j in range(nr):
-        for i in range(nt):
-            rv = grid.r[j]
-            rx, ry = ct[i] / a, st[i] / b
-            tx, ty = -st[i] / (a * rv), ct[i] / (b * rv)
-            ut = {node(j, i + 1): 1.0 / (2 * dt),
-                  node(j, i - 1): -1.0 / (2 * dt)}
-            if j == nr - 1:
-                ur = _combine([(1.0, {node(j, i): 3.0 / (2 * dr),
-                                      node(j - 1, i): -4.0 / (2 * dr),
-                                      node(j - 2, i): 1.0 / (2 * dr)})])
-            else:
-                ur = _combine([(1.0, {node(j + 1, i): 1.0 / (2 * dr)}),
-                               (1.0, {node(j - 1, i): -1.0 / (2 * dr)})])
-            gx = _combine([(rx, ur), (tx, ut)])
-            gy = _combine([(ry, ur), (ty, ut)])
-            d1[flat((j, i))] = sorted((flat(k), w) for k, w in gx.items())
-            d2[flat((j, i))] = sorted((flat(k), w) for k, w in gy.items())
-            if j == nr - 1:
-                continue
-            urr = _combine([(1.0, {node(j + 1, i): 1.0 / dr**2,
-                                   node(j - 1, i): 1.0 / dr**2}),
-                            (-2.0 / dr**2, {node(j, i): 1.0})])
-            utt = {node(j, i + 1): 1.0 / dt**2,
-                   node(j, i - 1): 1.0 / dt**2,
-                   node(j, i): -2.0 / dt**2}
-            urt = _combine([(1.0, {node(j + 1, i + 1): 1.0,
-                                   node(j - 1, i - 1): 1.0}),
-                            (-1.0, {node(j + 1, i - 1): 1.0,
-                                    node(j - 1, i + 1): 1.0})])
-            urt = {k: w / (4.0 * dr * dt) for k, w in urt.items()}
-            m_rt = _combine([(1.0, urt), (a * st[i], gx), (-b * ct[i], gy)])
-            m_tt = _combine([(1.0, utt), (a * rv * ct[i], gx),
-                             (b * rv * st[i], gy)])
-            hxx = _combine([(rx * rx, urr), (2 * rx * tx, m_rt),
-                            (tx * tx, m_tt)])
-            hxy = _combine([(rx * ry, urr), (rx * ty + tx * ry, m_rt),
-                            (tx * ty, m_tt)])
-            hyy = _combine([(ry * ry, urr), (2 * ry * ty, m_rt),
-                            (ty * ty, m_tt)])
-            d11[flat((j, i))] = sorted((flat(k), w) for k, w in hxx.items())
-            d12[flat((j, i))] = sorted((flat(k), w) for k, w in hxy.items())
-            d22[flat((j, i))] = sorted((flat(k), w) for k, w in hyy.items())
-    return Stencils(d1, d2, d11, d12, d22)
-
-
-def _cartesian_stencils(grid):
-    n = grid.shape[0]
-    h = grid.h
-
-    def flat(i, j):
-        return i * n + j
-
-    d1 = [None] * (n * n)
-    d2 = [None] * (n * n)
-    d11 = [None] * (n * n)
-    d12 = [None] * (n * n)
-    d22 = [None] * (n * n)
-    for i in range(n):
-        for j in range(n):
-            if j == 0:
-                d1[flat(i, j)] = [(flat(i, 0), -3 / (2 * h)),
-                                  (flat(i, 1), 4 / (2 * h)),
-                                  (flat(i, 2), -1 / (2 * h))]
-            elif j == n - 1:
-                d1[flat(i, j)] = [(flat(i, n - 3), 1 / (2 * h)),
-                                  (flat(i, n - 2), -4 / (2 * h)),
-                                  (flat(i, n - 1), 3 / (2 * h))]
-            else:
-                d1[flat(i, j)] = [(flat(i, j - 1), -1 / (2 * h)),
-                                  (flat(i, j + 1), 1 / (2 * h))]
-            if i == 0:
-                d2[flat(i, j)] = [(flat(0, j), -3 / (2 * h)),
-                                  (flat(1, j), 4 / (2 * h)),
-                                  (flat(2, j), -1 / (2 * h))]
-            elif i == n - 1:
-                d2[flat(i, j)] = [(flat(n - 3, j), 1 / (2 * h)),
-                                  (flat(n - 2, j), -4 / (2 * h)),
-                                  (flat(n - 1, j), 3 / (2 * h))]
-            else:
-                d2[flat(i, j)] = [(flat(i - 1, j), -1 / (2 * h)),
-                                  (flat(i + 1, j), 1 / (2 * h))]
-            if 0 < i < n - 1 and 0 < j < n - 1:
-                d11[flat(i, j)] = [(flat(i, j - 1), 1 / h**2),
-                                   (flat(i, j), -2 / h**2),
-                                   (flat(i, j + 1), 1 / h**2)]
-                d22[flat(i, j)] = [(flat(i - 1, j), 1 / h**2),
-                                   (flat(i, j), -2 / h**2),
-                                   (flat(i + 1, j), 1 / h**2)]
-                d12[flat(i, j)] = [(flat(i - 1, j - 1), 1 / (4 * h**2)),
-                                   (flat(i - 1, j + 1), -1 / (4 * h**2)),
-                                   (flat(i + 1, j - 1), -1 / (4 * h**2)),
-                                   (flat(i + 1, j + 1), 1 / (4 * h**2))]
-    return Stencils(d1, d2, d11, d12, d22)
-
-
-def stencils(grid):
-    """Explicit per-node (neighbor, weight) lists for d1, d2, d11, d12,
-    d22; mainly for verification, the array operators are the fast path."""
-    if grid.backend == "polar":
-        return _polar_stencils(grid)
-    return _cartesian_stencils(grid)
-
-
-def apply_stencil(entries, u_flat):
-    """Evaluate one node's stencil on a flat field."""
-    return sum(w * u_flat[idx] for idx, w in entries)
+    a, b = grid.domain.a, grid.domain.b
+    r = grid.r[:, None]
+    ct, st = np.cos(grid.theta)[None, :], np.sin(grid.theta)[None, :]
+    rx, ry, tx, ty = ct / a, st / b, -st / (a * r), ct / (b * r)
+    inner, outer = (slice(0, -1), slice(None)), (slice(-1, None), slice(None))
+    cr, c_t, w = 1.0 / (2.0 * dr), 1.0 / (2.0 * dt), 1.0 / (4.0 * dr * dt)
+    ur = native(inner, [(1, 0, cr), (-1, 0, -cr)])
+    ut = native(inner, [(0, 1, c_t), (0, -1, -c_t)])
+    ur_b = native(outer, [(0, 0, 3 * cr), (-1, 0, -4 * cr), (-2, 0, cr)])
+    ut_b = native(outer, [(0, 1, c_t), (0, -1, -c_t)])
+    second = ((1, 1.0), (0, -2.0), (-1, 1.0))
+    urr = native(inner, [(s, 0, k / dr**2) for s, k in second])
+    urt = native(inner, [(1, 1, w), (1, -1, -w), (-1, 1, -w), (-1, -1, w)])
+    utt = native(inner, [(0, s, k / dt**2) for s, k in second])
+    gx, gy = comb((rx, ur), (tx, ut)), comb((ry, ur), (ty, ut))
+    # the Hessian in (r, theta) minus the curvature of the map:
+    # M = H_(r,theta) - gx X - gy Y, with X, Y the second-derivative
+    # tensors of x(r, theta) and y(r, theta)
+    m_rt = comb((1.0, urt), (a * st, gx), (-b * ct, gy))
+    m_tt = comb((1.0, utt), (a * r * ct, gx), (b * r * st, gy))
+    return (comb((1.0, gx), (rx, ur_b), (tx, ut_b)),
+            comb((1.0, gy), (ry, ur_b), (ty, ut_b)),
+            comb((rx * rx, urr), (2 * rx * tx, m_rt), (tx * tx, m_tt)),
+            comb((rx * ry, urr), (rx * ty + tx * ry, m_rt), (tx * ty, m_tt)),
+            comb((ry * ry, urr), (2 * ry * ty, m_rt), (ty * ty, m_tt)))
 
 
 @_per_grid

@@ -137,8 +137,14 @@ def solve_eigenpair(spec, eps0=1.0, n_halvings=6, y0=None, tol=1e-8,
     2 s_J - s_{J-1}; the profile is the last solve minus its constant
     part, pinned to the initial data at y0.  A trace that stops
     contracting, or a profile residual above 10 h^2 (1 + |s|), flags
-    the pair as a convergence failure.
+    the pair as a convergence failure.  Raises ValueError for an eps0
+    that is not finite and positive, or fewer than one halving (the
+    Richardson value needs two levels).
     """
+    if not (math.isfinite(eps0) and eps0 > 0.0):
+        raise ValueError(f"eps0 must be finite and positive, got {eps0!r}")
+    if n_halvings < 1:
+        raise ValueError(f"n_halvings must be at least 1, got {n_halvings!r}")
     grid = spec.grid
     if y0 is None:
         y0 = (0.0, 0.0)

@@ -56,6 +56,21 @@ converge.u_star = "(x1^2 + x2^2)/2 + 0.1*exp(x1/2)"
 """
 
 
+# f = sqrt(u - 1.4) + 10 is defined at u0 >= 1.5, but the initial speed
+# is negative and the flow lowers u below 1.4
+DOMAIN_EXIT_CFG = """\
+problem.k = 1
+problem.l = 0
+problem.domain = disk
+problem.f = "sqrt(u - 1.4) + 10"
+problem.phi = "1"
+problem.u0 = "(x1^2 + x2^2)/2 + 1.5"
+problem.require_nonnegative_initial_speed = false
+grid.n_r = 6
+grid.n_theta = 12
+"""
+
+
 def write_cfg(tmp_path, text, name="run.cfg"):
     path = tmp_path / name
     path.write_text(text)
@@ -169,6 +184,8 @@ class TestFlowCommand:
         assert d["final_osc_ut"] < 1e-6
         assert d["monitors"]["all_ok"]["ok"] is True
         assert d["steps"] > 0 and d["t_final"] > 0
+        # max|u_t| tends to the speed, so a decay rate means nothing here
+        assert "decay_rate" not in d
 
     def test_rerun_is_byte_identical(self, flow_run, tmp_path, monkeypatch):
         _, out, cfg = flow_run
@@ -242,6 +259,14 @@ class TestFlowCommand:
         assert cli.main(["flow", cfg]) == 2
         assert "config error at grid.n_theta" in capsys.readouterr().err
 
+    def test_expression_leaving_its_domain_mid_run_exit_3(self, tmp_path):
+        # f is defined at u0 but not once the flow has lowered u past 1.4
+        cfg = write_cfg(tmp_path, DOMAIN_EXIT_CFG + "flow.t_max = 5\n")
+        proc = run_module(["flow", cfg], tmp_path, timeout=120)
+        assert proc.returncode == 3
+        assert "run failed" in proc.stderr and "sqrt" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_u_in_u0_rejected(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, FLOW_CFG.replace(
             'problem.u0 = "(x1^2 + x2^2)/2 + 0.1*(1 - x1^2 - x2^2)^2"',
@@ -304,6 +329,18 @@ class TestEigenCommand:
         monkeypatch.setattr(cli.elliptic, "solve_eigenpair", fake)
         assert cli.main(["eigen", cfg]) == 5
 
+    @pytest.mark.parametrize("key, value", [
+        ("eigen.n_halvings", "0"), ("eigen.n_halvings", "-1"),
+        ("eigen.eps0", "0"), ("eigen.eps0", "-1"), ("eigen.eps0", "nan"),
+        ("eigen.eps0", "inf")])
+    def test_unusable_schedule_exit_2(self, tmp_path, key, value):
+        cfg = write_cfg(tmp_path, EIGEN_CFG.replace(
+            "eigen.n_halvings = 3\n", "") + f"{key} = {value}\n")
+        proc = run_module(["eigen", cfg], tmp_path, timeout=120)
+        assert proc.returncode == 2
+        assert f"config error at {key}" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_u_dependent_f_exit_2(self, tmp_path, capsys, monkeypatch):
         cfg = write_cfg(tmp_path, EIGEN_CFG.replace(
             'problem.f = "1"', 'problem.f = "exp(u)"'))
@@ -331,6 +368,12 @@ class TestVerifyCommand:
         assert d["vacuous"] is True
         worst = [p["worst_margin"] for p in d["properties"].values()]
         assert all(w is None for w in worst)
+
+    def test_negative_trials_exit_2(self, tmp_path):
+        proc = run_module(["verify", "--trials", "-1"], tmp_path, timeout=120)
+        assert proc.returncode == 2
+        assert "config error at --trials" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_self_test_flag(self, tmp_path, monkeypatch):
         monkeypatch.setenv("HQFLOW_OUT", str(tmp_path))
@@ -385,6 +428,17 @@ class TestConvergeCommand:
     def test_single_level_exit_2(self, tmp_path):
         cfg = write_cfg(tmp_path, CONV_CFG)
         assert cli.main(["converge", cfg, "--levels", "1"]) == 2
+
+    def test_expression_leaving_its_domain_mid_run_exit_3(self, tmp_path):
+        cfg = write_cfg(tmp_path, DOMAIN_EXIT_CFG.replace(
+            "grid.n_r = 6\ngrid.n_theta = 12",
+            "grid.n_r = 4\ngrid.n_theta = 8")
+            + 'converge.u_star = "(x1^2 + x2^2)/2"\n')
+        proc = run_module(["converge", cfg, "--levels", "2"], tmp_path,
+                          timeout=120)
+        assert proc.returncode == 3
+        assert "run failed" in proc.stderr and "sqrt" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_missing_truth_exit_2(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, CONV_CFG.replace(

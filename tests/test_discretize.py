@@ -352,82 +352,85 @@ class TestGridCache:
         assert np.max(np.abs(hxx[small.interior_mask] - 1.0)) <= 1e-12
 
 
+def _apply(op, u):
+    """One COO operator of `difference_operators` applied to u."""
+    rows, cols, vals = op
+    return np.bincount(rows, vals * u.ravel()[cols],
+                       minlength=u.size).reshape(u.shape)
+
+
+def _row_sums(op, size):
+    """Signed and absolute weight sums per row node."""
+    rows, _, vals = op
+    return (np.bincount(rows, vals, minlength=size),
+            np.bincount(rows, np.abs(vals), minlength=size))
+
+
 class TestStencils:
-    def test_polar_stencils_match_array_operators(self):
-        g = geometry.build_grid(geometry.Ellipse(1.4, 0.8), n_r=10, n_theta=20)
-        st = discretize.stencils(g)
-        u = np.sin(1.3 * g.x) * np.exp(0.4 * g.y)
-        flat = u.ravel()
-        gx, gy = discretize.gradient(g, u)
-        hxx, hxy, hyy = discretize.hessian(g, u)
+    """The array operators against the explicit weights of
+    `difference_operators`, which are built without them."""
+
+    def _match(self, g, u):
+        ops = discretize.difference_operators(g)
+        arrays = discretize.gradient(g, u) + discretize.hessian(g, u)
         umax = np.max(np.abs(u))
-        for lists, arr in ((st.d1, gx), (st.d2, gy), (st.d11, hxx),
-                           (st.d12, hxy), (st.d22, hyy)):
-            for node, entries in enumerate(lists):
-                if entries is None:
-                    continue
-                val = discretize.apply_stencil(entries, flat)
-                scale = 1.0 + umax * sum(abs(w) for _, w in entries)
-                assert abs(val - arr.ravel()[node]) <= 1e-9 * scale
+        for op, arr in zip(ops, arrays):
+            scale = 1.0 + umax * _row_sums(op, u.size)[1].reshape(u.shape)
+            assert np.all(np.abs(_apply(op, u) - arr) <= 1e-14 * scale)
+
+    def test_polar_stencils_match_array_operators(self):
+        for dom in (geometry.Ellipse(1.4, 0.8), geometry.Disk(1.0)):
+            g = geometry.build_grid(dom, n_r=10, n_theta=20)
+            self._match(g, np.sin(1.3 * g.x) * np.exp(0.4 * g.y))
 
     def test_cartesian_stencils_match_array_operators(self):
         g = geometry.build_grid(geometry.Square(1.0), n=9)
-        st = discretize.stencils(g)
-        rng = np.random.default_rng(3)
-        u = rng.standard_normal(g.shape)
-        flat = u.ravel()
-        gx, gy = discretize.gradient(g, u)
-        hxx, hxy, hyy = discretize.hessian(g, u)
-        for lists, arr in ((st.d1, gx), (st.d2, gy), (st.d11, hxx),
-                           (st.d12, hxy), (st.d22, hyy)):
-            for node, entries in enumerate(lists):
-                if entries is None:
-                    continue
-                val = discretize.apply_stencil(entries, flat)
-                assert abs(val - arr.ravel()[node]) <= 1e-9 * (1 + abs(val))
+        self._match(g, np.random.default_rng(3).standard_normal(g.shape))
 
     def test_first_derivative_weights_sum_to_zero(self):
         for g in (geometry.build_grid(geometry.Disk(1.0), n_r=6, n_theta=12),
                   geometry.build_grid(geometry.Square(1.0), n=9)):
-            st = discretize.stencils(g)
-            for lists in (st.d1, st.d2):
-                for entries in lists:
-                    if entries is None:
-                        continue
-                    total = sum(w for _, w in entries)
-                    scale = sum(abs(w) for _, w in entries)
-                    assert abs(total) <= 1e-12 * scale
+            for op in discretize.difference_operators(g)[:2]:
+                total, scale = _row_sums(op, g.x.size)
+                assert np.all(np.abs(total) <= 1e-12 * scale)
 
     def test_second_derivative_weights_annihilate_constants(self):
         for g in (geometry.build_grid(geometry.Ellipse(1.2, 0.7),
                                       n_r=6, n_theta=12),
                   geometry.build_grid(geometry.Square(1.0), n=9)):
-            st = discretize.stencils(g)
-            for lists in (st.d11, st.d12, st.d22):
-                for entries in lists:
-                    if entries is None:
-                        continue
-                    total = sum(w for _, w in entries)
-                    scale = sum(abs(w) for _, w in entries)
-                    assert abs(total) <= 1e-12 * scale
+            for op in discretize.difference_operators(g)[2:]:
+                total, scale = _row_sums(op, g.x.size)
+                assert np.all(np.abs(total) <= 1e-12 * scale)
 
     def test_cartesian_second_derivatives_annihilate_linears(self):
         g = geometry.build_grid(geometry.Square(1.0), n=33)
-        st = discretize.stencils(g)
-        flat = (2 * g.x - 7 * g.y + 3).ravel()
-        for lists in (st.d11, st.d12, st.d22):
-            for entries in lists:
-                if entries is None:
-                    continue
-                assert abs(discretize.apply_stencil(entries, flat)) <= 1e-12
+        u = 2 * g.x - 7 * g.y + 3
+        for op in discretize.difference_operators(g)[2:]:
+            assert np.max(np.abs(_apply(op, u))) <= 1e-12
 
     def test_stencils_exist_where_expected(self):
-        g = geometry.build_grid(geometry.Disk(1.0), n_r=6, n_theta=12)
-        st = discretize.stencils(g)
-        nb = g.shape[1]
-        assert all(e is not None for e in st.d1)
-        assert all(e is None for e in st.d11[-nb:])
-        assert all(e is not None for e in st.d11[:-nb])
+        for g in (geometry.build_grid(geometry.Disk(1.0), n_r=6, n_theta=12),
+                  geometry.build_grid(geometry.Square(1.0), n=9)):
+            ops = discretize.difference_operators(g)
+            for op in ops[:2]:
+                assert np.array_equal(np.unique(op[0]), np.arange(g.x.size))
+            for op in ops[2:]:
+                assert np.array_equal(np.unique(op[0]),
+                                      np.flatnonzero(g.interior_mask))
+
+    def test_built_without_the_array_operators(self, monkeypatch):
+        # the weights are the reference for gradient and hessian, so they
+        # must not be derived from them
+        def refuse(*args):
+            raise AssertionError("array operator called")
+
+        for name in ("gradient", "hessian", "_polar_first",
+                     "_polar_hessian_weights"):
+            monkeypatch.setattr(discretize, name, refuse)
+        for g in (geometry.build_grid(geometry.Ellipse(1.4, 0.8),
+                                      n_r=6, n_theta=12),
+                  geometry.build_grid(geometry.Square(1.0), n=9)):
+            assert len(discretize.difference_operators(g)) == 5
 
 
 class TestInterpolation:

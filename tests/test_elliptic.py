@@ -115,6 +115,16 @@ class TestEigenpair:
         p2 = elliptic.solve_eigenpair(scaled, n_halvings=3)
         assert abs((p1.s - p2.s) - math.log(2.0)) <= 1e-6
 
+    @pytest.mark.parametrize("kwargs, name", [
+        ({"n_halvings": 0}, "n_halvings"), ({"n_halvings": -1}, "n_halvings"),
+        ({"eps0": 0.0}, "eps0"), ({"eps0": math.inf}, "eps0"),
+        ({"eps0": math.nan}, "eps0")])
+    def test_unusable_schedule_rejected(self, kwargs, name):
+        # the Richardson value needs two damping levels, each with a
+        # finite positive eps
+        with pytest.raises(ValueError, match=name):
+            elliptic.solve_eigenpair(laplace_spec(6, 12), **kwargs)
+
     def test_summary_schema(self):
         spec = laplace_spec(10, 20)
         pair = elliptic.solve_eigenpair(spec, n_halvings=2)
