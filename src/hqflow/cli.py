@@ -171,9 +171,10 @@ class Config:
             vals = tuple(float(p) for p in parts)
         except ValueError:
             vals = ()
-        if len(vals) != 2:
+        if len(vals) != 2 or not all(math.isfinite(v) for v in vals):
             raise ConfigError(
-                path, f"expected two comma-separated numbers, got {raw!r}")
+                path, f"expected two finite comma-separated numbers, "
+                f"got {raw!r}")
         return vals
 
     def int_list(self, path, default=_MISSING):
@@ -216,17 +217,20 @@ def load_config(path):
     return Config(pairs, digest)
 
 
+_DOMAINS = {
+    "disk": (geometry.Disk, {"radius": 1.0}),
+    "ellipse": (geometry.Ellipse, {"a": _MISSING, "b": _MISSING}),
+    "square": (geometry.Square, {"half_width": 1.0}),
+}
+
+
 def build_domain(cfg):
-    name = cfg.word("problem.domain", ("disk", "ellipse", "square"))
+    cls, defaults = _DOMAINS[cfg.word("problem.domain", tuple(_DOMAINS))]
+    sizes = {f: cfg.float_(f"problem.{f}", d) for f, d in defaults.items()}
     try:
-        if name == "disk":
-            return geometry.Disk(cfg.float_("problem.radius", 1.0))
-        if name == "ellipse":
-            return geometry.Ellipse(cfg.float_("problem.a"),
-                                    cfg.float_("problem.b"))
-        return geometry.Square(cfg.float_("problem.half_width", 1.0))
-    except ValueError as exc:
-        raise ConfigError("problem.domain", str(exc)) from exc
+        return cls(**sizes)
+    except geometry.SizeError as exc:
+        raise ConfigError(f"problem.{exc.field}", str(exc)) from exc
 
 
 def build_grid(cfg, dom, scale=1):
@@ -558,6 +562,15 @@ def cmd_verify(args):
     return 0 if ok else 1
 
 
+def _exact_solution(u_star, grid):
+    """converge.u_star at the grid nodes, checked before the level runs."""
+    try:
+        truth = exprparse.eval(u_star, {"x1": grid.x, "x2": grid.y})
+    except exprparse.EvalError as exc:
+        raise ConfigError("converge.u_star", str(exc)) from exc
+    return np.broadcast_to(np.asarray(truth, dtype=float), grid.shape)
+
+
 def cmd_converge(args):
     cfg = load_config(args.config)
     if args.levels < 2:
@@ -579,6 +592,9 @@ def cmd_converge(args):
         if len(set(resolutions)) != len(resolutions):
             raise ConfigError("converge.resolutions",
                               "identical grid levels requested")
+        if min(resolutions) < 1:
+            raise ConfigError("converge.resolutions",
+                              "every resolution must be a positive integer")
         base = resolutions[0]
         scales = [r / base for r in resolutions]
         for r, s in zip(resolutions, scales):
@@ -601,6 +617,7 @@ def cmd_converge(args):
         if meta is None:
             meta = _meta("converge", cfg.digest, grid)
         spec = build_spec(cfg, grid)
+        truth = _exact_solution(u_star, grid)
         result = _run(spec, settings)
         if result is None:
             return 3
@@ -608,9 +625,6 @@ def cmd_converge(args):
             print(f"level with grid {grid.shape} ended with status "
                   f"{result.status!r}", file=sys.stderr)
             return _FLOW_EXIT[result.status]
-        truth = np.broadcast_to(
-            np.asarray(exprparse.eval(u_star, {"x1": grid.x, "x2": grid.y}),
-                       dtype=float), grid.shape)
         err = float(np.max(np.abs(result.state.u - truth)))
         levels.append({"shape": list(grid.shape),
                        "h": geometry.mesh_size(grid),

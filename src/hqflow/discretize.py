@@ -368,7 +368,7 @@ def apply_neumann(grid, u, phi):
 
     `phi` is called as phi(x, y, u) with arrays of boundary data.  The
     one-sided discrete normal derivative at each boundary node is
-    driven to phi within 1e-13 (1 + max|u_b|); square corners satisfy
+    driven to phi within 1e-13 (1 + max|phi|); square corners satisfy
     the mean of their two face relations.  The relation is solved by
     Newton on the boundary values of all nodes at once.  A phi whose
     `depends_on_u` attribute is False makes it affine: one step solves
@@ -399,7 +399,8 @@ def apply_neumann(grid, u, phi):
         # is the relation residual at v_new
         res = float(np.max(np.abs(p + d * (v_new - v) - p_new)))
         v, p = v_new, p_new
-        if res <= 1e-13 * (1.0 + float(np.max(np.abs(v)))):
+        # the residual's round-off grows with the size of phi, not of u
+        if res <= 1e-13 * (1.0 + float(np.max(np.abs(p)))):
             return u
     raise ValueError(f"Neumann closure did not converge in {_MAX_NEWTON} "
                      f"Newton steps; relation residual {res:.3g}")

@@ -21,12 +21,32 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "Disk", "Ellipse", "Square", "Grid",
+    "Disk", "Ellipse", "Square", "Grid", "SizeError",
     "distance", "normal", "boundary_integral", "build_grid", "export_csv",
     "area_weights", "mesh_size",
 ]
 
 _BOUNDARY_TOL = 1e-10
+
+
+class SizeError(ValueError):
+    """A domain size that is not positive with a positive, finite square;
+    `field` names it."""
+
+    def __init__(self, field, message):
+        super().__init__(message)
+        self.field = field
+
+
+def _check_sizes(dom, *fields):
+    # the polar metric divides by the squared semi-axes, so a square
+    # that underflows to 0 or overflows is as bad as a size <= 0
+    for field in fields:
+        value = getattr(dom, field)
+        if not (value > 0.0 and 0.0 < value * value < math.inf):
+            raise SizeError(field, f"{type(dom).__name__.lower()} {field} "
+                            f"must be positive with a positive, finite "
+                            f"square, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -35,8 +55,7 @@ class Disk:
     nonsmooth = False
 
     def __post_init__(self):
-        if not self.radius > 0.0:
-            raise ValueError("disk radius must be positive")
+        _check_sizes(self, "radius")
 
     @property
     def a(self):
@@ -56,8 +75,7 @@ class Ellipse:
     nonsmooth = False
 
     def __post_init__(self):
-        if not (self.a > 0.0 and self.b > 0.0):
-            raise ValueError("ellipse semi-axes must be positive")
+        _check_sizes(self, "a", "b")
 
 
 @dataclass(frozen=True)
@@ -66,8 +84,7 @@ class Square:
     nonsmooth = True
 
     def __post_init__(self):
-        if not self.half_width > 0.0:
-            raise ValueError("square half-width must be positive")
+        _check_sizes(self, "half_width")
 
 
 def _ellipse_nearest(a, b, p, q):

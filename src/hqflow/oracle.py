@@ -2,9 +2,10 @@
 
 Deliberately slow and simple: sigma values come from literal subset
 enumeration and derivative matrices from central finite differences of
-eigenvalues obtained with numpy's eigvalsh.  Nothing here shares code
-with the fast paths in `symmfunc`, so agreement between the two is a
-meaningful check.
+eigenvalues obtained with numpy's eigvalsh.  Both this module and
+`symmfunc` take eigenvalues from LAPACK's symmetric eigensolver; the
+sigma values, cone tests and derivative matrices share no code with
+`symmfunc`, so agreement between the two is a meaningful check.
 
 Samplers draw eigenvalue lists uniformly from the box [-1, 3]^n and
 keep those inside the Garding cone; the box is biased toward
@@ -22,7 +23,8 @@ import numpy as np
 __all__ = [
     "sigma_brute", "sigma_brute_rows", "in_gamma_brute",
     "log_quotient_brute", "fij_fd",
-    "sample_gamma_k", "sample_gamma_k_batch", "sample_arrowhead",
+    "sample_gamma_k", "sample_gamma_k_batch",
+    "sample_arrowhead", "sample_arrowhead_batch",
 ]
 
 _MAX_N = 12
@@ -189,15 +191,37 @@ def sample_gamma_k_batch(n, k, rng, count, min_negative=False, pinch=None,
     return np.array(accepted[:count])
 
 
-def sample_arrowhead(n, k, rng, max_tries=_MAX_REJECT):
+def sample_arrowhead(n, k, rng):
     """Symmetric matrix with a negative (1,1) entry, an otherwise diagonal
     lower-right block, arbitrary first row, and spectrum in Gamma_k."""
-    for _ in range(max_tries):
-        A = np.zeros((n, n))
-        A[np.arange(1, n), np.arange(1, n)] = rng.uniform(0.0, 3.0, n - 1)
-        A[0, 0] = -rng.uniform(0.05, 1.0)
-        A[0, 1:] = A[1:, 0] = rng.uniform(-1.0, 1.0, n - 1)
-        lam = np.linalg.eigvalsh(A)
-        if in_gamma_brute(lam, k):
-            return A
-    raise ValueError("sampling constraint too tight for arrowhead matrices")
+    return sample_arrowhead_batch(n, k, rng, 1)[0]
+
+
+def sample_arrowhead_batch(n, k, rng, count, chunk=512):
+    """`count` arrowhead matrices; see sample_arrowhead.
+
+    The lower-right diagonal is uniform in [0, 3], the (1,1) entry in
+    [-1, -0.05] and the wings in [-1, 1]; acceptance tests numpy's
+    eigenvalues with brute-force sigma values.
+    """
+    if n > _MAX_N:
+        raise ValueError(f"sampling limited to n <= {_MAX_N}, got {n}")
+    if not 1 <= k <= n:
+        raise ValueError(f"cone order k={k} out of range for n={n}")
+    accepted = []
+    rejected = 0
+    idx = np.arange(1, n)
+    while len(accepted) < count:
+        A = np.zeros((chunk, n, n))
+        A[:, idx, idx] = rng.uniform(0.0, 3.0, (chunk, n - 1))
+        A[:, 0, 0] = -rng.uniform(0.05, 1.0, chunk)
+        wings = rng.uniform(-1.0, 1.0, (chunk, n - 1))
+        A[:, 0, 1:] = wings
+        A[:, 1:, 0] = wings
+        kept = A[_rows_in_gamma(np.linalg.eigvalsh(A), k)]
+        rejected += chunk - kept.shape[0]
+        if rejected > _MAX_REJECT:
+            raise ValueError("sampling constraint too tight: "
+                             f"arrowhead n={n} k={k}")
+        accepted.extend(kept)
+    return np.array(accepted[:count])

@@ -4,7 +4,7 @@ the Hessian quotient sigma_k/sigma_l, and its linearization coefficients.
 
 Conventions: sigma_0 = 1 and sigma_{-1} = 0.  Deletion indices are 1-based,
 matching the sigma_m(lambda|i) notation.  Eigenvalue output order is
-descending, ties broken by input order.
+descending; eigen_sym wraps LAPACK's symmetric eigensolver.
 
 sigma_m is computed by incremental one-variable-at-a-time expansion of
 prod_i(1 + lambda_i t), which is free of the cancellation that plagues
@@ -163,59 +163,12 @@ def d_quotient(lam, k, l):
     return out
 
 
-def _eigen_2x2(A):
-    a, b, c = A[0, 0], A[1, 1], A[0, 1]
-    theta = 0.5 * math.atan2(2.0 * c, a - b)
-    ct, st = math.cos(theta), math.sin(theta)
-    l1 = a * ct * ct + 2.0 * c * ct * st + b * st * st
-    l2 = a * st * st - 2.0 * c * ct * st + b * ct * ct
-    lam = np.array([l1, l2])
-    Q = np.array([[ct, -st], [st, ct]])
-    return lam, Q
-
-
-def _eigen_jacobi(A):
-    """Cyclic Jacobi sweeps; off-diagonal norm down to 1e-13 * ||A||_F."""
-    a = A.copy()
-    n = a.shape[0]
-    v = np.eye(n)
-    tol = 1e-13 * np.linalg.norm(A)
-    offdiag = ~np.eye(n, dtype=bool)
-    for _ in range(50):
-        # norm of the off-diagonal part taken entrywise; subtracting
-        # sums of squares instead would cancel away everything below
-        # sqrt(eps)*||A|| and stop the sweeps too early
-        off = math.sqrt(np.sum(a[offdiag] ** 2))
-        if off <= tol:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if apq == 0.0:
-                    continue
-                tau = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = math.copysign(1.0 / (abs(tau) + math.hypot(1.0, tau)), tau)
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                rp, rq = a[p, :].copy(), a[q, :].copy()
-                a[p, :] = c * rp - s * rq
-                a[q, :] = s * rp + c * rq
-                cp, cq = a[:, p].copy(), a[:, q].copy()
-                a[:, p] = c * cp - s * cq
-                a[:, q] = s * cp + c * cq
-                a[p, q] = a[q, p] = 0.0
-                vp, vq = v[:, p].copy(), v[:, q].copy()
-                v[:, p] = c * vp - s * vq
-                v[:, q] = s * vp + c * vq
-    return np.diag(a).copy(), v
-
-
 def eigen_sym(A):
     """Spectral decomposition A = Q diag(lam) Q^T of a symmetric matrix.
 
-    Returns (lam, Q) with lam sorted descending (stable in input order on
-    ties) and Q orthonormal with eigenvectors as columns.  Closed form for
-    n = 2, cyclic Jacobi for n >= 3.
+    Returns (lam, Q) with lam sorted descending and Q orthonormal with
+    eigenvectors as columns, from LAPACK's symmetric eigensolver
+    (numpy.linalg.eigh).
     """
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1] or A.shape[0] < 2:
@@ -225,12 +178,8 @@ def eigen_sym(A):
     scale = 1.0 + np.max(np.abs(A))
     if np.max(np.abs(A - A.T)) > 1e-12 * scale:
         raise ValueError("matrix is not symmetric")
-    if A.shape[0] == 2:
-        lam, Q = _eigen_2x2(A)
-    else:
-        lam, Q = _eigen_jacobi(A)
-    order = np.argsort(-lam, kind="stable")
-    return lam[order], Q[:, order]
+    lam, Q = np.linalg.eigh(A)
+    return lam[::-1], Q[:, ::-1]
 
 
 def log_quotient_matrix(A, k, l, eps=0.0):

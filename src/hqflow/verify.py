@@ -12,7 +12,8 @@ scaled slack and pass at -1e-10.
 The dimension cycles deterministically over 2..8 (3..8 where a
 hypothesis needs a designated positive entry and a negative minimum at
 once), with cone order, quotient indices, and deletion orders drawn per
-trial.  The arrowhead sampler skips the (n, k) pairs the box
+trial; one generator, `_groups`, samples the trials of equal order in
+one batch from the `oracle` samplers.  The arrowhead sampler skips the (n, k) pairs the box
 distribution cannot reach (acceptance below 1e-3 for k = n-1 once
 n >= 6); the inequalities themselves carry no such restriction.
 
@@ -22,6 +23,7 @@ demands at least one failure, guarding the harness against vacuous
 passes.  Identical seed and trial counts reproduce identical results.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -41,7 +43,6 @@ FD_TOL = 1e-5
 _FD_MARGIN = 1e-2
 _BOX_LO, _BOX_HI = -1.0, 3.0
 _PINCH = (0.1, 0.1)
-_MAX_REJECT = 10**6
 
 # Largest cone order the arrowhead box reaches per dimension.
 _ARROW_K_MAX = {2: 1, 3: 2, 4: 3, 5: 4, 6: 4, 7: 5, 8: 5}
@@ -143,13 +144,13 @@ def _elem_deleted(calc, row, i):
     return np.array([1.0, float(rest[0])])
 
 
-def _cone_groups(rng, trials, k_range, n_lo=2, n_hi=8, min_negative=False,
-                 pinch=None):
-    """Yield (n, k, rows) batches covering the trial budget.
+def _groups(rng, trials, k_range, sample, n_lo=2, n_hi=8):
+    """Yield (n, k, sample(n, k, count)) batches covering the trial budget.
 
     For each dimension of the cycle, cone orders are drawn per trial
-    from k_range(n) = (k_lo, k_hi) and the samples for equal orders are
-    fetched in one rejection-sampling batch.
+    from k_range(n) = (k_lo, k_hi), and the trials of equal order are
+    sampled in one batch.  The consumer's own draws fall between one
+    batch and the next, which fixes the order of the RNG stream.
     """
     for n, count in _counts_by_n(trials, n_lo, n_hi).items():
         if count == 0:
@@ -158,41 +159,14 @@ def _cone_groups(rng, trials, k_range, n_lo=2, n_hi=8, min_negative=False,
         ks = rng.integers(k_lo, k_hi + 1, size=count)
         for k in range(k_lo, k_hi + 1):
             c = int(np.sum(ks == k))
-            if c == 0:
-                continue
-            rows = oracle.sample_gamma_k_batch(
-                n, k, rng, c, min_negative=min_negative, pinch=pinch)
-            yield n, k, rows
+            if c > 0:
+                yield n, k, sample(n, k, c)
 
 
-def _sample_arrowheads(rng, n, k, count, chunk=512):
-    """Batched arrowhead matrices with spectrum in Gamma_k.
-
-    Same distribution as oracle.sample_arrowhead: positive diagonal
-    tail, negative (1,1) entry bounded away from zero, uniform wings;
-    acceptance via brute-force sigma on numpy eigenvalues.
-    """
-    out = []
-    rejected = 0
-    idx = np.arange(1, n)
-    while len(out) < count:
-        A = np.zeros((chunk, n, n))
-        A[:, idx, idx] = rng.uniform(0.0, 3.0, (chunk, n - 1))
-        A[:, 0, 0] = -rng.uniform(0.05, 1.0, chunk)
-        wings = rng.uniform(-1.0, 1.0, (chunk, n - 1))
-        A[:, 0, 1:] = wings
-        A[:, 1:, 0] = wings
-        lam = np.linalg.eigvalsh(A)
-        ok = np.ones(chunk, dtype=bool)
-        for i in range(1, k + 1):
-            ok &= oracle.sigma_brute_rows(lam, i) > 0.0
-        kept = A[ok]
-        rejected += chunk - kept.shape[0]
-        if rejected > _MAX_REJECT:
-            raise ValueError("sampling constraint too tight: "
-                             f"arrowhead n={n} k={k}")
-        out.extend(kept)
-    return np.array(out[:count])
+def _cone_rows(rng, **filters):
+    """Sampler for _groups: eigenvalue lists from Gamma_k."""
+    return lambda n, k, c: oracle.sample_gamma_k_batch(n, k, rng, c,
+                                                       **filters)
 
 
 def _conjugated(rng, lam):
@@ -276,7 +250,7 @@ def _prop_descending_minor_chain(rng, trials, calc):
     sigma_{k-1}(lam|i) increase with the deletion index and the first
     one is positive."""
     tally = _Tally("bound", BOUND_SLACK)
-    for n, k, rows in _cone_groups(rng, trials, lambda n: (1, n)):
+    for n, k, rows in _groups(rng, trials, lambda n: (1, n), _cone_rows(rng)):
         for row in rows:
             d = np.array([calc.sigma_omit(row, k - 1, i)
                           for i in range(1, n + 1)])
@@ -290,7 +264,7 @@ def _prop_sorted_product_bound(rng, trials, calc):
     """For lam in Gamma_k sorted descending, the k leading entries are
     positive and C(n,k) lam_1...lam_k dominates sigma_k."""
     tally = _Tally("bound", BOUND_SLACK)
-    for n, k, rows in _cone_groups(rng, trials, lambda n: (1, n)):
+    for n, k, rows in _groups(rng, trials, lambda n: (1, n), _cone_rows(rng)):
         cnk = math.comb(n, k)
         for row in rows:
             pos = float(row[k - 1]) / max(1.0, abs(float(row[0])))
@@ -305,7 +279,7 @@ def _prop_sorted_product_bound(rng, trials, calc):
 def _prop_leading_entry_share(rng, trials, calc):
     """lam_1 sigma_{k-1}(lam|1) >= (k/n) sigma_k on sorted Gamma_k."""
     tally = _Tally("bound", BOUND_SLACK)
-    for n, k, rows in _cone_groups(rng, trials, lambda n: (1, n)):
+    for n, k, rows in _groups(rng, trials, lambda n: (1, n), _cone_rows(rng)):
         for row in rows:
             lhs = float(row[0]) * calc.sigma_omit(row, k - 1, 1)
             rhs = (k / n) * calc.sigma(row, k)
@@ -318,7 +292,7 @@ def _prop_normalized_quotient_monotone(rng, trials, calc):
     [(s_k/C(n,k))/(s_l/C(n,l))]^(1/(k-l)) <= same at (r, s) whenever
     k > l, r > s, k >= r, l >= s, on Gamma_k."""
     tally = _Tally("bound", BOUND_SLACK)
-    for n, k, rows in _cone_groups(rng, trials, lambda n: (1, n)):
+    for n, k, rows in _groups(rng, trials, lambda n: (1, n), _cone_rows(rng)):
         ls = rng.integers(0, k, size=rows.shape[0])
         rs = rng.integers(1, k + 1, size=rows.shape[0])
         for row, l, r in zip(rows, ls, rs):
@@ -342,8 +316,8 @@ def _prop_negative_entry_deletion(rng, trials, calc):
     """With the first entry negative, deleting it raises sigma_m for
     every m up to the cone order."""
     tally = _Tally("bound", BOUND_SLACK)
-    for n, k, rows in _cone_groups(rng, trials, lambda n: (1, n - 1),
-                                   min_negative=True):
+    for n, k, rows in _groups(rng, trials, lambda n: (1, n - 1),
+                              _cone_rows(rng, min_negative=True)):
         for row in rows:
             full = calc.elementary_all(row)
             part = _elem_deleted(calc, row, 0)
@@ -359,8 +333,8 @@ def _prop_negative_entry_gradient(rng, trials, calc):
     """With the first entry negative, the quotient gradient loads the
     first slot at least (n/k)((k-l)/(n-l))/(n-k+1) of its total."""
     tally = _Tally("bound", BOUND_SLACK)
-    for n, k, rows in _cone_groups(rng, trials, lambda n: (1, n - 1),
-                                   min_negative=True):
+    for n, k, rows in _groups(rng, trials, lambda n: (1, n - 1),
+                              _cone_rows(rng, min_negative=True)):
         ls = rng.integers(0, k, size=rows.shape[0])
         for row, l in zip(rows, ls):
             l = int(l)
@@ -372,16 +346,8 @@ def _prop_negative_entry_gradient(rng, trials, calc):
 
 
 def _arrow_groups(rng, trials):
-    for n, count in _counts_by_n(trials).items():
-        if count == 0:
-            continue
-        k_hi = _ARROW_K_MAX[n]
-        ks = rng.integers(1, k_hi + 1, size=count)
-        for k in range(1, k_hi + 1):
-            c = int(np.sum(ks == k))
-            if c == 0:
-                continue
-            yield n, k, _sample_arrowheads(rng, n, k, c)
+    return _groups(rng, trials, lambda n: (1, _ARROW_K_MAX[n]),
+                   lambda n, k, c: oracle.sample_arrowhead_batch(n, k, rng, c))
 
 
 def _arrow_derivatives(calc, A, k, l):
@@ -432,8 +398,8 @@ def _prop_pinched_deletion(rng, trials, calc):
     minimum), deleting the designated entry keeps a definite fraction
     c0 of sigma_m for m below the cone order."""
     tally = _Tally("bound", BOUND_SLACK)
-    for n, k, rows in _cone_groups(rng, trials, lambda n: (2, n - 1),
-                                   n_lo=3, pinch=_PINCH):
+    for n, k, rows in _groups(rng, trials, lambda n: (2, n - 1),
+                              _cone_rows(rng, pinch=_PINCH), n_lo=3):
         c0 = _pinch_c0(n)
         for row in rows:
             full = calc.elementary_all(row)
@@ -451,8 +417,8 @@ def _prop_pinched_gradient(rng, trials, calc):
     designated slot at least c1 = (n/k)((k-l)/(n-l)) c0^2/(n-k+1) of
     its total."""
     tally = _Tally("bound", BOUND_SLACK)
-    for n, k, rows in _cone_groups(rng, trials, lambda n: (2, n - 1),
-                                   n_lo=3, pinch=_PINCH):
+    for n, k, rows in _groups(rng, trials, lambda n: (2, n - 1),
+                              _cone_rows(rng, pinch=_PINCH), n_lo=3):
         c0 = _pinch_c0(n)
         ls = rng.integers(0, k, size=rows.shape[0])
         for row, l in zip(rows, ls):
@@ -468,29 +434,23 @@ def _prop_midpoint_concavity(rng, trials, calc):
     """log(sigma_k/sigma_l)(lambda(A)) is midpoint concave on the
     matrices with spectrum in Gamma_k (a convex set)."""
     tally = _Tally("bound", BOUND_SLACK)
-    for n, count in _counts_by_n(trials).items():
-        if count == 0:
-            continue
-        ks = rng.integers(1, n + 1, size=count)
-        for k in range(1, n + 1):
-            pairs = int(np.sum(ks == k))
-            if pairs == 0:
+    for n, k, rows in _groups(
+            rng, trials, lambda n: (1, n),
+            lambda n, k, c: oracle.sample_gamma_k_batch(n, k, rng, 2 * c)):
+        ls = rng.integers(0, k, size=rows.shape[0] // 2)
+        for p, l in enumerate(ls):
+            l = int(l)
+            A = _conjugated(rng, rows[2 * p])
+            B = _conjugated(rng, rows[2 * p + 1])
+            try:
+                va = calc.log_quotient_matrix(A, k, l)[0]
+                vb = calc.log_quotient_matrix(B, k, l)[0]
+                vm = calc.log_quotient_matrix(0.5 * (A + B), k, l)[0]
+            except symmfunc.AdmissibilityError:
+                tally.add(float("nan"))
                 continue
-            rows = oracle.sample_gamma_k_batch(n, k, rng, 2 * pairs)
-            ls = rng.integers(0, k, size=pairs)
-            for p in range(pairs):
-                l = int(ls[p])
-                A = _conjugated(rng, rows[2 * p])
-                B = _conjugated(rng, rows[2 * p + 1])
-                try:
-                    va = calc.log_quotient_matrix(A, k, l)[0]
-                    vb = calc.log_quotient_matrix(B, k, l)[0]
-                    vm = calc.log_quotient_matrix(0.5 * (A + B), k, l)[0]
-                except symmfunc.AdmissibilityError:
-                    tally.add(float("nan"))
-                    continue
-                slack = vm - 0.5 * (va + vb)
-                tally.add(slack / max(1.0, abs(va), abs(vb), abs(vm)))
+            slack = vm - 0.5 * (va + vb)
+            tally.add(slack / max(1.0, abs(va), abs(vb), abs(vm)))
     return tally
 
 
@@ -498,7 +458,7 @@ def _prop_derivative_matrix_definite(rng, trials, calc):
     """The derivative matrix of the log quotient is positive definite
     at every admissible sample."""
     tally = _Tally("bound", BOUND_SLACK)
-    for n, k, rows in _cone_groups(rng, trials, lambda n: (1, n)):
+    for n, k, rows in _groups(rng, trials, lambda n: (1, n), _cone_rows(rng)):
         ls = rng.integers(0, k, size=rows.shape[0])
         for row, l in zip(rows, ls):
             A = _conjugated(rng, row)
@@ -537,26 +497,19 @@ def _prop_derivative_matrix_matches_fd(rng, trials, calc):
     """The spectral derivative matrix agrees entrywise with central
     finite differences of the log quotient."""
     tally = _Tally("identity", FD_TOL)
-    for n, count in _counts_by_n(trials, 2, 4).items():
-        if count == 0:
-            continue
-        ks = rng.integers(1, n + 1, size=count)
-        for k in range(1, n + 1):
-            c = int(np.sum(ks == k))
-            if c == 0:
+    for n, k, rows in _groups(rng, trials, lambda n: (1, n),
+                              functools.partial(_interior_rows, rng), n_hi=4):
+        ls = rng.integers(0, k, size=rows.shape[0])
+        for row, l in zip(rows, ls):
+            l = int(l)
+            A = _conjugated(rng, row)
+            try:
+                fd = oracle.fij_fd(A, k, l)
+            except ValueError:
+                tally.add(float("nan"))
                 continue
-            rows = _interior_rows(rng, n, k, c)
-            ls = rng.integers(0, k, size=c)
-            for row, l in zip(rows, ls):
-                l = int(l)
-                A = _conjugated(rng, row)
-                try:
-                    fd = oracle.fij_fd(A, k, l)
-                except ValueError:
-                    tally.add(float("nan"))
-                    continue
-                _, F = calc.log_quotient_matrix(A, k, l)
-                tally.add(float(np.max(np.abs(F - fd))))
+            _, F = calc.log_quotient_matrix(A, k, l)
+            tally.add(float(np.max(np.abs(F - fd))))
     return tally
 
 

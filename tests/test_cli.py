@@ -253,6 +253,30 @@ class TestFlowCommand:
         assert f"config error at {key}: must be at least 1" in \
             capsys.readouterr().err
 
+    @pytest.mark.parametrize("domain, key, value", [
+        ("disk", "problem.radius", "-1"), ("disk", "problem.radius", "inf"),
+        ("disk", "problem.radius", "1e-200"),
+        ("ellipse", "problem.a", "nan"), ("ellipse", "problem.b", "inf"),
+        ("ellipse", "problem.b", "1e200"),
+        ("square", "problem.half_width", "inf")])
+    def test_unusable_domain_size_exit_2(self, tmp_path, domain, key, value):
+        # 1e-200 squares to 0 and 1e200 to inf, and the polar metric
+        # divides by the squared semi-axes
+        sizes = {"ellipse": {"problem.a": "1.2", "problem.b": "0.8"}}.get(
+            domain, {})
+        sizes[key] = value
+        text = FLOW_CFG.replace("problem.domain = disk",
+                                f"problem.domain = {domain}")
+        if domain == "square":
+            text = text.replace("grid.n_r = 12\ngrid.n_theta = 24",
+                                "grid.n = 9")
+        text += "".join(f"{k} = {v}\n" for k, v in sizes.items())
+        proc = run_module(["flow", write_cfg(tmp_path, text)], tmp_path,
+                          timeout=120)
+        assert proc.returncode == 2
+        assert f"config error at {key}:" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_odd_n_theta_reported_at_its_key(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, FLOW_CFG.replace(
             "grid.n_theta = 24", "grid.n_theta = 15"))
@@ -314,6 +338,14 @@ class TestEigenCommand:
         assert proc.returncode == 2
         assert "config error at eigen.t_max: must be finite and positive" \
             in proc.stderr
+
+    @pytest.mark.parametrize("y0", ["nan, 0", "0, inf"])
+    def test_non_finite_y0_exit_2(self, tmp_path, y0):
+        cfg = write_cfg(tmp_path, EIGEN_CFG + f"problem.y0 = {y0}\n")
+        proc = run_module(["eigen", cfg], tmp_path, timeout=120)
+        assert proc.returncode == 2
+        assert "config error at problem.y0:" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_noncontracting_trace_exit_5(self, tmp_path, monkeypatch):
         cfg = write_cfg(tmp_path, EIGEN_CFG)
@@ -438,6 +470,31 @@ class TestConvergeCommand:
                           timeout=120)
         assert proc.returncode == 3
         assert "run failed" in proc.stderr and "sqrt" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_truth_not_evaluable_exit_2(self, tmp_path):
+        # sqrt(x1) has no value at the nodes with x1 < 0; the check runs
+        # before the first level, so no flow is integrated
+        text = CONV_CFG.replace("grid.n_r = 8\ngrid.n_theta = 16",
+                                "grid.n_r = 4\ngrid.n_theta = 8")
+        text = text.replace(
+            'converge.u_star = "(x1^2 + x2^2)/2 + 0.1*exp(x1/2)"',
+            'converge.u_star = "sqrt(x1) + (x1^2 + x2^2)/2"')
+        cfg = write_cfg(tmp_path, text)
+        proc = run_module(["converge", cfg, "--levels", "2"], tmp_path,
+                          timeout=120)
+        assert proc.returncode == 2
+        assert "config error at converge.u_star:" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("resolutions", ["0, 8", "-8, 8"])
+    def test_non_positive_resolution_exit_2(self, tmp_path, resolutions):
+        cfg = write_cfg(tmp_path, CONV_CFG
+                        + f"converge.resolutions = {resolutions}\n")
+        proc = run_module(["converge", cfg, "--levels", "2"], tmp_path,
+                          timeout=120)
+        assert proc.returncode == 2
+        assert "config error at converge.resolutions:" in proc.stderr
         assert "Traceback" not in proc.stderr
 
     def test_missing_truth_exit_2(self, tmp_path, capsys):

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hqflow import discretize, flow, geometry
 
@@ -308,6 +308,9 @@ PROPERTY_GRIDS = {
        c=st.floats(0.0, 4.0, exclude_min=True),
        seed=st.integers(0, 2**32 - 1),
        scale=st.floats(0.0, 5.0))
+# phi_u = -1e-13 is lost in the finite difference of phi, so one Newton
+# step leaves a residual that a stop bound scaled by |u_b| accepted
+@example(name="disk", g=(0.0, 0.0, 1.0), c=1e-13, seed=3, scale=4.0)
 def test_closure_properties(name, g, c, seed, scale):
     """For phi = g(x) - c u, the closure solves the relation, is
     idempotent, and leaves the interior alone."""

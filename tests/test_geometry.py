@@ -186,6 +186,18 @@ class TestBuildGrid:
         with pytest.raises(ValueError):
             geo.Square(-1.0)
 
+    @pytest.mark.parametrize("make, field", [
+        (lambda: geo.Disk(1e-200), "radius"),
+        (lambda: geo.Disk(math.inf), "radius"),
+        (lambda: geo.Ellipse(math.nan, 1.0), "a"),
+        (lambda: geo.Ellipse(1.0, 1e200), "b"),
+        (lambda: geo.Square(math.inf), "half_width")])
+    def test_size_error_names_its_field(self, make, field):
+        # a size whose square underflows to 0 or overflows is rejected
+        with pytest.raises(geo.SizeError, match=field) as exc:
+            make()
+        assert exc.value.field == field
+
 
 class TestExportCsv:
     def test_snapshot_format(self, tmp_path):

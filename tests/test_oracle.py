@@ -95,8 +95,10 @@ class TestSampling:
 
     def test_arrowhead_structure(self):
         rng = np.random.default_rng(16)
-        for _ in range(10):
-            A = oracle.sample_arrowhead(4, 2, rng)
+        singles = [oracle.sample_arrowhead(4, 2, rng) for _ in range(10)]
+        batch = oracle.sample_arrowhead_batch(4, 2, rng, 40)
+        assert batch.shape == (40, 4, 4)
+        for A in [*singles, *batch]:
             assert A[0, 0] < 0.0
             assert A == pytest.approx(A.T)
             block = A[1:, 1:]

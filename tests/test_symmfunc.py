@@ -177,6 +177,14 @@ class TestEigenSym:
             scale = 1.0 + np.max(np.abs(A))
             assert np.max(np.abs(A - (Q * lam) @ Q.T)) <= 1e-10 * scale
 
+    @pytest.mark.parametrize("A", [np.eye(3), np.diag([2.0, 2.0, 1.0])])
+    def test_repeated_eigenvalues(self, A):
+        lam, Q = sf.eigen_sym(A)
+        assert lam == pytest.approx(np.sort(np.diag(A))[::-1])
+        assert np.max(np.abs(A - (Q * lam) @ Q.T)) <= 1e-12
+        assert np.max(np.abs(Q @ Q.T - np.eye(3))) <= 1e-12
+        assert np.all(np.diff(lam) <= 0.0)
+
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError, match="non-finite"):
             sf.eigen_sym(np.array([[1.0, np.inf], [np.inf, 1.0]]))
