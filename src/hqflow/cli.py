@@ -21,11 +21,15 @@ Config files are flat ``key = value`` lines with dotted prefixes::
 
 Quoted values are expressions for the parser; bare values are numbers,
 booleans, words, or comma-separated tuples.  Unknown or duplicate keys
-are rejected with the offending path.  Every artifact starts with a
-metadata header recording the config digest, the grid, and whether the
-domain leaves the smooth uniformly convex setting the estimates assume
-(squares do).  Reruns with identical inputs produce byte-identical
-files: nothing time- or host-dependent is written.
+are rejected with the offending path.  A key left out takes the
+default of the library function that takes it, which also checks the
+value; `main` reports its ArgumentError at the key of that name in
+``problem.*`` or the command's section (``flow.*``, ``eigen.*``).
+Every artifact starts with a metadata header recording the config
+digest, the grid, and whether the domain leaves the smooth uniformly
+convex setting the estimates assume (squares do).  Reruns with
+identical inputs produce byte-identical files: nothing time- or
+host-dependent is written.
 
 Exit codes: 0 success; 1 a measured property failed (verify suite, or
 convergence orders off target); 2 config or argument error; 3 a run
@@ -43,7 +47,7 @@ import sys
 
 import numpy as np
 
-from . import elliptic, exprparse, flow, geometry, verify
+from . import elliptic, exprparse, flow, geometry, symmfunc, verify
 
 __all__ = [
     "ConfigError", "load_config", "parse_config_text",
@@ -58,7 +62,7 @@ KNOWN_KEYS = frozenset({
     "problem.f", "problem.phi", "problem.u0", "problem.y0",
     "problem.growth_rate", "problem.damping_rate",
     "problem.require_nonnegative_initial_speed",
-    "grid.backend", "grid.n_r", "grid.n_theta", "grid.n",
+    "grid.n_r", "grid.n_theta", "grid.n",
     "flow.mode", "flow.cfl", "flow.t_max", "flow.tol_steady",
     "flow.tol_trans", "flow.window", "flow.checkpoint_every",
     "flow.mean_shift",
@@ -103,6 +107,23 @@ def parse_config_text(text):
     return pairs
 
 
+def _bool(raw):
+    return {"true": True, "false": False}[raw.lower()]
+
+
+def _unquote(raw):
+    if len(raw) >= 2 and raw[0] == '"' and raw[-1] == '"':
+        return raw[1:-1]
+    return raw
+
+
+def _point(raw):
+    vals = tuple(float(p) for p in raw.split(","))
+    if len(vals) != 2 or not all(math.isfinite(v) for v in vals):
+        raise ValueError(raw)
+    return vals
+
+
 class Config:
     """Typed access to flat config pairs with pathed diagnostics."""
 
@@ -110,90 +131,51 @@ class Config:
         self.pairs = dict(pairs)
         self.digest = digest
 
-    def _raw(self, path, default):
-        if path in self.pairs:
-            return self.pairs[path]
-        if default is _MISSING:
-            raise ConfigError(path, "required key is missing")
-        return None
+    def _get(self, path, default, parse, expected):
+        """pairs[path] read by `parse`, or `default` for a key left out;
+        a value `parse` rejects is reported as not being `expected`."""
+        if path not in self.pairs:
+            if default is _MISSING:
+                raise ConfigError(path, "required key is missing")
+            return default
+        raw = self.pairs[path]
+        try:
+            return parse(raw)
+        except (KeyError, ValueError):
+            raise ConfigError(path, f"expected {expected}, got {raw!r}") \
+                from None
 
     def int_(self, path, default=_MISSING):
-        raw = self._raw(path, default)
-        if raw is None:
-            return default
-        try:
-            return int(raw)
-        except ValueError:
-            raise ConfigError(path, f"expected an integer, got {raw!r}") \
-                from None
+        return self._get(path, default, int, "an integer")
 
     def float_(self, path, default=_MISSING):
-        raw = self._raw(path, default)
-        if raw is None:
-            return default
-        try:
-            return float(raw)
-        except ValueError:
-            raise ConfigError(path, f"expected a number, got {raw!r}") \
-                from None
+        return self._get(path, default, float, "a number")
 
     def bool_(self, path, default=_MISSING):
-        raw = self._raw(path, default)
-        if raw is None:
-            return default
-        if raw.lower() in ("true", "false"):
-            return raw.lower() == "true"
-        raise ConfigError(path, f"expected true or false, got {raw!r}")
+        return self._get(path, default, _bool, "true or false")
 
     def str_(self, path, default=_MISSING):
-        raw = self._raw(path, default)
-        if raw is None:
-            return default
-        if len(raw) >= 2 and raw[0] == '"' and raw[-1] == '"':
-            return raw[1:-1]
-        return raw
+        return self._get(path, default, _unquote, "a string")
 
-    def word(self, path, choices, default=_MISSING):
-        raw = self.str_(path, default)
-        if raw is default and raw not in choices:
-            return default
+    def word(self, path, choices):
+        raw = self.str_(path)
         if raw not in choices:
             raise ConfigError(
                 path, f"expected one of {', '.join(choices)}; got {raw!r}")
         return raw
 
-    def point(self, path, default=_MISSING):
-        raw = self._raw(path, default)
-        if raw is None:
-            return default
-        parts = [p.strip() for p in raw.split(",")]
-        try:
-            vals = tuple(float(p) for p in parts)
-        except ValueError:
-            vals = ()
-        if len(vals) != 2 or not all(math.isfinite(v) for v in vals):
-            raise ConfigError(
-                path, f"expected two finite comma-separated numbers, "
-                f"got {raw!r}")
-        return vals
+    def point(self, path):
+        return self._get(path, _MISSING, _point,
+                         "two finite comma-separated numbers")
 
     def int_list(self, path, default=_MISSING):
-        raw = self._raw(path, default)
-        if raw is None:
-            return default
-        try:
-            return [int(p.strip()) for p in raw.split(",")]
-        except ValueError:
-            raise ConfigError(
-                path, f"expected comma-separated integers, got {raw!r}") \
-                from None
+        return self._get(path, default,
+                         lambda raw: [int(p) for p in raw.split(",")],
+                         "comma-separated integers")
 
-    def expr(self, path, slot, default=_MISSING):
-        raw = self.str_(path, default)
-        if raw is default:
-            return default
+    def expr(self, path, slot):
         try:
-            return exprparse.parse(raw, slot=slot)
+            return exprparse.parse(self.str_(path), slot=slot)
         except exprparse.ParseError as exc:
             raise ConfigError(path, str(exc)) from exc
 
@@ -227,22 +209,12 @@ _DOMAINS = {
 def build_domain(cfg):
     cls, defaults = _DOMAINS[cfg.word("problem.domain", tuple(_DOMAINS))]
     sizes = {f: cfg.float_(f"problem.{f}", d) for f, d in defaults.items()}
-    try:
-        return cls(**sizes)
-    except geometry.SizeError as exc:
-        raise ConfigError(f"problem.{exc.field}", str(exc)) from exc
+    return cls(**sizes)
 
 
 def build_grid(cfg, dom, scale=1):
     """Grid for the configured domain; `scale` refines for ladders."""
     is_square = isinstance(dom, geometry.Square)
-    backend = cfg.word("grid.backend", ("polar", "cartesian"), default=None)
-    wanted = "cartesian" if is_square else "polar"
-    if backend is not None and backend != wanted:
-        raise ConfigError(
-            "grid.backend",
-            f"a {type(dom).__name__.lower()} domain uses the {wanted} "
-            f"backend")
     try:
         if is_square:
             n = cfg.int_("grid.n")
@@ -256,49 +228,27 @@ def build_grid(cfg, dom, scale=1):
         raise ConfigError(path, str(exc)) from exc
 
 
-_SPEC_HINTS = (
-    ("eps0", "eigen.eps0"),
-    ("n_halvings", "eigen.n_halvings"),
-    ("cfl", "flow.cfl"),
-    ("phi", "problem.phi"),
-    ("f must", "problem.f"),
-    ("right side f", "problem.f"),
-    ("growth_rate", "problem.growth_rate"),
-    ("damping_rate", "problem.damping_rate"),
-    ("initial", "problem.u0"),
-    ("Gamma_k", "problem.u0"),
-)
-
-
-def _spec_error_path(message):
-    for token, path in _SPEC_HINTS:
-        if token in message:
-            return path
-    return "problem"
+def _options(cfg, section, **getters):
+    """Keyword arguments for the `section.name` keys the config sets,
+    each read by getters[name]; a key left out keeps the default of the
+    library function that takes it."""
+    return {name: get(cfg, f"{section}.{name}")
+            for name, get in getters.items()
+            if f"{section}.{name}" in cfg.pairs}
 
 
 def build_spec(cfg, grid):
-    k = cfg.int_("problem.k")
-    l = cfg.int_("problem.l")
-    if not 1 <= k <= 2:
-        raise ConfigError("problem.k", f"k must be 1 or 2 on planar "
-                          f"domains, got {k}")
-    if not 0 <= l < k:
-        raise ConfigError("problem.l", f"l must satisfy 0 <= l < k = {k}, "
-                          f"got {l}")
-    f = cfg.expr("problem.f", "f")
-    phi = cfg.expr("problem.phi", "phi")
-    u0 = cfg.expr("problem.u0", "u0")
     try:
         return flow.ProblemSpec(
-            grid, k, l, f=f, phi=phi, u0=u0,
-            growth_rate=cfg.float_("problem.growth_rate", None),
-            damping_rate=cfg.float_("problem.damping_rate", None),
-            require_nonnegative_initial_speed=cfg.bool_(
-                "problem.require_nonnegative_initial_speed", True),
-            cfl=cfg.float_("flow.cfl", 0.4))
-    except ValueError as exc:
-        raise ConfigError(_spec_error_path(str(exc)), str(exc)) from exc
+            grid, cfg.int_("problem.k"), cfg.int_("problem.l"),
+            f=cfg.expr("problem.f", "f"), phi=cfg.expr("problem.phi", "phi"),
+            u0=cfg.expr("problem.u0", "u0"),
+            **_options(cfg, "problem", growth_rate=Config.float_,
+                       damping_rate=Config.float_,
+                       require_nonnegative_initial_speed=Config.bool_),
+            **_options(cfg, "flow", cfl=Config.float_))
+    except symmfunc.AdmissibilityError as exc:
+        raise ConfigError("problem.u0", str(exc)) from exc
 
 
 def _domain_label(dom):
@@ -369,46 +319,14 @@ def _formats(cfg):
     return fmts
 
 
-def _time_limit(cfg, path, default):
-    """A t_max setting: a run with an infinite or NaN limit never ends,
-    and one with a limit <= 0 takes no step."""
-    value = cfg.float_(path, default)
-    if not (math.isfinite(value) and value > 0.0):
-        raise ConfigError(path, f"must be finite and positive, got {value}")
-    return value
-
-
 def _run_settings(cfg):
-    mode = cfg.word("flow.mode", ("steady", "translating"), default="steady")
-    settings = dict(mode=mode,
-                    t_max=_time_limit(cfg, "flow.t_max", 50.0),
-                    tol_steady=cfg.float_("flow.tol_steady", 1e-8),
-                    tol_trans=cfg.float_("flow.tol_trans", 1e-8),
-                    window=cfg.int_("flow.window", 50),
-                    checkpoint_every=cfg.int_("flow.checkpoint_every", 100),
-                    mean_shift=cfg.bool_("flow.mean_shift", False))
-    for key in ("window", "checkpoint_every"):
-        if settings[key] < 1:
-            raise ConfigError(f"flow.{key}",
-                              f"must be at least 1, got {settings[key]}")
-    return settings
+    return _options(cfg, "flow", mode=Config.str_, t_max=Config.float_,
+                    tol_steady=Config.float_, tol_trans=Config.float_,
+                    window=Config.int_, checkpoint_every=Config.int_,
+                    mean_shift=Config.bool_)
 
 
 _FLOW_EXIT = {"steady": 0, "translating": 0, "t_max": 4, "diverged": 3}
-
-
-def _run(spec, settings):
-    """`flow.run`, or None after reporting on stderr a run that failed.
-
-    The spec and the settings are validated before the run, so a
-    ValueError from it means f or phi could not be evaluated, or the
-    Neumann closure not solved, at a state the run reached."""
-    try:
-        return flow.run(spec, **settings)
-    except ValueError as exc:
-        print(f"run failed at grid {spec.grid.shape}: {exc}",
-              file=sys.stderr)
-        return None
 
 
 def cmd_flow(args):
@@ -421,14 +339,13 @@ def cmd_flow(args):
     out = _out_dir(cfg)
     meta = _meta("flow", cfg.digest, grid)
 
-    result = _run(spec, settings)
-    if result is None:
-        return 3
-    checks = flow.monitor_report(result, spec, mode=settings["mode"])
+    result = flow.run(spec, **settings)
+    mode = result.info["mode"]
+    checks = flow.monitor_report(result, spec, mode=mode)
     summary = {
         "meta": meta,
         "status": result.status,
-        "mode": settings["mode"],
+        "mode": mode,
         "t_final": result.state.t,
         "steps": result.state.step_count,
         "final_max_abs_ut": result.series["max_abs_ut"][-1],
@@ -442,7 +359,7 @@ def cmd_flow(args):
         "mesh_size": geometry.mesh_size(grid),
         "monitors": checks,
     }
-    if settings["mode"] == "translating":
+    if mode == "translating":
         # max|u_t| tends to the speed there, not to zero
         del summary["decay_rate"]
     lines = _meta_lines(meta)
@@ -461,11 +378,10 @@ def cmd_eigen(args):
     dom = build_domain(cfg)
     grid = build_grid(cfg, dom)
     spec = build_spec(cfg, grid)
-    y0 = cfg.point("problem.y0", (0.0, 0.0))
-    eps0 = cfg.float_("eigen.eps0", 1.0)
-    n_halvings = cfg.int_("eigen.n_halvings", 6)
-    tol = cfg.float_("eigen.tol", 1e-8)
-    t_max = _time_limit(cfg, "eigen.t_max", 400.0)
+    solve = _options(cfg, "eigen", eps0=Config.float_, tol=Config.float_,
+                     t_max=Config.float_)
+    schedule = dict(solve, **_options(cfg, "eigen", n_halvings=Config.int_),
+                    **_options(cfg, "problem", y0=Config.point))
     check_translation = cfg.bool_("eigen.check_translation", False)
     formats = _formats(cfg)
     out = _out_dir(cfg)
@@ -476,9 +392,7 @@ def cmd_eigen(args):
         oracle_s = elliptic.laplace_speed_oracle(grid, spec.f, spec.phi)
 
     try:
-        pair = elliptic.solve_eigenpair(spec, eps0=eps0,
-                                        n_halvings=n_halvings, y0=y0,
-                                        tol=tol, t_max=t_max)
+        pair = elliptic.solve_eigenpair(spec, **schedule)
     except elliptic.ConvergenceError as exc:
         if "json" in formats:
             _write_json(os.path.join(out, "summary.json"),
@@ -486,8 +400,6 @@ def cmd_eigen(args):
                          "error": str(exc)})
         print(f"eigen solve failed: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
-        raise ConfigError(_spec_error_path(str(exc)), str(exc)) from exc
 
     summary = {"meta": meta}
     summary.update(elliptic.eigen_summary(pair, oracle_s=oracle_s))
@@ -495,21 +407,8 @@ def cmd_eigen(args):
     summary["mesh_size"] = geometry.mesh_size(grid)
 
     if check_translation:
-        base = elliptic.solve_regularized(spec, eps0, tol=tol, t_max=t_max)
-
-        def f_shift(x, y, u, _f=spec.f):
-            return math.e * _f(x, y, u)
-
-        sspec = flow.ProblemSpec(grid, spec.k, spec.l, f=f_shift,
-                                 phi=spec.phi, u0=spec.u0_grid,
-                                 require_nonnegative_initial_speed=False,
-                                 cfl=spec.cfl)
-        shifted = elliptic.solve_regularized(sspec, eps0, tol=tol,
-                                             t_max=t_max)
-        dev = float(np.max(np.abs(shifted - (base - 1.0 / eps0))))
-        tol_id = 100.0 * tol / eps0
-        summary["translation_identity"] = {
-            "deviation": dev, "tolerance": tol_id, "ok": dev <= tol_id}
+        summary["translation_identity"] = elliptic.translation_identity(
+            spec, **solve)
 
     if "csv" in formats:
         geometry.export_csv(grid, pair.u_ell,
@@ -527,8 +426,6 @@ def cmd_eigen(args):
 def cmd_verify(args):
     trials = args.trials
     seed = args.seed
-    if trials is not None and trials < 0:
-        raise ConfigError("--trials", f"must be nonnegative, got {trials}")
     results = verify.run_suite(trials=trials, seed=seed)
     all_ok = all(r.ok for r in results.values())
     vacuous = any(r.vacuous for r in results.values())
@@ -568,6 +465,8 @@ def _exact_solution(u_star, grid):
         truth = exprparse.eval(u_star, {"x1": grid.x, "x2": grid.y})
     except exprparse.EvalError as exc:
         raise ConfigError("converge.u_star", str(exc)) from exc
+    if not np.all(np.isfinite(truth)):
+        raise ConfigError("converge.u_star", "is not finite at the grid nodes")
     return np.broadcast_to(np.asarray(truth, dtype=float), grid.shape)
 
 
@@ -618,9 +517,7 @@ def cmd_converge(args):
             meta = _meta("converge", cfg.digest, grid)
         spec = build_spec(cfg, grid)
         truth = _exact_solution(u_star, grid)
-        result = _run(spec, settings)
-        if result is None:
-            return 3
+        result = flow.run(spec, **settings)
         if result.status != "steady":
             print(f"level with grid {grid.shape} ended with status "
                   f"{result.status!r}", file=sys.stderr)
@@ -644,6 +541,16 @@ def cmd_converge(args):
     if not ok:
         print(f"observed orders {orders} leave [1.5, 2.5]", file=sys.stderr)
     return 0 if ok else 1
+
+
+def _argument_key(command, field):
+    """The config key, or for verify the option, of library argument
+    `field`; None when no key sets it."""
+    if command == "verify":
+        return f"--{field}"
+    section = "eigen" if command == "eigen" else "flow"
+    keys = (f"problem.{field}", f"{section}.{field}", f"flow.{field}")
+    return next((key for key in keys if key in KNOWN_KEYS), None)
 
 
 def main(argv=None):
@@ -682,6 +589,17 @@ def main(argv=None):
         return handlers[args.command](args)
     except ConfigError as exc:
         print(exc, file=sys.stderr)
+        return 2
+    except ValueError as exc:
+        # arguments are checked before any work; any other ValueError
+        # means f or phi could not be evaluated, or the Neumann closure
+        # not solved, at a state a run reached
+        key = (_argument_key(args.command, exc.field)
+               if isinstance(exc, geometry.ArgumentError) else None)
+        if key is None:
+            print(f"{args.command} run failed: {exc}", file=sys.stderr)
+            return 3
+        print(ConfigError(key, exc.reason), file=sys.stderr)
         return 2
 
 

@@ -24,11 +24,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import discretize, flow, geometry
+from .geometry import ArgumentError
 
 __all__ = [
     "EigenPair", "ConvergenceError", "solve_regularized", "s_epsilon",
     "solve_eigenpair", "laplace_speed_oracle", "check_translating_profile",
-    "check_uniqueness_up_to_constant", "eigen_summary",
+    "translation_identity", "check_uniqueness_up_to_constant",
+    "eigen_summary",
 ]
 
 
@@ -51,18 +53,18 @@ class EigenPair:
 
 def _require_x_only(spec):
     if spec.phi_depends_on_u:
-        raise ValueError(
-            "the damped solver needs a boundary flux phi(x) that does "
-            "not depend on u")
+        raise ArgumentError(
+            "phi", "must not depend on u: the damped solver needs a "
+            "boundary flux phi(x)")
     sl = spec._interior
     x_i, y_i = spec.grid.x[sl], spec.grid.y[sl]
     u_i = spec.u0_grid[sl]
     probe = np.max(np.abs(spec.f(x_i, y_i, u_i + 0.5)
                           - spec.f(x_i, y_i, u_i)))
     if probe > 1e-12:
-        raise ValueError(
-            "the damped solver needs a right side f(x) that does not "
-            "depend on u; pass the translating-frame f")
+        raise ArgumentError(
+            "f", "must not depend on u: the damped solver needs a right "
+            "side f(x); pass the translating-frame f")
 
 
 def solve_regularized(spec, eps, u_init=None, tol=1e-8, t_max=400.0,
@@ -76,7 +78,7 @@ def solve_regularized(spec, eps, u_init=None, tol=1e-8, t_max=400.0,
     starts the run from a previous solve.
     """
     if not eps > 0.0:
-        raise ValueError("eps must be positive")
+        raise ArgumentError("eps", "must be positive")
     _require_x_only(spec)
     base_f = spec.f
 
@@ -127,7 +129,7 @@ def _model_bound(spec):
                  + np.max(np.abs(np.log(ev.q))))
 
 
-def solve_eigenpair(spec, eps0=1.0, n_halvings=6, y0=None, tol=1e-8,
+def solve_eigenpair(spec, eps0=1.0, n_halvings=6, y0=(0.0, 0.0), tol=1e-8,
                     t_max=400.0):
     """Speed and profile via a halving schedule of damped solves.
 
@@ -137,17 +139,17 @@ def solve_eigenpair(spec, eps0=1.0, n_halvings=6, y0=None, tol=1e-8,
     2 s_J - s_{J-1}; the profile is the last solve minus its constant
     part, pinned to the initial data at y0.  A trace that stops
     contracting, or a profile residual above 10 h^2 (1 + |s|), flags
-    the pair as a convergence failure.  Raises ValueError for an eps0
+    the pair as a convergence failure.  Raises ArgumentError for an eps0
     that is not finite and positive, or fewer than one halving (the
     Richardson value needs two levels).
     """
     if not (math.isfinite(eps0) and eps0 > 0.0):
-        raise ValueError(f"eps0 must be finite and positive, got {eps0!r}")
+        raise ArgumentError("eps0",
+                            f"must be finite and positive, got {eps0!r}")
     if n_halvings < 1:
-        raise ValueError(f"n_halvings must be at least 1, got {n_halvings!r}")
+        raise ArgumentError("n_halvings",
+                            f"must be at least 1, got {n_halvings!r}")
     grid = spec.grid
-    if y0 is None:
-        y0 = (0.0, 0.0)
     bound = _model_bound(spec)
     notes = []
     trace = []
@@ -209,10 +211,10 @@ def laplace_speed_oracle(grid, f, phi, panels=4096):
         return phi_fn(x, y, np.zeros(x.shape))
 
     bnd_int = geometry.boundary_integral(grid.domain, g, panels=panels)
-    if area_int <= 0.0 or bnd_int <= 0.0:
-        raise ValueError(
-            f"speed needs positive integrals; got boundary {bnd_int:.6g} "
-            f"and area {area_int:.6g}")
+    if not (area_int > 0.0 and bnd_int > 0.0):
+        raise ArgumentError(
+            "phi" if area_int > 0.0 else "f", f"gives no positive integral "
+            f"for the speed; boundary {bnd_int:.6g}, area {area_int:.6g}")
     return math.log(bnd_int / area_int)
 
 
@@ -227,6 +229,22 @@ def check_translating_profile(spec, pair, t_max=1.0, checkpoint_every=50):
                       tol_trans=0.0, checkpoint_every=checkpoint_every)
     return max(max(abs(r.max_ut - pair.s), abs(r.min_ut - pair.s))
                for r in result.records)
+
+
+def translation_identity(spec, eps0=1.0, tol=1e-8, t_max=400.0):
+    """Check u[e f] = u[f] - 1/eps0 for the damped solves at eps0 of the
+    right sides f and e f; returns the deviation, its tolerance
+    100 tol / eps0 and whether it is met."""
+    sspec = flow.ProblemSpec(spec.grid, spec.k, spec.l,
+                             f=lambda x, y, u: math.e * spec.f(x, y, u),
+                             phi=spec.phi, u0=spec.u0_grid,
+                             require_nonnegative_initial_speed=False,
+                             cfl=spec.cfl)
+    base, shifted = (solve_regularized(s, eps0, tol=tol, t_max=t_max)
+                     for s in (spec, sspec))
+    dev = float(np.max(np.abs(shifted - (base - 1.0 / eps0))))
+    tol_id = 100.0 * tol / eps0
+    return {"deviation": dev, "tolerance": tol_id, "ok": dev <= tol_id}
 
 
 def check_uniqueness_up_to_constant(u_a, u_b):

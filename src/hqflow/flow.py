@@ -26,12 +26,13 @@ bounds.
 """
 
 import math
-from collections import deque
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import discretize, exprparse, symmfunc
+from . import discretize, exprparse
+from .geometry import ArgumentError
 from .symmfunc import AdmissibilityError
 
 __all__ = [
@@ -175,13 +176,18 @@ class ProblemSpec:
     (checked by sampling); `damping_rate` asserts d(phi)/du <=
     damping_rate < 0.  Either may be None when not claimed.  With
     `require_nonnegative_initial_speed` the initial quotient must
-    dominate f(x, u0) so the initial speed is nonnegative.
+    dominate f(x, u0) so the initial speed is nonnegative.  A rejected
+    argument raises ArgumentError naming it; closed initial data outside
+    the cone raise AdmissibilityError, or name phi if u0 was inside.
     """
 
     def __init__(self, grid, k, l, f, phi, u0, growth_rate=None,
                  damping_rate=None, require_nonnegative_initial_speed=True,
                  cfl=0.4):
-        symmfunc._check_indices(k, l, 2)
+        if k not in (1, 2):
+            raise ArgumentError("k", f"must be 1 or 2, got {k!r}")
+        if l not in range(k):
+            raise ArgumentError("l", f"must satisfy 0 <= l < {k}, got {l!r}")
         self.grid = grid
         self.k = int(k)
         self.l = int(l)
@@ -205,65 +211,79 @@ class ProblemSpec:
     def _validate(self):
         grid = self.grid
         if not (math.isfinite(self.cfl) and self.cfl > 0.0):
-            raise ValueError(f"cfl must be finite and positive, got "
-                             f"{self.cfl:g}")
-        if self.growth_rate is not None and self.growth_rate <= 0:
-            raise ValueError("growth_rate must be positive when given")
-        if self.damping_rate is not None and self.damping_rate >= 0:
-            raise ValueError("damping_rate must be negative when given")
-        u0g = self.u0(grid.x, grid.y)
-        raw = np.array(u0g, dtype=float)
-        self.initial_neumann_residual = float(np.max(np.abs(
-            discretize.neumann_residual(grid, raw, self.phi))))
-        u0c = _apply_pole_filter(self, raw.copy())
-        u0c = discretize.apply_neumann(grid, u0c, self.phi)
+            raise ArgumentError("cfl", f"must be finite and positive, got "
+                                f"{self.cfl:g}")
+        if self.growth_rate is not None and not self.growth_rate > 0:
+            raise ArgumentError("growth_rate", "must be positive when given")
+        if self.damping_rate is not None and not self.damping_rate < 0:
+            raise ArgumentError("damping_rate", "must be negative when given")
+        with _blame("u0"):
+            raw = np.array(self.u0(grid.x, grid.y), dtype=float)
+        bm = grid.boundary_mask
+        xb, yb = grid.x[bm], grid.y[bm]
+        with _blame("phi"):
+            # the closure never checks a phi free of u
+            if not np.all(np.isfinite(self.phi(xb, yb, raw[bm]))):
+                raise ArgumentError("phi",
+                                    "is not finite at the boundary values")
+            self.initial_neumann_residual = float(np.max(np.abs(
+                discretize.neumann_residual(grid, raw, self.phi))))
+            u0f = _apply_pole_filter(self, raw.copy())
+            u0c = discretize.apply_neumann(grid, u0f, self.phi)
+            ub = u0c[bm]
+            dub = 1e-6 * (1.0 + np.abs(ub))
+            phi_u = (self.phi(xb, yb, ub + dub)
+                     - self.phi(xb, yb, ub - dub)) / (2 * dub)
         sl = self._interior
         x_i, y_i, u_i = grid.x[sl], grid.y[sl], u0c[sl]
-        fval = self.f(x_i, y_i, u_i)
-        if not np.all(np.isfinite(fval)) or np.min(fval) <= 0.0:
-            raise ValueError(
-                f"f must be positive and finite on the initial data; "
-                f"min f = {np.min(fval):.6g}")
-        du = 1e-6 * (1.0 + np.abs(u_i))
-        f_u = (self.f(x_i, y_i, u_i + du) - self.f(x_i, y_i, u_i - du)) / (2 * du)
+        with _blame("f"):
+            fval = self.f(x_i, y_i, u_i)
+            if not np.all(np.isfinite(fval)) or np.min(fval) <= 0.0:
+                raise ArgumentError(
+                    "f", f"must be positive and finite on the initial data; "
+                    f"min f = {np.min(fval):.6g}")
+            du = 1e-6 * (1.0 + np.abs(u_i))
+            f_u = (self.f(x_i, y_i, u_i + du)
+                   - self.f(x_i, y_i, u_i - du)) / (2 * du)
         if np.min(f_u) < -1e-8:
-            raise ValueError(
-                f"f must be nondecreasing in u; sampled f_u = "
+            raise ArgumentError(
+                "f", f"must be nondecreasing in u; sampled f_u = "
                 f"{np.min(f_u):.6g}")
         if self.growth_rate is not None:
             ratio = f_u / fval
             if np.min(ratio) < self.growth_rate - 1e-8:
-                raise ValueError(
-                    f"sampled f_u/f = {np.min(ratio):.6g} is below the "
-                    f"declared growth_rate = {self.growth_rate:.6g}")
-        xb, yb = grid.x[grid.boundary_mask], grid.y[grid.boundary_mask]
-        ub = u0c[grid.boundary_mask]
-        dub = 1e-6 * (1.0 + np.abs(ub))
-        phi_u = (self.phi(xb, yb, ub + dub)
-                 - self.phi(xb, yb, ub - dub)) / (2 * dub)
+                raise ArgumentError(
+                    "growth_rate", f"{self.growth_rate:.6g} exceeds the "
+                    f"sampled minimum of f_u/f, {np.min(ratio):.6g}")
         self.phi_depends_on_u = bool(np.max(np.abs(phi_u)) > 1e-12)
         if self.phi.depends_on_u is not None:
             self.phi_depends_on_u = self.phi.depends_on_u
         if self.phi_depends_on_u:
             worst = float(np.max(phi_u))
             if worst >= 0.0:
-                raise ValueError(
-                    f"phi must be strictly decreasing in u; sampled "
+                raise ArgumentError(
+                    "phi", f"must be strictly decreasing in u; sampled "
                     f"phi_u = {worst:.6g}")
             if self.damping_rate is not None:
                 if worst > self.damping_rate + 1e-8:
-                    raise ValueError(
-                        f"sampled phi_u = {worst:.6g} exceeds the declared "
-                        f"damping_rate = {self.damping_rate:.6g}")
+                    raise ArgumentError(
+                        "damping_rate", f"{self.damping_rate:.6g} is below "
+                        f"the sampled maximum of phi_u, {worst:.6g}")
             else:
                 self.damping_rate = worst
-        ev = _admissible_evaluate(self, u0c, prefix="initial data ")
+        try:
+            ev = _admissible_evaluate(self, u0c, prefix="initial data ")
+        except AdmissibilityError as exc:
+            # u0 was admissible until the closure replaced its boundary
+            if _evaluate(self, u0f).ok_all:
+                raise ArgumentError("phi", f"closes u0 to {exc}") from exc
+            raise
         if self.require_nonnegative_initial_speed:
             gap = ev.q - fval
             if np.min(gap) < -1e-8:
                 j = np.unravel_index(int(np.argmin(gap)), gap.shape)
-                raise ValueError(
-                    f"initial quotient {ev.q[j]:.6g} is below f = "
+                raise ArgumentError(
+                    "u0", f"has the quotient {ev.q[j]:.6g} below f = "
                     f"{fval[j]:.6g} at node {_to_grid_node(self, j)}; the "
                     f"initial speed would be negative")
         self.u0_grid = u0c
@@ -282,6 +302,19 @@ class ProblemSpec:
             self.amplitude_bound = m0
             fm = self.f(x_i, y_i, np.full_like(u_i, -m0))
             self.quotient_floor = float(np.min(fm)) * math.exp(-self.ut0_max_abs)
+
+
+@contextmanager
+def _blame(field):
+    """Report a ValueError from evaluating or using `field` on the
+    initial data as an ArgumentError naming it."""
+    try:
+        yield
+    except ArgumentError:
+        raise
+    except ValueError as exc:
+        raise ArgumentError(field, f"fails on the initial data: {exc}") \
+            from exc
 
 
 def _to_grid_node(spec, idx):
@@ -537,20 +570,22 @@ def run(spec, mode="steady", t_max=50.0, tol_steady=1e-8, tol_trans=1e-8,
     the u-slope of log f; this collapses the slow constant mode of
     strongly u-damped problems without touching the shape dynamics (and
     is off by default since it distorts decay-rate measurements).
+    The result's `info` holds the mode and the number of mean shifts.
     """
     if mode not in ("steady", "translating"):
-        raise ValueError(f"unknown mode {mode!r}")
+        raise ArgumentError("mode", f"must be steady or translating, got "
+                            f"{mode!r}")
     for name, value in (("window", window),
                         ("checkpoint_every", checkpoint_every)):
         if value < 1:
-            raise ValueError(f"{name} must be at least 1, got {value!r}")
+            raise ArgumentError(name, f"must be at least 1, got {value!r}")
     if not (math.isfinite(t_max) and t_max > 0.0):
-        raise ValueError(f"t_max must be finite and positive, got {t_max!r}")
+        raise ArgumentError("t_max",
+                            f"must be finite and positive, got {t_max!r}")
     state, ev = _initial(spec)
     records = []
     series = {name: [] for name in ("t", "max_ut", "min_ut", "mean_ut",
                                     "osc_ut", "max_abs_ut")}
-    means = deque(maxlen=window)
 
     def log(state, ev, ut):
         """Append the checkpoint's MonitorRecord and u_t series."""
@@ -561,11 +596,11 @@ def run(spec, mode="steady", t_max=50.0, tol_steady=1e-8, tol_trans=1e-8,
         series["mean_ut"].append(float(np.mean(ut)))
         series["osc_ut"].append(_osc(ut))
         series["max_abs_ut"].append(float(np.max(np.abs(ut))))
-        means.append(series["mean_ut"][-1])
 
     def stopped():
         if mode == "steady":
             return series["max_abs_ut"][-1] < tol_steady
+        means = series["mean_ut"][-window:]
         drift_ok = (len(means) == window
                     and max(means) - min(means) < tol_trans)
         return series["osc_ut"][-1] < tol_trans and drift_ok
@@ -602,7 +637,7 @@ def run(spec, mode="steady", t_max=50.0, tol_steady=1e-8, tol_trans=1e-8,
     if records[-1].t < state.t:
         records.append(_record(spec, state, ev, _tendency(spec, ev.ut)))
     return RunResult(state, records, status, spec.monitor_tol, gap_osc,
-                     series, {"shifts": shifts})
+                     series, {"shifts": shifts, "mode": mode})
 
 
 def decay_rate(result):

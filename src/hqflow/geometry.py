@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "Disk", "Ellipse", "Square", "Grid", "SizeError",
+    "Disk", "Ellipse", "Square", "Grid", "ArgumentError", "SizeError",
     "distance", "normal", "boundary_integral", "build_grid", "export_csv",
     "area_weights", "mesh_size",
 ]
@@ -29,24 +29,31 @@ __all__ = [
 _BOUNDARY_TOL = 1e-10
 
 
-class SizeError(ValueError):
-    """A domain size that is not positive with a positive, finite square;
-    `field` names it."""
+class ArgumentError(ValueError):
+    """An argument a function cannot use: `field` names the argument and
+    `reason` says what is wrong with it without naming it."""
 
-    def __init__(self, field, message):
-        super().__init__(message)
+    def __init__(self, field, reason):
+        super().__init__(f"{field} {reason}")
         self.field = field
+        self.reason = reason
+
+
+# domain sizes were the first arguments rejected this way
+SizeError = ArgumentError
 
 
 def _check_sizes(dom, *fields):
     # the polar metric divides by the squared semi-axes, so a square
-    # that underflows to 0 or overflows is as bad as a size <= 0
+    # that underflows to 0 or overflows, or whose inverse overflows, is
+    # as bad as a size <= 0
     for field in fields:
         value = getattr(dom, field)
-        if not (value > 0.0 and 0.0 < value * value < math.inf):
-            raise SizeError(field, f"{type(dom).__name__.lower()} {field} "
-                            f"must be positive with a positive, finite "
-                            f"square, got {value!r}")
+        if not (value > 0.0 and 0.0 < value * value < math.inf
+                and 1.0 / (value * value) < math.inf):
+            raise ArgumentError(field, f"must be positive with a square and "
+                                f"an inverse square that are finite and "
+                                f"positive, got {value!r}")
 
 
 @dataclass(frozen=True)

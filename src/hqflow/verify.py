@@ -30,6 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import oracle, symmfunc
+from .geometry import ArgumentError
 
 __all__ = [
     "PropertyResult", "PROPERTIES", "run_suite", "self_test",
@@ -547,14 +548,15 @@ def run_suite(trials=None, seed=0, names=None, calc=symmfunc):
     if names is not None:
         unknown = sorted(set(names) - set(PROPERTIES))
         if unknown:
-            raise ValueError(f"unknown properties: {', '.join(unknown)}")
+            raise ArgumentError(
+                "names", f"lists unknown properties: {', '.join(unknown)}")
     results = {}
     for idx, (name, (func, default_trials)) in enumerate(PROPERTIES.items()):
         if names is not None and name not in names:
             continue
         t = default_trials if trials is None else int(trials)
         if t < 0:
-            raise ValueError("trials must be nonnegative")
+            raise ArgumentError("trials", f"must be nonnegative, got {t}")
         rng = np.random.default_rng([seed, idx])
         tally = func(rng, t, calc)
         results[name] = PropertyResult(name, tally.kind, tally.count,

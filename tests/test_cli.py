@@ -1,11 +1,16 @@
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import hqflow
 from hqflow import cli, elliptic
@@ -69,6 +74,31 @@ problem.require_nonnegative_initial_speed = false
 grid.n_r = 6
 grid.n_theta = 12
 """
+
+
+# The translating solution |x|^2/2 on a 4x8 disk; phi = |x| is its
+# normal derivative on a disk of any radius, so a change of the radius
+# alone keeps the problem consistent.
+FUZZ_CFG = """\
+problem.k = 1
+problem.l = 0
+problem.domain = disk
+problem.f = "1"
+problem.phi = "sqrt(x1^2 + x2^2)"
+problem.u0 = "(x1^2 + x2^2)/2"
+problem.require_nonnegative_initial_speed = false
+grid.n_r = 4
+grid.n_theta = 8
+flow.mode = translating
+flow.t_max = 0.05
+"""
+
+
+def fuzz_config(changes):
+    """FUZZ_CFG with the keys in `changes` set to new raw values."""
+    pairs = cli.parse_config_text(FUZZ_CFG)
+    pairs.update(changes)
+    return "".join(f"{k} = {v}\n" for k, v in pairs.items())
 
 
 def write_cfg(tmp_path, text, name="run.cfg"):
@@ -224,6 +254,46 @@ class TestFlowCommand:
         assert cli.main(["flow", cfg]) == 2
         assert "problem.f" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("changes, key", [
+        ({"problem.phi": '"1 - 0.5*u"', "problem.damping_rate": "-1"},
+         "problem.damping_rate"),
+        ({"problem.u0": '"log(x1)"'}, "problem.u0"),
+        ({"problem.f": '"log(u - 5)"'}, "problem.f"),
+        ({"problem.phi": '"sqrt(u - 5)"'}, "problem.phi"),
+        ({"problem.phi": '"-1"'}, "problem.phi")])
+    def test_field_error_reported_at_its_key(self, tmp_path, capsys,
+                                             changes, key):
+        # phi = -1 closes the admissible u0 to boundary values that
+        # leave the cone
+        cfg = write_cfg(tmp_path, fuzz_config(changes))
+        assert cli.main(["flow", cfg]) == 2
+        assert f"config error at {key}:" in capsys.readouterr().err
+
+    def test_non_finite_phi_exit_2(self, tmp_path, capsys):
+        # the affine closure of a phi free of u does not check phi
+        cfg = write_cfg(tmp_path, fuzz_config(
+            {"problem.phi": '"1e308*1e308"'}))
+        assert cli.main(["flow", cfg]) == 2
+        assert "config error at problem.phi: is not finite at the " \
+            "boundary values" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["flow", "converge"])
+    def test_huge_window_no_traceback(self, tmp_path, command):
+        # a window past the largest container size once overflowed the
+        # drift buffer; it now only keeps the drift test from passing
+        text = FLOW_CFG if command == "flow" else CONV_CFG
+        for grid in ("grid.n_r = 12\ngrid.n_theta = 24",
+                     "grid.n_r = 8\ngrid.n_theta = 16"):
+            text = text.replace(grid, "grid.n_r = 4\ngrid.n_theta = 8")
+        text = text.replace("flow.t_max = 40.0", "flow.t_max = 0.05")
+        text += "flow.window = 99999999999999999999\n"
+        args = [command, write_cfg(tmp_path, text)]
+        if command == "converge":
+            args += ["--levels", "2"]
+        proc = run_module(args, tmp_path, timeout=120)
+        assert proc.returncode == 4
+        assert "Traceback" not in proc.stderr
+
     @pytest.mark.parametrize("cfl", ["0", "-0.1", "nan"])
     def test_unusable_cfl_exit_2(self, tmp_path, cfl):
         # with dt <= 0 a run never reaches t_max; the timeout turns such
@@ -256,12 +326,14 @@ class TestFlowCommand:
     @pytest.mark.parametrize("domain, key, value", [
         ("disk", "problem.radius", "-1"), ("disk", "problem.radius", "inf"),
         ("disk", "problem.radius", "1e-200"),
+        ("disk", "problem.radius", "1e-160"),
         ("ellipse", "problem.a", "nan"), ("ellipse", "problem.b", "inf"),
         ("ellipse", "problem.b", "1e200"),
         ("square", "problem.half_width", "inf")])
     def test_unusable_domain_size_exit_2(self, tmp_path, domain, key, value):
-        # 1e-200 squares to 0 and 1e200 to inf, and the polar metric
-        # divides by the squared semi-axes
+        # 1e-200 squares to 0 and 1e200 to inf, 1e-160 squares to a
+        # subnormal whose inverse is inf, and the polar metric divides
+        # by the squared semi-axes
         sizes = {"ellipse": {"problem.a": "1.2", "problem.b": "0.8"}}.get(
             domain, {})
         sizes[key] = value
@@ -487,6 +559,21 @@ class TestConvergeCommand:
         assert "config error at converge.u_star:" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    def test_truth_not_finite_exit_2(self, tmp_path):
+        # exp(1000 + x1) overflows at every node; the orders measured
+        # against it would all be nan
+        text = CONV_CFG.replace("grid.n_r = 8\ngrid.n_theta = 16",
+                                "grid.n_r = 4\ngrid.n_theta = 8")
+        text = text.replace(
+            'converge.u_star = "(x1^2 + x2^2)/2 + 0.1*exp(x1/2)"',
+            'converge.u_star = "exp(1000 + x1)"')
+        cfg = write_cfg(tmp_path, text)
+        proc = run_module(["converge", cfg, "--levels", "2"], tmp_path,
+                          timeout=120)
+        assert proc.returncode == 2
+        assert "config error at converge.u_star:" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     @pytest.mark.parametrize("resolutions", ["0, 8", "-8, 8"])
     def test_non_positive_resolution_exit_2(self, tmp_path, resolutions):
         cfg = write_cfg(tmp_path, CONV_CFG
@@ -514,3 +601,33 @@ class TestEntryPoint:
         with pytest.raises(SystemExit) as exc:
             cli.main(["melt"])
         assert exc.value.code == 2
+
+
+# Raw values for one key: numbers at and past the edges of their range,
+# overflowing and unevaluable expressions, and words no key takes.
+FUZZ_VALUES = ("0", "-1", "1", "2", "0.5", "nan", "inf", "-inf", "1e400",
+               "99999999999999999999", '"1e308*1e308"', '"exp(1000 + x1)"',
+               '"log(x1)"', '"sqrt(u - 5)"', '"1 +"', "bogus", "true",
+               "1, 2")
+FUZZ_KEYS = sorted(k for k in cli.KNOWN_KEYS
+                   if k.startswith(("problem.", "grid.", "flow."))
+                   or k == "output.formats")
+
+
+class TestConfigFuzz:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(key=st.sampled_from(FUZZ_KEYS), value=st.sampled_from(FUZZ_VALUES))
+    def test_one_changed_key(self, key, value):
+        """`hqflow flow` with one key of a valid config changed ends in a
+        documented exit code, and a config error names that key."""
+        err = io.StringIO()
+        with tempfile.TemporaryDirectory() as out, \
+                mock.patch.dict(os.environ, {"HQFLOW_OUT": out}), \
+                contextlib.redirect_stderr(err):
+            cfg = os.path.join(out, "run.cfg")
+            with open(cfg, "w") as fh:
+                fh.write(fuzz_config({key: value}))
+            code = cli.main(["flow", cfg])
+        assert code in (0, 1, 2, 3, 4, 5)
+        if code == 2:
+            assert f"config error at {key}:" in err.getvalue()

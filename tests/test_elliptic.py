@@ -125,6 +125,20 @@ class TestEigenpair:
         with pytest.raises(ValueError, match=name):
             elliptic.solve_eigenpair(laplace_spec(6, 12), **kwargs)
 
+    @pytest.mark.parametrize("kwargs, name", [
+        ({"n_halvings": 0}, "n_halvings"), ({"eps0": -1.0}, "eps0"),
+        ({"t_max": math.inf}, "t_max")])
+    def test_schedule_errors_name_their_argument(self, kwargs, name):
+        with pytest.raises(geometry.ArgumentError) as exc:
+            elliptic.solve_eigenpair(laplace_spec(6, 12), **kwargs)
+        assert exc.value.field == name
+
+    def test_translation_identity(self):
+        # scaling f by e shifts the damped solution at eps by -1/eps
+        out = elliptic.translation_identity(laplace_spec(8, 16), eps0=1.0)
+        assert out["tolerance"] == pytest.approx(1e-6)
+        assert out["ok"] and out["deviation"] <= out["tolerance"]
+
     def test_summary_schema(self):
         spec = laplace_spec(10, 20)
         pair = elliptic.solve_eigenpair(spec, n_halvings=2)
@@ -151,6 +165,9 @@ class TestOracle:
         grid = disk_grid(8, 16)
         with pytest.raises(ValueError, match="positive"):
             elliptic.laplace_speed_oracle(grid, "1", "-1")
+        with pytest.raises(geometry.ArgumentError) as exc:
+            elliptic.laplace_speed_oracle(grid, "1", "-1")
+        assert exc.value.field == "phi"
 
 
 class TestUniqueness:

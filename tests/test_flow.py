@@ -122,6 +122,26 @@ class TestValidation:
             flow.ProblemSpec(disk_grid(), 1, 0, f="1", phi="1",
                              u0="(x1^2 + x2^2)/2", cfl=cfl)
 
+    @pytest.mark.parametrize("changes, field", [
+        ({"k": 3}, "k"), ({"l": 1}, "l"),
+        ({"u0": "log(x1)"}, "u0"),
+        ({"f": "log(u - 5)"}, "f"),
+        ({"phi": "sqrt(u - 5)"}, "phi"),
+        ({"phi": "1e308*1e308"}, "phi"),
+        ({"phi": "-1"}, "phi"),
+        ({"phi": "1 - 0.5*u", "damping_rate": -1.0}, "damping_rate"),
+        ({"growth_rate": math.nan}, "growth_rate"),
+        ({"damping_rate": math.nan}, "damping_rate")])
+    def test_rejected_argument_named(self, changes, field):
+        # phi = -1 closes the admissible u0 to boundary values that take
+        # it out of the cone, so the closure, not u0, is at fault
+        kwargs = dict(k=1, l=0, f="1", phi="1", u0="(x1^2 + x2^2)/2")
+        kwargs.update(changes)
+        with pytest.raises(geometry.ArgumentError) as exc:
+            flow.ProblemSpec(disk_grid(4, 8), **kwargs)
+        assert exc.value.field == field
+        assert str(exc.value) == f"{field} {exc.value.reason}"
+
     def test_amplitude_and_floor_need_both_rates(self):
         spec = quadratic_disk_spec()
         assert spec.amplitude_bound is None
@@ -380,6 +400,25 @@ class TestTranslatingRun:
         spec = quadratic_disk_spec(n_r=8, n_t=16)
         with pytest.raises(ValueError, match=setting):
             flow.run(spec, mode="translating", **{setting: 0})
+
+    def test_window_beyond_any_container_size(self):
+        # the drift test looks back over the stored means, so a window
+        # no run can fill only keeps it from passing
+        spec = quadratic_disk_spec(n_r=4, n_t=8)
+        result = flow.run(spec, mode="translating", t_max=0.05,
+                          window=10**20)
+        assert result.status == "t_max"
+        assert result.info["mode"] == "translating"
+
+    @pytest.mark.parametrize("kwargs, field", [
+        ({"mode": "drifting"}, "mode"), ({"window": 0}, "window"),
+        ({"checkpoint_every": -1}, "checkpoint_every"),
+        ({"t_max": math.inf}, "t_max")])
+    def test_setting_errors_name_their_argument(self, kwargs, field):
+        spec = quadratic_disk_spec(n_r=4, n_t=8)
+        with pytest.raises(geometry.ArgumentError) as exc:
+            flow.run(spec, **kwargs)
+        assert exc.value.field == field
 
     @pytest.mark.parametrize("t_max", [math.inf, math.nan, 0.0, -1.0])
     def test_unbounded_or_empty_t_max_rejected(self, t_max):

@@ -191,9 +191,11 @@ class TestBuildGrid:
         (lambda: geo.Disk(math.inf), "radius"),
         (lambda: geo.Ellipse(math.nan, 1.0), "a"),
         (lambda: geo.Ellipse(1.0, 1e200), "b"),
-        (lambda: geo.Square(math.inf), "half_width")])
+        (lambda: geo.Square(math.inf), "half_width"),
+        (lambda: geo.Disk(1e-160), "radius")])
     def test_size_error_names_its_field(self, make, field):
-        # a size whose square underflows to 0 or overflows is rejected
+        # a size whose square underflows to 0 or overflows, or whose
+        # inverse square overflows, is rejected
         with pytest.raises(geo.SizeError, match=field) as exc:
             make()
         assert exc.value.field == field

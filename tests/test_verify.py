@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from hqflow import verify
+from hqflow import geometry, verify
 
 
 @pytest.fixture(scope="module")
@@ -65,6 +65,14 @@ class TestRunSuite:
     def test_negative_trials_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):
             verify.run_suite(trials=-1)
+
+    def test_argument_errors_name_their_argument(self):
+        with pytest.raises(geometry.ArgumentError) as exc:
+            verify.run_suite(trials=-1)
+        assert exc.value.field == "trials"
+        with pytest.raises(geometry.ArgumentError) as exc:
+            verify.run_suite(trials=1, names=["no_such_property"])
+        assert exc.value.field == "names"
 
 
 class TestVacuousRun:
