@@ -24,7 +24,7 @@ booleans, words, or comma-separated tuples.  Unknown or duplicate keys
 are rejected with the offending path.  A key left out takes the
 default of the library function that takes it, which also checks the
 value; `main` reports its ArgumentError at the key of that name in
-``problem.*`` or the command's section (``flow.*``, ``eigen.*``).
+``problem.*``, the command's section, ``flow.*`` or ``grid.*``.
 Every artifact starts with a metadata header recording the config
 digest, the grid, and whether the domain leaves the smooth uniformly
 convex setting the estimates assume (squares do).  Reruns with
@@ -214,18 +214,12 @@ def build_domain(cfg):
 
 def build_grid(cfg, dom, scale=1):
     """Grid for the configured domain; `scale` refines for ladders."""
-    is_square = isinstance(dom, geometry.Square)
-    try:
-        if is_square:
-            n = cfg.int_("grid.n")
-            return geometry.build_grid(dom, n=(n - 1) * scale + 1)
-        n_r = cfg.int_("grid.n_r")
-        n_t = cfg.int_("grid.n_theta")
-        return geometry.build_grid(dom, n_r=n_r * scale, n_theta=n_t * scale)
-    except ValueError as exc:
-        path = ("grid.n" if is_square else
-                "grid.n_theta" if "n_theta" in str(exc) else "grid.n_r")
-        raise ConfigError(path, str(exc)) from exc
+    if isinstance(dom, geometry.Square):
+        n = cfg.int_("grid.n")
+        return geometry.build_grid(dom, n=(n - 1) * scale + 1)
+    n_r = cfg.int_("grid.n_r")
+    n_t = cfg.int_("grid.n_theta")
+    return geometry.build_grid(dom, n_r=n_r * scale, n_theta=n_t * scale)
 
 
 def _options(cfg, section, **getters):
@@ -340,28 +334,28 @@ def cmd_flow(args):
     meta = _meta("flow", cfg.digest, grid)
 
     result = flow.run(spec, **settings)
-    mode = result.info["mode"]
-    checks = flow.monitor_report(result, spec, mode=mode)
+    last = result.records[-1]
     summary = {
         "meta": meta,
         "status": result.status,
-        "mode": mode,
+        "mode": result.mode,
         "t_final": result.state.t,
         "steps": result.state.step_count,
-        "final_max_abs_ut": result.series["max_abs_ut"][-1],
-        "final_osc_ut": result.series["osc_ut"][-1],
-        "speed": result.series["mean_ut"][-1],
-        "decay_rate": flow.decay_rate(result),
-        "mean_shifts": result.info["shifts"],
-        "monitor_tol": result.monitor_tol,
+        "final_max_abs_ut": last.max_abs_ut,
+        "final_osc_ut": last.osc_ut,
+        "speed": last.mean_ut,
+    }
+    if result.mode == "steady":
+        # a translating max|u_t| tends to the speed, not to zero
+        summary["decay_rate"] = flow.decay_rate(result)
+    summary.update({
+        "mean_shifts": result.shifts,
+        "monitor_tol": spec.monitor_tol,
         "amplitude_bound": spec.amplitude_bound,
         "quotient_floor": spec.quotient_floor,
         "mesh_size": geometry.mesh_size(grid),
-        "monitors": checks,
-    }
-    if mode == "translating":
-        # max|u_t| tends to the speed there, not to zero
-        del summary["decay_rate"]
+        "monitors": flow.monitor_report(result, spec),
+    })
     lines = _meta_lines(meta)
     if "csv" in formats:
         flow.write_monitor_csv(os.path.join(out, "monitors.csv"), result,
@@ -549,7 +543,7 @@ def _argument_key(command, field):
     if command == "verify":
         return f"--{field}"
     section = "eigen" if command == "eigen" else "flow"
-    keys = (f"problem.{field}", f"{section}.{field}", f"flow.{field}")
+    keys = [f"{s}.{field}" for s in ("problem", section, "flow", "grid")]
     return next((key for key in keys if key in KNOWN_KEYS), None)
 
 

@@ -75,7 +75,9 @@ def solve_regularized(spec, eps, u_init=None, tol=1e-8, t_max=400.0,
     the flow contracts onto a unique steady state; the spatially
     constant error mode (the slow one for small eps) is removed in
     closed form at checkpoints when `mean_shift` is on.  `u_init` warm
-    starts the run from a previous solve.
+    starts the run from a previous solve.  Raises ConvergenceError when
+    the damped problem rejects its data (the damping at eps, or u_init)
+    or does not reach its steady state.
     """
     if not eps > 0.0:
         raise ArgumentError("eps", "must be positive")
@@ -86,10 +88,14 @@ def solve_regularized(spec, eps, u_init=None, tol=1e-8, t_max=400.0,
         return _f(x, y, u) * np.exp(_e * np.asarray(u, dtype=float))
 
     u0 = spec.u0_grid if u_init is None else np.asarray(u_init, dtype=float)
-    mspec = flow.ProblemSpec(spec.grid, spec.k, spec.l, f=f_damped,
-                             phi=spec.phi, u0=u0, growth_rate=eps,
-                             require_nonnegative_initial_speed=False,
-                             cfl=spec.cfl)
+    try:
+        mspec = flow.ProblemSpec(spec.grid, spec.k, spec.l, f=f_damped,
+                                 phi=spec.phi, u0=u0, growth_rate=eps,
+                                 require_nonnegative_initial_speed=False,
+                                 cfl=spec.cfl)
+    except ArgumentError as exc:
+        raise ConvergenceError(f"damped solve at eps = {eps:.6g} cannot "
+                               f"start: {exc}") from exc
     result = flow.run(mspec, mode="steady", t_max=t_max, tol_steady=tol,
                       mean_shift=mean_shift)
     if result.status != "steady":
@@ -140,8 +146,8 @@ def solve_eigenpair(spec, eps0=1.0, n_halvings=6, y0=(0.0, 0.0), tol=1e-8,
     part, pinned to the initial data at y0.  A trace that stops
     contracting, or a profile residual above 10 h^2 (1 + |s|), flags
     the pair as a convergence failure.  Raises ArgumentError for an eps0
-    that is not finite and positive, or fewer than one halving (the
-    Richardson value needs two levels).
+    that is not finite and positive, fewer than one halving (the
+    Richardson value needs two levels), or a y0 outside the domain.
     """
     if not (math.isfinite(eps0) and eps0 > 0.0):
         raise ArgumentError("eps0",
@@ -150,10 +156,11 @@ def solve_eigenpair(spec, eps0=1.0, n_halvings=6, y0=(0.0, 0.0), tol=1e-8,
         raise ArgumentError("n_halvings",
                             f"must be at least 1, got {n_halvings!r}")
     grid = spec.grid
+    if geometry.distance(grid.domain, y0) < -1e-12:
+        raise ArgumentError("y0", f"must lie in the closed domain, got {y0}")
     bound = _model_bound(spec)
     notes = []
     trace = []
-    svals = []
     u = None
     u_init = None
     for j in range(n_halvings + 1):
@@ -166,18 +173,17 @@ def solve_eigenpair(spec, eps0=1.0, n_halvings=6, y0=(0.0, 0.0), tol=1e-8,
         for w in caught:
             notes.append(str(w.message))
         trace.append((eps_j, s_j))
-        svals.append(s_j)
         u_init = u + s_j / eps_j
-    eps_last = trace[-1][0]
-    s_hat = 2.0 * svals[-1] - svals[-2]
-    u_ell = u - svals[-1] / eps_last
+    (_, s_prev), (eps_last, s_last) = trace[-2:]
+    s_hat = 2.0 * s_last - s_prev
+    u_ell = u - s_last / eps_last
     u_ell += (discretize.interp_at(grid, spec.u0_grid, y0)
               - discretize.interp_at(grid, u_ell, y0))
     ev = flow._evaluate(spec, u_ell)
     residual = float(np.max(np.abs(ev.ut - s_hat)))
     status = "converged"
     tiny = 1e-10 * (1.0 + abs(s_hat))
-    ds = np.diff(svals)
+    ds = np.diff([s for _, s in trace])
     tail = ds[-3:]
     for a, b in zip(tail[:-1], tail[1:]):
         if abs(b) > 0.8 * abs(a) + tiny:

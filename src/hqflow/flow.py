@@ -13,16 +13,19 @@ the boundary ring is re-slaved to the Neumann closure.  A step that
 would leave the cone is retried with a halved dt, up to 20 times, after
 which the state is declared diverged.
 
-Runs record monitor series (extrema of u and u_t, gradient and Hessian
-sups, the quotient floor, oscillation) that mirror the a priori bounds
-of the continuous theory: the maximum principle for u_t, exponential
-decay of u_t when log f grows in u at a definite rate, the C^0
-amplitude bound built from the boundary damping rate, and the lower
-bound on the quotient along the flow.  The u_t entering the series and
-stop rules is the actual time derivative of the evolving state (slaved
-pole coefficients move with their source ring); `rhs` exposes the raw
-operator.  `monitor_report` grades a finished run against all of the
-bounds.
+A run keeps its history once, as one MonitorRecord per checkpoint
+(and one for the last state of a run that diverges between them):
+extrema of u and u_t, the mean of u_t, gradient and Hessian sups, the
+least quotient, and the oscillations of u and of its change since the
+previous checkpoint.  They mirror the a priori bounds of the continuous
+theory: the maximum principle for u_t, exponential decay of u_t when
+log f grows in u at a definite rate, the C^0 amplitude bound built from
+the boundary damping rate, the lower bound on the quotient, and for
+translating runs the mean of u_t tending to the speed as the
+oscillations vanish.  The u_t in the records and stop rules is the
+actual time derivative of the evolving state (slaved pole coefficients
+move with their source ring); `rhs` exposes the raw operator.
+`monitor_report` grades a finished run against all of the bounds.
 """
 
 import math
@@ -204,10 +207,6 @@ class ProblemSpec:
         self.h_min = min_update_spacing(grid)
         self._validate()
 
-    @property
-    def domain(self):
-        return self.grid.domain
-
     def _validate(self):
         grid = self.grid
         if not (math.isfinite(self.cfl) and self.cfl > 0.0):
@@ -286,11 +285,13 @@ class ProblemSpec:
                     "u0", f"has the quotient {ev.q[j]:.6g} below f = "
                     f"{fval[j]:.6g} at node {_to_grid_node(self, j)}; the "
                     f"initial speed would be negative")
+        if not _stable_dt(self, ev) > 0.0:
+            raise ArgumentError("cfl", f"is too small, got {self.cfl:g}: "
+                                "the initial time step underflows to 0")
         self.u0_grid = u0c
         ut0 = _tendency(self, ev.ut)
         self.ut0_max_abs = float(np.max(np.abs(ut0)))
         self.ut0_max = float(np.max(ut0))
-        self.ut0_min = float(np.min(ut0))
         self.monitor_tol = 1e-6 * (1.0 + self.ut0_max_abs)
         self.amplitude_bound = None
         self.quotient_floor = None
@@ -425,17 +426,27 @@ class FlowState:
 
 @dataclass
 class MonitorRecord:
+    """One checkpoint of a run.  `gap_osc` is osc(u - u at the previous
+    checkpoint), None on the first record."""
     t: float
     max_ut: float
     min_ut: float
+    mean_ut: float
     min_u: float
     max_u: float
     sup_grad: float
     sup_hess: float
     min_quotient: float
     osc_u: float
-    amplitude_bound: float = None
-    quotient_floor: float = None
+    gap_osc: float = None
+
+    @property
+    def osc_ut(self):
+        return self.max_ut - self.min_ut
+
+    @property
+    def max_abs_ut(self):
+        return max(abs(self.max_ut), abs(self.min_ut))
 
 
 def _initial(spec):
@@ -477,7 +488,7 @@ def _tendency(spec, ut):
     S is linear and idempotent, so on the slaved manifold the state
     moves at S(u_t) exactly.  At a slaved coefficient the raw stencil
     value never vanishes (the scheme imposes the harmonic relation
-    there, not the equation), so stop rules and monitor series use this
+    there, not the equation), so stop rules and monitor records use this
     tendency; `rhs` keeps returning the raw operator.
     """
     plan = spec._filter
@@ -492,9 +503,12 @@ def _guarded_update(spec, state, ev, dt):
 
     dt halves each time the result leaves the cone, up to _MAX_HALVINGS
     times.  Returns the new state and its evaluation; when every trial
-    fails, the old state marked diverged (carrying the last dt) and `ev`.
+    fails, or dt no longer advances t, the old state marked diverged
+    (carrying the last dt) and `ev`.
     """
     for _ in range(_MAX_HALVINGS + 1):
+        if state.t + dt == state.t:
+            break
         u_new = state.u.copy()
         u_new[spec._interior] += dt * ev.ut
         u_new = _apply_pole_filter(spec, u_new)
@@ -516,13 +530,15 @@ def step(state, spec):
     return _guarded_update(spec, state, ev, dt)[0]
 
 
-def _record(spec, state, ev, ut):
-    """MonitorRecord of `state`, given its evaluation and tendency."""
+def _record(spec, state, ev, ut, prev_u):
+    """MonitorRecord of `state`, given its evaluation, its tendency and
+    the u of the previous checkpoint (None at the first)."""
     gx, gy = discretize.gradient(spec.grid, state.u)
     return MonitorRecord(
         t=state.t,
         max_ut=float(np.max(ut)),
         min_ut=float(np.min(ut)),
+        mean_ut=float(np.mean(ut)),
         min_u=float(np.min(state.u)),
         max_u=float(np.max(state.u)),
         sup_grad=float(np.max(np.hypot(gx, gy))),
@@ -530,20 +546,19 @@ def _record(spec, state, ev, ut):
                                          np.abs(ev.lam_lo)))),
         min_quotient=float(np.min(ev.q)),
         osc_u=_osc(state.u),
-        amplitude_bound=spec.amplitude_bound,
-        quotient_floor=spec.quotient_floor,
+        gap_osc=None if prev_u is None else _osc(state.u - prev_u),
     )
 
 
 @dataclass
 class RunResult:
+    """A finished run: last state, checkpoint records (its only
+    history), status, mode and number of closed-form mean shifts."""
     state: FlowState
     records: list
     status: str
-    monitor_tol: float
-    gap_osc: list
-    series: dict
-    info: dict
+    mode: str
+    shifts: int
 
 
 def _log_f_slope(spec, u):
@@ -563,14 +578,14 @@ def run(spec, mode="steady", t_max=50.0, tol_steady=1e-8, tol_trans=1e-8,
     "translating": stop when the spatial oscillation of u_t and the
     drift of its mean over `window` checkpoints both fall below
     tol_trans.  Either way the run ends at t_max with status "t_max",
-    or earlier with "diverged".
+    or earlier with "diverged", also once dt no longer advances t.  A
+    MonitorRecord is kept every `checkpoint_every` steps and at the end.
 
     With mean_shift=True, once the oscillation of u_t is tiny the
     remaining spatially constant part is removed in closed form through
     the u-slope of log f; this collapses the slow constant mode of
     strongly u-damped problems without touching the shape dynamics (and
     is off by default since it distorts decay-rate measurements).
-    The result's `info` holds the mode and the number of mean shifts.
     """
     if mode not in ("steady", "translating"):
         raise ArgumentError("mode", f"must be steady or translating, got "
@@ -583,30 +598,16 @@ def run(spec, mode="steady", t_max=50.0, tol_steady=1e-8, tol_trans=1e-8,
         raise ArgumentError("t_max",
                             f"must be finite and positive, got {t_max!r}")
     state, ev = _initial(spec)
-    records = []
-    series = {name: [] for name in ("t", "max_ut", "min_ut", "mean_ut",
-                                    "osc_ut", "max_abs_ut")}
-
-    def log(state, ev, ut):
-        """Append the checkpoint's MonitorRecord and u_t series."""
-        records.append(_record(spec, state, ev, ut))
-        series["t"].append(state.t)
-        series["max_ut"].append(float(np.max(ut)))
-        series["min_ut"].append(float(np.min(ut)))
-        series["mean_ut"].append(float(np.mean(ut)))
-        series["osc_ut"].append(_osc(ut))
-        series["max_abs_ut"].append(float(np.max(np.abs(ut))))
+    records = [_record(spec, state, ev, _tendency(spec, ev.ut), None)]
 
     def stopped():
         if mode == "steady":
-            return series["max_abs_ut"][-1] < tol_steady
-        means = series["mean_ut"][-window:]
+            return records[-1].max_abs_ut < tol_steady
+        means = [r.mean_ut for r in records[-window:]]
         drift_ok = (len(means) == window
                     and max(means) - min(means) < tol_trans)
-        return series["osc_ut"][-1] < tol_trans and drift_ok
+        return records[-1].osc_ut < tol_trans and drift_ok
 
-    log(state, ev, _tendency(spec, ev.ut))
-    gap_osc = []
     prev_u = state.u
     shifts = 0
     status = mode if stopped() else "t_max"
@@ -629,22 +630,21 @@ def run(spec, mode="steady", t_max=50.0, tol_steady=1e-8, tol_trans=1e-8,
                     ev = _evaluate(spec, state.u)
                     ut = _tendency(spec, ev.ut)
                     shifts += 1
-            log(state, ev, ut)
-            gap_osc.append(_osc(state.u - prev_u))
+            records.append(_record(spec, state, ev, ut, prev_u))
             prev_u = state.u
             if stopped():
                 status = mode
     if records[-1].t < state.t:
-        records.append(_record(spec, state, ev, _tendency(spec, ev.ut)))
-    return RunResult(state, records, status, spec.monitor_tol, gap_osc,
-                     series, {"shifts": shifts, "mode": mode})
+        records.append(_record(spec, state, ev, _tendency(spec, ev.ut),
+                               prev_u))
+    return RunResult(state, records, status, mode, shifts)
 
 
 def decay_rate(result):
     """Exponential decay rate of max|u_t|, by log-linear least squares
-    on the tail half of the series."""
-    t = np.asarray(result.series["t"], dtype=float)
-    y = np.asarray(result.series["max_abs_ut"], dtype=float)
+    on the tail half of the records."""
+    t = np.array([r.t for r in result.records], dtype=float)
+    y = np.array([r.max_abs_ut for r in result.records], dtype=float)
     tail = slice(len(t) // 2, None)
     t, y = t[tail], y[tail]
     keep = (y > 0) & np.isfinite(y)
@@ -655,9 +655,11 @@ def decay_rate(result):
     return float(-slope)
 
 
-def monitor_report(result, spec, mode="steady"):
-    """Grade a finished run against the a priori estimates; returns
-    {check: {"ok": bool, "margin": float}} with positive margins safe."""
+def monitor_report(result, spec):
+    """Grade a finished run of `spec` against the a priori estimates;
+    returns {check: {"ok": bool, "margin": float}} with positive margins
+    safe.  A translating run is also checked for the oscillation of its
+    checkpoint-to-checkpoint change not increasing."""
     tol = spec.monitor_tol
     rec = result.records
     checks = {}
@@ -670,8 +672,7 @@ def monitor_report(result, spec, mode="steady"):
     if spec.growth_rate is not None:
         lam = 0.8 * spec.growth_rate
         base = spec.ut0_max_abs
-        worst = max(max(abs(r.max_ut), abs(r.min_ut)) * math.exp(lam * r.t)
-                    - base for r in rec)
+        worst = max(r.max_abs_ut * math.exp(lam * r.t) - base for r in rec)
         checks["ut_decay_envelope"] = {"ok": worst <= tol,
                                        "margin": tol - worst}
     if spec.amplitude_bound is not None:
@@ -693,8 +694,8 @@ def monitor_report(result, spec, mode="steady"):
         ok = final <= 10.0 * head
         checks[f"{name}_bounded"] = {"ok": ok,
                                      "margin": 10.0 * head - final}
-    if mode == "translating" and len(result.gap_osc) > 1:
-        diffs = np.diff(result.gap_osc)
+    if result.mode == "translating" and len(rec) > 2:
+        diffs = np.diff([r.gap_osc for r in rec[1:]])
         worst = float(np.max(diffs))
         checks["gap_osc_nonincreasing"] = {"ok": worst <= tol,
                                            "margin": tol - worst}

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "Disk", "Ellipse", "Square", "Grid", "ArgumentError", "SizeError",
+    "Disk", "Ellipse", "Square", "Grid", "ArgumentError",
     "distance", "normal", "boundary_integral", "build_grid", "export_csv",
     "area_weights", "mesh_size",
 ]
@@ -37,10 +37,6 @@ class ArgumentError(ValueError):
         super().__init__(f"{field} {reason}")
         self.field = field
         self.reason = reason
-
-
-# domain sizes were the first arguments rejected this way
-SizeError = ArgumentError
 
 
 def _check_sizes(dom, *fields):
@@ -228,9 +224,10 @@ class Grid:
 
 def _build_polar(dom, n_r, n_theta):
     if n_r < 4:
-        raise ValueError("polar grid needs n_r >= 4")
+        raise ArgumentError("n_r", f"must satisfy n_r >= 4, got {n_r}")
     if n_theta < 8 or n_theta % 2:
-        raise ValueError("polar grid needs an even n_theta >= 8")
+        raise ArgumentError("n_theta", f"must be an even n_theta >= 8, "
+                            f"got {n_theta}")
     a, b = dom.a, dom.b
     dr = 1.0 / (n_r - 0.5)
     r = (np.arange(n_r) + 0.5) * dr
@@ -258,7 +255,7 @@ def _build_polar(dom, n_r, n_theta):
 
 def _build_cartesian(dom, n):
     if n < 8:
-        raise ValueError("cartesian grid needs n >= 8")
+        raise ArgumentError("n", f"must satisfy n >= 8, got {n}")
     L = dom.half_width
     h = 2.0 * L / (n - 1)
     s = -L + h * np.arange(n)
@@ -287,11 +284,12 @@ def build_grid(dom, n_r=None, n_theta=None, n=None):
     """Grid over `dom`: polar needs n_r and n_theta, cartesian needs n."""
     if isinstance(dom, (Disk, Ellipse)):
         if n_r is None or n_theta is None:
-            raise ValueError("disk/ellipse grids need n_r and n_theta")
+            raise ArgumentError("n_r" if n_r is None else "n_theta",
+                                "is required on a disk or an ellipse")
         return _build_polar(dom, int(n_r), int(n_theta))
     if isinstance(dom, Square):
         if n is None:
-            raise ValueError("square grids need n")
+            raise ArgumentError("n", "is required on a square")
         return _build_cartesian(dom, int(n))
     raise ValueError(f"unknown domain {dom!r}")
 

@@ -1,5 +1,6 @@
 import contextlib
 import io
+import itertools
 import json
 import math
 import os
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import hqflow
-from hqflow import cli, elliptic
+from hqflow import cli, elliptic, flow
 
 FLOW_CFG = """\
 # unit-disk baseline
@@ -94,9 +95,41 @@ flow.t_max = 0.05
 """
 
 
-def fuzz_config(changes):
-    """FUZZ_CFG with the keys in `changes` set to new raw values."""
-    pairs = cli.parse_config_text(FUZZ_CFG)
+# The same translating solution for the eigen schedule, and the steady
+# solution |x|^2/2 of f = 2 for a converge ladder of 4x8 and 8x16.
+EIGEN_FUZZ_CFG = """\
+problem.k = 1
+problem.l = 0
+problem.domain = disk
+problem.f = "1"
+problem.phi = "sqrt(x1^2 + x2^2)"
+problem.u0 = "(x1^2 + x2^2)/2"
+problem.require_nonnegative_initial_speed = false
+grid.n_r = 4
+grid.n_theta = 8
+eigen.n_halvings = 1
+eigen.tol = 1e-6
+eigen.t_max = 5
+"""
+
+CONV_FUZZ_CFG = """\
+problem.k = 1
+problem.l = 0
+problem.domain = disk
+problem.f = "2"
+problem.phi = "sqrt(x1^2 + x2^2)"
+problem.u0 = "(x1^2 + x2^2)/2"
+problem.require_nonnegative_initial_speed = false
+grid.n_r = 4
+grid.n_theta = 8
+flow.t_max = 0.05
+converge.u_star = "(x1^2 + x2^2)/2"
+"""
+
+
+def fuzz_config(changes, base=FUZZ_CFG):
+    """`base` with the keys in `changes` set to new raw values."""
+    pairs = cli.parse_config_text(base)
     pairs.update(changes)
     return "".join(f"{k} = {v}\n" for k, v in pairs.items())
 
@@ -303,6 +336,52 @@ class TestFlowCommand:
         assert proc.returncode == 2
         assert "config error at flow.cfl" in proc.stderr
 
+    @pytest.mark.parametrize("mode", ["steady", "translating"])
+    def test_subnormal_cfl_exit_2(self, tmp_path, mode):
+        # the stable dt that cfl = 5e-324 scales underflows to 0, so t
+        # would never advance; the timeout turns a hang into a failure
+        cfg = write_cfg(tmp_path, fuzz_config({"flow.cfl": "5e-324",
+                                               "flow.mode": mode}))
+        proc = run_module(["flow", cfg], tmp_path, timeout=120)
+        assert proc.returncode == 2
+        assert "config error at flow.cfl: is too small" in proc.stderr
+
+    def test_diverged_summary_ends_on_last_row(self, tmp_path, monkeypatch):
+        # the speed bound fails at about step 80, between the checkpoints
+        # at steps 50 and 100
+        calls = itertools.count()
+        stable_dt = flow._stable_dt
+
+        def failing(spec, ev):
+            if next(calls) == 80:
+                raise flow.DivergenceError("forced")
+            return stable_dt(spec, ev)
+
+        monkeypatch.setattr(flow, "_stable_dt", failing)
+        monkeypatch.setenv("HQFLOW_OUT", str(tmp_path / "o"))
+        assert cli.main(["flow", write_cfg(tmp_path, FLOW_CFG)]) == 3
+        d = json.loads((tmp_path / "o" / "summary.json").read_text())
+        rows = [ln.split(",") for ln in
+                (tmp_path / "o" / "monitors.csv").read_text().splitlines()
+                if not ln.startswith("#")]
+        last = dict(zip(rows[0], rows[-1]))
+        max_ut, min_ut = float(last["max_ut"]), float(last["min_ut"])
+        assert d["status"] == last["status"] == "diverged"
+        assert 50 < d["steps"] < 100
+        assert d["t_final"] == float(last["t"])
+        assert d["final_max_abs_ut"] == max(abs(max_ut), abs(min_ut))
+        assert d["final_osc_ut"] == max_ut - min_ut
+        assert min_ut <= d["speed"] <= max_ut
+
+    def test_steady_summary_has_decay_rate_after_speed(self, tmp_path,
+                                                       monkeypatch):
+        cfg = write_cfg(tmp_path, fuzz_config({"flow.mode": "steady"}))
+        monkeypatch.setenv("HQFLOW_OUT", str(tmp_path / "o"))
+        assert cli.main(["flow", cfg]) == 4
+        keys = list(json.loads(
+            (tmp_path / "o" / "summary.json").read_text()))
+        assert keys[keys.index("speed") + 1] == "decay_rate"
+
     @pytest.mark.parametrize("t_max", ["inf", "nan", "0", "-1"])
     def test_unusable_t_max_exit_2(self, tmp_path, t_max):
         # with tol_trans = 0 only t_max ends a translating run, so an
@@ -410,6 +489,14 @@ class TestEigenCommand:
         assert proc.returncode == 2
         assert "config error at eigen.t_max: must be finite and positive" \
             in proc.stderr
+
+    def test_y0_outside_domain_exit_2(self, tmp_path, capsys, monkeypatch):
+        # the speed was read at the boundary point nearest to y0
+        cfg = write_cfg(tmp_path, EIGEN_CFG + "problem.y0 = 1, 2\n")
+        monkeypatch.setenv("HQFLOW_OUT", str(tmp_path / "o"))
+        assert cli.main(["eigen", cfg]) == 2
+        assert "config error at problem.y0: must lie in the closed " \
+            "domain" in capsys.readouterr().err
 
     @pytest.mark.parametrize("y0", ["nan, 0", "0, inf"])
     def test_non_finite_y0_exit_2(self, tmp_path, y0):
@@ -612,22 +699,43 @@ FUZZ_VALUES = ("0", "-1", "1", "2", "0.5", "nan", "inf", "-inf", "1e400",
 FUZZ_KEYS = sorted(k for k in cli.KNOWN_KEYS
                    if k.startswith(("problem.", "grid.", "flow."))
                    or k == "output.formats")
+EIGEN_FUZZ_KEYS = sorted(k for k in cli.KNOWN_KEYS
+                         if k.startswith(("problem.", "grid.", "eigen.")))
+CONV_FUZZ_KEYS = sorted(k for k in cli.KNOWN_KEYS
+                        if k.startswith(("converge.", "flow.")))
+
+
+def assert_documented_exit(args, base, key, value):
+    """`hqflow ARGS` with `key` of the config `base` set to `value` ends
+    in a documented exit code, and a config error names that key."""
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as out, \
+            mock.patch.dict(os.environ, {"HQFLOW_OUT": out}), \
+            contextlib.redirect_stderr(err):
+        cfg = os.path.join(out, "run.cfg")
+        with open(cfg, "w") as fh:
+            fh.write(fuzz_config({key: value}, base))
+        code = cli.main([args[0], cfg, *args[1:]])
+    assert code in (0, 1, 2, 3, 4, 5)
+    if code == 2:
+        assert f"config error at {key}:" in err.getvalue()
 
 
 class TestConfigFuzz:
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(key=st.sampled_from(FUZZ_KEYS), value=st.sampled_from(FUZZ_VALUES))
     def test_one_changed_key(self, key, value):
-        """`hqflow flow` with one key of a valid config changed ends in a
-        documented exit code, and a config error names that key."""
-        err = io.StringIO()
-        with tempfile.TemporaryDirectory() as out, \
-                mock.patch.dict(os.environ, {"HQFLOW_OUT": out}), \
-                contextlib.redirect_stderr(err):
-            cfg = os.path.join(out, "run.cfg")
-            with open(cfg, "w") as fh:
-                fh.write(fuzz_config({key: value}))
-            code = cli.main(["flow", cfg])
-        assert code in (0, 1, 2, 3, 4, 5)
-        if code == 2:
-            assert f"config error at {key}:" in err.getvalue()
+        assert_documented_exit(["flow"], FUZZ_CFG, key, value)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(key=st.sampled_from(EIGEN_FUZZ_KEYS),
+           value=st.sampled_from(FUZZ_VALUES))
+    def test_one_changed_eigen_key(self, key, value):
+        assert_documented_exit(["eigen"], EIGEN_FUZZ_CFG, key, value)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(key=st.sampled_from(CONV_FUZZ_KEYS),
+           value=st.sampled_from(FUZZ_VALUES))
+    def test_one_changed_converge_key(self, key, value):
+        assert_documented_exit(["converge", "--levels", "2"], CONV_FUZZ_CFG,
+                               key, value)

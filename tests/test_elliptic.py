@@ -127,11 +127,19 @@ class TestEigenpair:
 
     @pytest.mark.parametrize("kwargs, name", [
         ({"n_halvings": 0}, "n_halvings"), ({"eps0": -1.0}, "eps0"),
-        ({"t_max": math.inf}, "t_max")])
+        ({"t_max": math.inf}, "t_max"), ({"y0": (1.0, 2.0)}, "y0")])
     def test_schedule_errors_name_their_argument(self, kwargs, name):
         with pytest.raises(geometry.ArgumentError) as exc:
             elliptic.solve_eigenpair(laplace_spec(6, 12), **kwargs)
         assert exc.value.field == name
+
+    def test_damping_that_overflows_f_fails_the_solve(self):
+        # f e^{eps u} is inf on the initial data, so the damped problem
+        # cannot start; the first solve fails, not the user's f
+        with np.errstate(over="ignore"):
+            with pytest.raises(elliptic.ConvergenceError,
+                               match="cannot start"):
+                elliptic.solve_eigenpair(laplace_spec(6, 12), eps0=1e20)
 
     def test_translation_identity(self):
         # scaling f by e shifts the damped solution at eps by -1/eps

@@ -74,6 +74,13 @@ class TestRhs:
 
 
 class TestValidation:
+    def test_cfl_with_no_time_step_rejected(self):
+        # 5e-324 is positive, but the stable dt it scales underflows to 0
+        with pytest.raises(geometry.ArgumentError) as exc:
+            flow.ProblemSpec(disk_grid(4, 8), 1, 0, f="1", phi="1",
+                             u0="(x1^2 + x2^2)/2", cfl=5e-324)
+        assert exc.value.field == "cfl"
+
     def test_nonpositive_f_rejected(self):
         with pytest.raises(ValueError, match="positive"):
             flow.ProblemSpec(disk_grid(), 1, 0, f="x1", phi="1",
@@ -370,7 +377,7 @@ class TestManufacturedSteady:
                                 require_nonnegative_initial_speed=False)
         result = flow.run(spec, mode="steady", t_max=40.0)
         assert result.status == "steady"
-        assert result.series["max_abs_ut"][-1] < 1e-8
+        assert result.records[-1].max_abs_ut < 1e-8
         err = np.max(np.abs(result.state.u - ustar(grid.x, grid.y)))
         assert err <= 10.0 * grid.h**2
         rate = flow.decay_rate(result)
@@ -389,9 +396,9 @@ class TestTranslatingRun:
             u0="(x1^2 + x2^2)/2 + 0.1*(1 - x1^2 - x2^2)^2")
         result = flow.run(spec, mode="translating", t_max=20.0)
         assert result.status == "translating"
-        assert abs(result.series["mean_ut"][-1] - math.log(2.0)) <= 2e-2
+        assert abs(result.records[-1].mean_ut - math.log(2.0)) <= 2e-2
         assert min(r.min_ut for r in result.records) >= -1e-6
-        report = flow.monitor_report(result, spec, mode="translating")
+        report = flow.monitor_report(result, spec)
         assert report["gap_osc_nonincreasing"]["ok"]
         assert report["all_ok"]["ok"], report
 
@@ -408,7 +415,7 @@ class TestTranslatingRun:
         result = flow.run(spec, mode="translating", t_max=0.05,
                           window=10**20)
         assert result.status == "t_max"
-        assert result.info["mode"] == "translating"
+        assert result.mode == "translating"
 
     @pytest.mark.parametrize("kwargs, field", [
         ({"mode": "drifting"}, "mode"), ({"window": 0}, "window"),
@@ -442,6 +449,29 @@ class TestTranslatingRun:
                           checkpoint_every=10)
         assert result.state.step_count > 10
         assert len(calls) == result.state.step_count + 2
+
+    def test_step_that_cannot_advance_t_diverges(self):
+        # a cfl lowered after validation makes dt underflow to 0, which
+        # would hold t at 0 for ever
+        spec = quadratic_disk_spec(n_r=4, n_t=8)
+        spec.cfl = 5e-324
+        result = flow.run(spec, mode="translating", window=2,
+                          checkpoint_every=1)
+        assert result.status == "diverged"
+        assert result.state.t == 0.0 and result.state.step_count == 0
+
+    def test_records_hold_the_run_history(self):
+        spec = quadratic_disk_spec(n_r=8, n_t=16)
+        result = flow.run(spec, mode="translating", t_max=0.05,
+                          checkpoint_every=10)
+        first, *rest = result.records
+        assert first.gap_osc is None
+        assert rest and all(r.gap_osc >= 0.0 for r in rest)
+        for r in result.records:
+            assert r.min_ut <= r.mean_ut <= r.max_ut
+            assert r.osc_ut == r.max_ut - r.min_ut
+            assert r.max_abs_ut == max(abs(r.max_ut), abs(r.min_ut))
+        assert result.mode == "translating" and result.shifts == 0
 
     def test_t_max_status(self):
         spec = quadratic_disk_spec(n_r=8, n_t=16)

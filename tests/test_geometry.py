@@ -178,6 +178,18 @@ class TestBuildGrid:
         with pytest.raises(ValueError, match="n >= 8"):
             geo.build_grid(geo.Square(1.0), n=7)
 
+    @pytest.mark.parametrize("dom, sizes, field", [
+        (geo.Disk(1.0), {"n_r": 3, "n_theta": 8}, "n_r"),
+        (geo.Disk(1.0), {"n_r": 4, "n_theta": 9}, "n_theta"),
+        (geo.Ellipse(1.0, 0.5), {"n_theta": 8}, "n_r"),
+        (geo.Disk(1.0), {"n_r": 4}, "n_theta"),
+        (geo.Square(1.0), {"n": 7}, "n"),
+        (geo.Square(1.0), {}, "n")])
+    def test_grid_size_errors_name_their_field(self, dom, sizes, field):
+        with pytest.raises(geo.ArgumentError) as exc:
+            geo.build_grid(dom, **sizes)
+        assert exc.value.field == field
+
     def test_invalid_domain_parameters(self):
         with pytest.raises(ValueError):
             geo.Disk(0.0)
@@ -196,7 +208,7 @@ class TestBuildGrid:
     def test_size_error_names_its_field(self, make, field):
         # a size whose square underflows to 0 or overflows, or whose
         # inverse square overflows, is rejected
-        with pytest.raises(geo.SizeError, match=field) as exc:
+        with pytest.raises(geo.ArgumentError, match=field) as exc:
             make()
         assert exc.value.field == field
 
