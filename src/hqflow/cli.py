@@ -66,8 +66,7 @@ KNOWN_KEYS = frozenset({
     "flow.mode", "flow.cfl", "flow.t_max", "flow.tol_steady",
     "flow.tol_trans", "flow.window", "flow.checkpoint_every",
     "flow.mean_shift",
-    "eigen.eps0", "eigen.n_halvings", "eigen.tol", "eigen.t_max",
-    "eigen.check_translation",
+    "eigen.eps0", "eigen.n_halvings", "eigen.tol", "eigen.check_translation",
     "converge.u_star", "converge.resolutions",
     "output.dir", "output.formats",
 })
@@ -321,6 +320,9 @@ def _run_settings(cfg):
 
 
 _FLOW_EXIT = {"steady": 0, "translating": 0, "t_max": 4, "diverged": 3}
+# A converge level whose error is at most this many ulps of max|u_star|
+# reproduces u_star to round-off.
+_ROUNDOFF_ULPS = 64
 
 
 def cmd_flow(args):
@@ -372,8 +374,7 @@ def cmd_eigen(args):
     dom = build_domain(cfg)
     grid = build_grid(cfg, dom)
     spec = build_spec(cfg, grid)
-    solve = _options(cfg, "eigen", eps0=Config.float_, tol=Config.float_,
-                     t_max=Config.float_)
+    solve = _options(cfg, "eigen", eps0=Config.float_, tol=Config.float_)
     schedule = dict(solve, **_options(cfg, "eigen", n_halvings=Config.int_),
                     **_options(cfg, "problem", y0=Config.point))
     check_translation = cfg.bool_("eigen.check_translation", False)
@@ -504,6 +505,7 @@ def cmd_converge(args):
         scales = [2 ** j for j in range(args.levels)]
 
     levels = []
+    floors = []
     meta = None
     for scale in scales:
         grid = build_grid(cfg, dom, scale=scale)
@@ -520,16 +522,28 @@ def cmd_converge(args):
         levels.append({"shape": list(grid.shape),
                        "h": geometry.mesh_size(grid),
                        "error": err})
+        floors.append(_ROUNDOFF_ULPS * np.finfo(float).eps
+                      * float(np.max(np.abs(truth))))
 
     orders = []
-    for a, b in zip(levels[:-1], levels[1:]):
+    notes = []
+    for i, (a, b) in enumerate(zip(levels[:-1], levels[1:])):
+        if a["error"] <= floors[i] and b["error"] <= floors[i + 1]:
+            # the scheme reproduces u_star: there is no order to measure
+            orders.append(None)
+            notes.append(f"orders[{i}] is null: both errors are round-off, "
+                         f"at most {_ROUNDOFF_ULPS} ulps of max|u_star|")
+            continue
         if b["error"] == 0.0 or a["error"] == 0.0:
             orders.append(float("inf"))
             continue
         orders.append(math.log(a["error"] / b["error"])
                       / math.log(a["h"] / b["h"]))
-    ok = all(1.5 <= o <= 2.5 for o in orders)
-    payload = {"meta": meta, "levels": levels, "orders": orders, "ok": ok}
+    ok = all(o is None or 1.5 <= o <= 2.5 for o in orders)
+    payload = {"meta": meta, "levels": levels, "orders": orders}
+    if notes:
+        payload["notes"] = notes
+    payload["ok"] = ok
     if "json" in formats:
         _write_json(os.path.join(out, "converge.json"), payload)
     if not ok:

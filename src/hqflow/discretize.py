@@ -29,9 +29,14 @@ finite-difference phi_u.  A phi that declares it does not depend on u
 with d = 0 solves it exactly.  For phi_u <= 0 the relation is strictly
 increasing in u_b; a step whose slope - d is not positive is refused.
 
+With a u-free phi the closure is affine in the interior values, and
+`hessian_blocks` folds its linear part into the Hessian weights: the
+closed Hessian as a block-tridiagonal linear map over the rings (lattice
+rows on the square), the operator of a Newton step.
+
 The per-grid constants (chain-rule coefficients, boundary geometry,
-closure coefficients) are built once per grid and kept read-only in a
-small cache keyed on the grid object.
+closure coefficients, Hessian blocks) are built once per grid and kept
+read-only in a small cache keyed on the grid object.
 """
 
 import functools
@@ -40,7 +45,7 @@ import math
 import numpy as np
 
 __all__ = [
-    "gradient", "hessian", "difference_operators",
+    "gradient", "hessian", "difference_operators", "hessian_blocks",
     "apply_neumann", "neumann_residual", "interp_at",
 ]
 
@@ -358,6 +363,73 @@ def _close_linear(grid, u, g, d=None):
     u[face] = (g[:m] - (-4.0 * u[f1] + u[f2]) / (2.0 * h)) / sf
     u[corners] = (g[m:] - 0.5 * (-4.0 * (u[cx1] + u[cy1])
                                  + (u[cx2] + u[cy2])) / (2.0 * h)) / sc
+
+
+def _closure_part(grid):
+    """The linear part of the closure with a u-free phi: the flat indices
+    of the nodes it writes and of the interior nodes it reads, and the
+    matrix C with u[written] = C u[read] + (the part from phi).  Column
+    e of C is the closure of the unit field at read node e with g = 0."""
+    nodes = _boundary_nodes(grid)[0]
+    if grid.backend == "polar":
+        nr, nt = grid.shape
+        written = np.arange((nr - 1) * nt, nr * nt)
+        read = np.arange((nr - 3) * nt, (nr - 1) * nt)
+    else:
+        (_, f1, f2), _ = _square_closure_nodes(grid.shape[0])
+        written = np.ravel_multi_index(nodes, grid.shape)
+        read = np.unique(np.ravel_multi_index(
+            tuple(np.concatenate(ij) for ij in zip(f1, f2)), grid.shape))
+    zero = np.zeros(written.size)
+    C = np.empty((written.size, read.size))
+    for col, e in enumerate(read):
+        u = np.zeros(grid.shape)
+        u.flat[e] = 1.0
+        _close_linear(grid, u, zero)
+        C[:, col] = u[nodes].ravel()
+    return written, read, C
+
+
+# One entry: the blocks outweigh the other per-grid constants many times
+# over, and a damped-solve schedule runs on one grid.
+@functools.lru_cache(maxsize=1)
+def hessian_blocks(grid):
+    """The discrete Hessian at interior nodes as a linear map of the
+    interior values, with the Neumann closure of a u-free phi folded in:
+    the map v -> hessian(apply_neumann(v)) - hessian(apply_neumann(0)).
+
+    Returns (xx, xy, yy), each of shape (n_p, 3, m, m) for the n_p block
+    rows of m interior nodes (rings on the polar grids, lattice rows on
+    the square): block [p, k] multiplies block row p - 1 + k of the
+    interior values, so h[p] = sum_k xx[p, k] @ v[p - 1 + k].  The
+    weights are the COO triplets of `difference_operators`; a triplet
+    that reads a closed node is spread over the interior nodes the
+    closure reads.  The pole phantom and the coupled ellipse closure
+    land in the diagonal and lower blocks of their rows.
+    """
+    written, read, C = _closure_part(grid)
+    # block row P and column T of each node in the layout of the interior
+    # values u[interior], -1 off the interior
+    P, T = np.indices(grid.shape) - (grid.backend == "cartesian")
+    P, T = (np.where(grid.boundary_mask, -1, A).ravel() for A in (P, T))
+    n_p, m = P.max() + 1, T.max() + 1
+    row_of = np.full(grid.x.size, -1)
+    row_of[written] = np.arange(written.size)
+
+    def fold(op):
+        rows, cols, vals = op
+        closed = row_of[cols] >= 0
+        w = vals[closed, None] * C[row_of[cols[closed]]]
+        hit = np.nonzero(w)
+        rows = np.concatenate((rows[~closed], rows[closed][hit[0]]))
+        cols = np.concatenate((cols[~closed], read[hit[1]]))
+        vals = np.concatenate((vals[~closed], w[hit]))
+        k = P[cols] - P[rows] + 1
+        idx = ((P[rows] * 3 + k) * m + T[rows]) * m + T[cols]
+        return np.bincount(idx, vals, minlength=n_p * 3 * m * m) \
+            .reshape(n_p, 3, m, m)
+
+    return _read_only(*(fold(op) for op in difference_operators(grid)[2:]))
 
 
 _MAX_NEWTON = 50

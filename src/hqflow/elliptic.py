@@ -4,11 +4,14 @@ A translating solution of the quotient flow moves at a constant speed s
 with a fixed profile: log(sigma_k/sigma_l)(D^2 u) - log f(x) = s with
 u_nu = phi(x).  The pair (s, u) is found by solving a family of damped
 problems whose right side f e^{eps u} pins the additive constant: each
-one has a genuine steady state u_eps, reached here by running the flow
-with its exponential damping rate eps.  As eps decreases, eps * u_eps
-at a fixed reference point converges to s linearly in eps, so two
-solves at eps and eps/2 give a Richardson value accurate to O(eps^2),
-and u_eps minus its divergent constant part converges to the profile.
+one, log q(D^2 u) = log f(x) + eps u, has a unique solution u_eps, the
+steady state of the flow with damping rate eps, found here by Newton's
+method on the interior values (Loeper & Rapetti, C. R. Acad. Sci.
+Paris 340, 2005; Froese & Oberman, SIAM J. Numer. Anal. 49, 2011).  As
+eps decreases, eps * u_eps at a fixed reference point converges to s
+linearly in eps, so two solves at eps and eps/2 give a Richardson value
+accurate to O(eps^2), and u_eps minus its divergent constant part
+converges to the profile.
 
 The module also carries the closed-form speed for k=1, l=0 (where the
 operator is the Laplacian and the divergence theorem gives the speed as
@@ -49,6 +52,7 @@ class EigenPair:
     residual: float
     status: str
     notes: list = field(default_factory=list)
+    newton_iterations: list = field(default_factory=list)
 
 
 def _require_x_only(spec):
@@ -67,21 +71,17 @@ def _require_x_only(spec):
             "side f(x); pass the translating-frame f")
 
 
-def solve_regularized(spec, eps, u_init=None, tol=1e-8, t_max=400.0,
-                      mean_shift=True, full_output=False):
-    """Steady state of the flow with right side f(x) e^{eps u}.
+# Newton converges in 2-5 steps from the warm starts of the schedule;
+# a solve that needs more steps, or more halvings of one step, fails.
+_MAX_NEWTON = 30
+_MAX_HALVINGS = 30
 
-    The damping makes log f strictly increasing in u at rate eps, so
-    the flow contracts onto a unique steady state; the spatially
-    constant error mode (the slow one for small eps) is removed in
-    closed form at checkpoints when `mean_shift` is on.  `u_init` warm
-    starts the run from a previous solve.  Raises ConvergenceError when
-    the damped problem rejects its data (the damping at eps, or u_init)
-    or does not reach its steady state.
-    """
-    if not eps > 0.0:
-        raise ArgumentError("eps", "must be positive")
-    _require_x_only(spec)
+
+def _damped_spec(spec, eps, u_init=None):
+    """The problem with right side f(x) e^{eps u}, starting from u_init
+    (the initial data of `spec` by default).  Raises ConvergenceError
+    when the damped problem rejects its data (the damping at eps, or
+    u_init)."""
     base_f = spec.f
 
     def f_damped(x, y, u, _f=base_f, _e=eps):
@@ -89,22 +89,114 @@ def solve_regularized(spec, eps, u_init=None, tol=1e-8, t_max=400.0,
 
     u0 = spec.u0_grid if u_init is None else np.asarray(u_init, dtype=float)
     try:
-        mspec = flow.ProblemSpec(spec.grid, spec.k, spec.l, f=f_damped,
-                                 phi=spec.phi, u0=u0, growth_rate=eps,
-                                 require_nonnegative_initial_speed=False,
-                                 cfl=spec.cfl)
+        return flow.ProblemSpec(spec.grid, spec.k, spec.l, f=f_damped,
+                                phi=spec.phi, u0=u0, growth_rate=eps,
+                                require_nonnegative_initial_speed=False,
+                                cfl=spec.cfl)
     except ArgumentError as exc:
         raise ConvergenceError(f"damped solve at eps = {eps:.6g} cannot "
                                f"start: {exc}") from exc
-    result = flow.run(mspec, mode="steady", t_max=t_max, tol_steady=tol,
-                      mean_shift=mean_shift)
-    if result.status != "steady":
-        raise ConvergenceError(
-            f"damped solve at eps = {eps:.6g} ended with status "
-            f"{result.status!r} at t = {result.state.t:.6g}")
-    if full_output:
-        return result.state.u, result
-    return result.state.u
+
+
+def _log_quotient_slopes(k, l, hxx, hxy, hyy):
+    """Coefficients (F11, 2 F12, F22) of the derivative d log q =
+    F11 dhxx + 2 F12 dhxy + F22 dhyy of q = sigma_k/sigma_l at the 2x2
+    Hessian A, in closed form: F = I/tr A for (1, 0), A^{-1} for (2, 0)
+    and A^{-1} - I/tr A for (2, 1)."""
+    trace = hxx + hyy
+    if (k, l) == (1, 0):
+        return 1.0 / trace, np.zeros_like(hxy), 1.0 / trace
+    det = hxx * hyy - hxy * hxy
+    f11, f22 = hyy / det, hxx / det
+    if l == 1:
+        f11, f22 = f11 - 1.0 / trace, f22 - 1.0 / trace
+    return f11, -2.0 * hxy / det, f22
+
+
+def _block_thomas(J, rhs):
+    """Solve sum_k J[p, k] x[p - 1 + k] = rhs[p] for the block rows p of
+    a block-tridiagonal system, J of shape (n_p, 3, m, m), by block
+    elimination from the first row down and substitution back up."""
+    n_p = rhs.shape[0]
+    upper, x = [], np.empty_like(rhs)
+    diag, r = J[0, 1], rhs[0]
+    for p in range(n_p):
+        if p:
+            diag = J[p, 1] - J[p, 0] @ upper[-1]
+            r = rhs[p] - J[p, 0] @ x[p - 1]
+        if p < n_p - 1:
+            sol = np.linalg.solve(diag, np.column_stack((J[p, 2], r)))
+            upper.append(sol[:, :-1])
+            x[p] = sol[:, -1]
+        else:
+            x[p] = np.linalg.solve(diag, r)
+    for p in range(n_p - 2, -1, -1):
+        x[p] -= upper[p] @ x[p + 1]
+    return x
+
+
+def solve_regularized(spec, eps, u_init=None, tol=1e-8):
+    """Solution of the damped problem log q(D^2 u) = log f(x) + eps u,
+    u_nu = phi(x), and the number of Newton steps it took.
+
+    The unknowns are the interior values; the closure of the u-free phi
+    is affine in them, so the Jacobian of the residual G (the u_t of
+    the flow with right side f e^{eps u}) is F11 Lxx + 2 F12 Lxy +
+    F22 Lyy - eps I, with L the closed Hessian of
+    `discretize.hessian_blocks`.  Each Newton step is solved by block
+    elimination over the rows of the grid and halved until the iterate
+    stays in the cone and max|G| decreases.  The damping makes the
+    Jacobian nonsingular for eps > 0.  `u_init` warm starts the solve;
+    it stops at max|G| < tol.  Raises ArgumentError for an eps or a tol
+    that is not positive, and ConvergenceError when the damped problem
+    rejects its data (the damping at eps, or u_init), when no halving of
+    a step decreases max|G|, or after 30 steps.
+    """
+    if not eps > 0.0:
+        raise ArgumentError("eps", "must be positive")
+    if not tol > 0.0:
+        raise ArgumentError("tol", f"must be positive, got {tol!r}")
+    _require_x_only(spec)
+    mspec = _damped_spec(spec, eps, u_init)
+    grid, sl = spec.grid, spec._interior
+    blocks = discretize.hessian_blocks(grid)
+    eye = np.eye(blocks[0].shape[-1])
+    u = mspec.u0_grid
+    ev = flow._evaluate(mspec, u)
+    res = float(np.max(np.abs(ev.ut)))
+    for steps in range(_MAX_NEWTON + 1):
+        if res < tol:
+            return u, steps
+        if steps == _MAX_NEWTON:
+            break
+        coef = _log_quotient_slopes(spec.k, spec.l, *ev.hess)
+        J = sum(c[:, None, :, None] * B for c, B in zip(coef, blocks))
+        J[:, 1] -= eps * eye
+        try:
+            du = _block_thomas(J, -ev.ut)
+        except np.linalg.LinAlgError as exc:
+            raise ConvergenceError(
+                f"damped solve at eps = {eps:.6g}: Newton step {steps + 1} "
+                f"has a singular Jacobian ({exc})") from exc
+        lam = 1.0
+        for _ in range(_MAX_HALVINGS):
+            trial = u.copy()
+            trial[sl] += lam * du
+            trial = discretize.apply_neumann(grid, trial, spec.phi)
+            ev_trial = flow._evaluate(mspec, trial)
+            res_trial = float(np.max(np.abs(ev_trial.ut)))
+            if ev_trial.ok_all and res_trial < res:
+                u, ev, res = trial, ev_trial, res_trial
+                break
+            lam *= 0.5
+        else:
+            raise ConvergenceError(
+                f"damped solve at eps = {eps:.6g}: Newton step {steps + 1} "
+                f"does not decrease max|G| = {res:.3g} in {_MAX_HALVINGS} "
+                f"halvings")
+    raise ConvergenceError(
+        f"damped solve at eps = {eps:.6g} did not reach max|G| < {tol:.3g} "
+        f"in {_MAX_NEWTON} Newton steps; max|G| = {res:.3g}")
 
 
 def s_epsilon(grid, u_eps, u_ref, eps, y0, bound=None):
@@ -135,8 +227,7 @@ def _model_bound(spec):
                  + np.max(np.abs(np.log(ev.q))))
 
 
-def solve_eigenpair(spec, eps0=1.0, n_halvings=6, y0=(0.0, 0.0), tol=1e-8,
-                    t_max=400.0):
+def solve_eigenpair(spec, eps0=1.0, n_halvings=6, y0=(0.0, 0.0), tol=1e-8):
     """Speed and profile via a halving schedule of damped solves.
 
     Runs solve_regularized at eps0, eps0/2, ..., eps0/2^n_halvings,
@@ -145,9 +236,11 @@ def solve_eigenpair(spec, eps0=1.0, n_halvings=6, y0=(0.0, 0.0), tol=1e-8,
     2 s_J - s_{J-1}; the profile is the last solve minus its constant
     part, pinned to the initial data at y0.  A trace that stops
     contracting, or a profile residual above 10 h^2 (1 + |s|), flags
-    the pair as a convergence failure.  Raises ArgumentError for an eps0
+    the pair as a convergence failure.  Each level's Newton step count
+    is kept in `newton_iterations`.  Raises ArgumentError for an eps0
     that is not finite and positive, fewer than one halving (the
-    Richardson value needs two levels), or a y0 outside the domain.
+    Richardson value needs two levels), a y0 outside the domain, or a
+    tol that is not positive.
     """
     if not (math.isfinite(eps0) and eps0 > 0.0):
         raise ArgumentError("eps0",
@@ -161,12 +254,13 @@ def solve_eigenpair(spec, eps0=1.0, n_halvings=6, y0=(0.0, 0.0), tol=1e-8,
     bound = _model_bound(spec)
     notes = []
     trace = []
+    steps = []
     u = None
     u_init = None
     for j in range(n_halvings + 1):
         eps_j = eps0 * 2.0 ** (-j)
-        u = solve_regularized(spec, eps_j, u_init=u_init, tol=tol,
-                              t_max=t_max)
+        u, n_steps = solve_regularized(spec, eps_j, u_init=u_init, tol=tol)
+        steps.append(n_steps)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             s_j = s_epsilon(grid, u, spec.u0_grid, eps_j, y0, bound=bound)
@@ -201,7 +295,7 @@ def solve_eigenpair(spec, eps0=1.0, n_halvings=6, y0=(0.0, 0.0), tol=1e-8,
                      f"{resid_bound:.3g}")
     return EigenPair(s=s_hat, u_ell=u_ell, y0=tuple(y0),
                      epsilon_trace=trace, residual=residual,
-                     status=status, notes=notes)
+                     status=status, notes=notes, newton_iterations=steps)
 
 
 def laplace_speed_oracle(grid, f, phi, panels=4096):
@@ -237,7 +331,7 @@ def check_translating_profile(spec, pair, t_max=1.0, checkpoint_every=50):
                for r in result.records)
 
 
-def translation_identity(spec, eps0=1.0, tol=1e-8, t_max=400.0):
+def translation_identity(spec, eps0=1.0, tol=1e-8):
     """Check u[e f] = u[f] - 1/eps0 for the damped solves at eps0 of the
     right sides f and e f; returns the deviation, its tolerance
     100 tol / eps0 and whether it is met."""
@@ -246,7 +340,7 @@ def translation_identity(spec, eps0=1.0, tol=1e-8, t_max=400.0):
                              phi=spec.phi, u0=spec.u0_grid,
                              require_nonnegative_initial_speed=False,
                              cfl=spec.cfl)
-    base, shifted = (solve_regularized(s, eps0, tol=tol, t_max=t_max)
+    base, shifted = (solve_regularized(s, eps0, tol=tol)[0]
                      for s in (spec, sspec))
     dev = float(np.max(np.abs(shifted - (base - 1.0 / eps0))))
     tol_id = 100.0 * tol / eps0
@@ -265,6 +359,7 @@ def eigen_summary(pair, oracle_s=None):
     return {
         "s_hat": pair.s,
         "epsilon_trace": [[e, s] for e, s in pair.epsilon_trace],
+        "newton_iterations": list(pair.newton_iterations),
         "residual": pair.residual,
         "oracle_s": oracle_s,
         "status": pair.status,

@@ -49,6 +49,9 @@ _EXPR_TYPES = (exprparse.Num, exprparse.Var, exprparse.Neg,
                exprparse.BinOp, exprparse.Call)
 _MAX_HALVINGS = 20
 _SHIFT_GATE = 1e-7
+# A run refuses, before its first step, an initial dt that would need
+# more steps than this for a unit of time or for the whole of t_max.
+_MAX_STEPS = 1e8
 
 
 class DivergenceError(RuntimeError):
@@ -327,9 +330,9 @@ def _to_grid_node(spec, idx):
 
 class _FieldEval:
     __slots__ = ("ok", "ok_all", "q", "g_max", "ut", "lam_hi", "lam_lo",
-                 "sigma1")
+                 "sigma1", "hess")
 
-    def __init__(self, ok, q, g_max, ut, lam_hi, lam_lo, sigma1):
+    def __init__(self, ok, q, g_max, ut, lam_hi, lam_lo, sigma1, hess):
         self.ok = ok
         self.ok_all = bool(ok.all())
         self.q = q
@@ -338,11 +341,13 @@ class _FieldEval:
         self.lam_hi = lam_hi
         self.lam_lo = lam_lo
         self.sigma1 = sigma1
+        self.hess = hess
 
 
 def _evaluate(spec, u):
     """Closed-form 2x2 spectral evaluation of the quotient, its log
-    derivative bound, and u_t over interior nodes."""
+    derivative bound, and u_t over interior nodes; `hess` keeps the
+    interior Hessian (hxx, hxy, hyy) it was computed from."""
     grid = spec.grid
     sl = spec._interior
     hxx, hxy, hyy = discretize.hessian(grid, u)
@@ -371,7 +376,8 @@ def _evaluate(spec, u):
         fval = spec.f(grid.x[sl], grid.y[sl], u[sl])
         ut = np.log(q) - np.log(fval)
     ok = ok & np.isfinite(ut) & np.isfinite(g_max)
-    return _FieldEval(ok, q, g_max, ut, lam_hi, lam_lo, trace)
+    return _FieldEval(ok, q, g_max, ut, lam_hi, lam_lo, trace,
+                      (hxx, hxy, hyy))
 
 
 def _admissible_evaluate(spec, u, prefix=""):
@@ -580,6 +586,9 @@ def run(spec, mode="steady", t_max=50.0, tol_steady=1e-8, tol_trans=1e-8,
     tol_trans.  Either way the run ends at t_max with status "t_max",
     or earlier with "diverged", also once dt no longer advances t.  A
     MonitorRecord is kept every `checkpoint_every` steps and at the end.
+    Every run ends: an initial dt that would take more than 1e8 steps
+    for a unit of time raises ArgumentError("cfl"), and one that would
+    take more than 1e8 steps to t_max raises ArgumentError("t_max").
 
     With mean_shift=True, once the oscillation of u_t is tiny the
     remaining spatially constant part is removed in closed form through
@@ -598,6 +607,16 @@ def run(spec, mode="steady", t_max=50.0, tol_steady=1e-8, tol_trans=1e-8,
         raise ArgumentError("t_max",
                             f"must be finite and positive, got {t_max!r}")
     state, ev = _initial(spec)
+    # a dt of 0 (from a spec changed after its validation) ends the run
+    # as diverged at the first step
+    for name, value, horizon, what in (
+            ("cfl", spec.cfl, 1.0, "a unit of time"),
+            ("t_max", t_max, t_max, "the run")):
+        if state.dt > 0.0 and horizon / state.dt > _MAX_STEPS:
+            raise ArgumentError(
+                name, f"gives too many steps, got {value:g}: {what} would "
+                f"take {horizon / state.dt:.3g} steps of the initial dt, "
+                f"more than the budget of {_MAX_STEPS:.0e}")
     records = [_record(spec, state, ev, _tendency(spec, ev.ut), None)]
 
     def stopped():

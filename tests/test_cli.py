@@ -109,7 +109,6 @@ grid.n_r = 4
 grid.n_theta = 8
 eigen.n_halvings = 1
 eigen.tol = 1e-6
-eigen.t_max = 5
 """
 
 CONV_FUZZ_CFG = """\
@@ -346,6 +345,17 @@ class TestFlowCommand:
         assert proc.returncode == 2
         assert "config error at flow.cfl: is too small" in proc.stderr
 
+    @pytest.mark.parametrize("cfl", ["1e-12", "1e-320"])
+    def test_cfl_beyond_step_budget_exit_2(self, tmp_path, cfl):
+        # the initial dt is positive but would take astronomically many
+        # steps; the timeout turns a run that never ends into a failure
+        cfg = write_cfg(tmp_path, fuzz_config({"flow.cfl": cfl,
+                                               "flow.mode": "steady"}))
+        proc = run_module(["flow", cfg], tmp_path, timeout=120)
+        assert proc.returncode == 2
+        assert "config error at flow.cfl: gives too many steps" \
+            in proc.stderr
+
     def test_diverged_summary_ends_on_last_row(self, tmp_path, monkeypatch):
         # the speed bound fails at about step 80, between the checkpoints
         # at steps 50 and 100
@@ -475,20 +485,20 @@ class TestEigenCommand:
 
     def test_damped_solve_timeout_exit_3(self, tmp_path, monkeypatch,
                                          capsys):
-        cfg = write_cfg(tmp_path, EIGEN_CFG + "eigen.t_max = 0.001\n")
+        # Newton stops decreasing max|G| at round-off, far above 1e-300
+        cfg = write_cfg(tmp_path, EIGEN_CFG + "eigen.tol = 1e-300\n")
         monkeypatch.setenv("HQFLOW_OUT", str(tmp_path / "o"))
         assert cli.main(["eigen", cfg]) == 3
         assert "eigen solve failed" in capsys.readouterr().err
         d = json.loads((tmp_path / "o" / "summary.json").read_text())
         assert d["status"] == "diverged"
 
-    @pytest.mark.parametrize("t_max", ["inf", "nan", "0", "-1"])
-    def test_unusable_t_max_exit_2(self, tmp_path, t_max):
-        cfg = write_cfg(tmp_path, EIGEN_CFG + f"eigen.t_max = {t_max}\n")
-        proc = run_module(["eigen", cfg], tmp_path, timeout=120)
-        assert proc.returncode == 2
-        assert "config error at eigen.t_max: must be finite and positive" \
-            in proc.stderr
+    def test_t_max_is_an_unknown_key(self, tmp_path, capsys):
+        # the damped solves are Newton solves, with no time horizon
+        cfg = write_cfg(tmp_path, EIGEN_CFG + "eigen.t_max = 400\n")
+        assert cli.main(["eigen", cfg]) == 2
+        assert "config error at eigen.t_max: unknown key" \
+            in capsys.readouterr().err
 
     def test_y0_outside_domain_exit_2(self, tmp_path, capsys, monkeypatch):
         # the speed was read at the boundary point nearest to y0
@@ -604,6 +614,19 @@ class TestConvergeCommand:
         assert 1.5 <= d["orders"][0] <= 2.5
         assert d["levels"][0]["error"] > d["levels"][1]["error"]
 
+    def test_exact_reproduction_is_not_a_failed_order(self, tmp_path,
+                                                      monkeypatch):
+        # u_star = |x|^2/2 is reproduced to round-off on both levels, so
+        # the pair has no order to measure
+        cfg = write_cfg(tmp_path, CONV_FUZZ_CFG)
+        monkeypatch.setenv("HQFLOW_OUT", str(tmp_path / "o"))
+        assert cli.main(["converge", cfg, "--levels", "2"]) == 0
+        d = json.loads((tmp_path / "o" / "converge.json").read_text())
+        assert all(v["error"] <= 1e-15 for v in d["levels"])
+        assert d["orders"] == [None]
+        assert "round-off" in d["notes"][0]
+        assert d["ok"] is True
+
     def test_identical_levels_exit_2(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path,
                         CONV_CFG + "converge.resolutions = 8, 8\n")
@@ -683,6 +706,18 @@ class TestEntryPoint:
         proc = run_module(["verify", "--trials", "0"], tmp_path)
         assert proc.returncode == 0
         assert "vacuously" in proc.stderr
+
+    def test_import_loads_no_scipy(self, tmp_path):
+        # scipy raises the peak memory and the import time of every run
+        pkg_root = os.path.dirname(os.path.dirname(hqflow.__file__))
+        probe = subprocess.run(
+            [sys.executable, "-c", "import sys, hqflow.cli; print(sorted("
+             "m for m in sys.modules if m.startswith('scipy')))"],
+            capture_output=True, text=True, cwd=tmp_path, timeout=120,
+            env=dict(os.environ, PYTHONPATH=os.pathsep.join(filter(
+                None, [pkg_root, os.environ.get("PYTHONPATH")]))))
+        assert probe.returncode == 0, probe.stderr
+        assert probe.stdout.strip() == "[]"
 
     def test_unknown_subcommand_exits_2(self):
         with pytest.raises(SystemExit) as exc:

@@ -436,6 +436,76 @@ class TestStencils:
             assert len(discretize.difference_operators(g)) == 5
 
 
+def _apply_blocks(B, v):
+    """One map of `hessian_blocks` applied to interior values v."""
+    out = np.einsum("pij,pj->pi", B[:, 1], v)
+    out[1:] += np.einsum("pij,pj->pi", B[1:, 0], v[:-1])
+    out[:-1] += np.einsum("pij,pj->pi", B[:-1, 2], v[1:])
+    return out
+
+
+BLOCK_GRIDS = {
+    "disk": lambda: geometry.build_grid(geometry.Disk(1.0),
+                                        n_r=8, n_theta=16),
+    "ellipse": lambda: geometry.build_grid(geometry.Ellipse(1.4, 0.8),
+                                           n_r=8, n_theta=16),
+    "square": lambda: geometry.build_grid(geometry.Square(1.0), n=9),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BLOCK_GRIDS))
+class TestHessianBlocks:
+    """The Hessian of the closed field as block-tridiagonal linear map
+    of the interior values."""
+
+    def test_matches_hessian_of_the_closure(self, name):
+        g = BLOCK_GRIDS[name]()
+        sl = flow._interior_slice(g)
+        phi = flow._as_field("1 + x1/3 - x2/5", "phi")
+        u = np.random.default_rng(11).standard_normal(g.shape)
+        full = discretize.hessian(g, discretize.apply_neumann(g, u, phi))
+        zero = discretize.hessian(
+            g, discretize.apply_neumann(g, np.zeros(g.shape), phi))
+        for B, h, h0 in zip(discretize.hessian_blocks(g), full, zero):
+            want = (h - h0)[sl]
+            got = _apply_blocks(B, u[sl])
+            assert np.max(np.abs(got - want)) <= \
+                1e-13 * (1.0 + np.max(np.abs(h)))
+
+    def test_exact_on_quadratics(self, name):
+        # q = ((x/a)^2 + (y/b)^2)/2 has D^2 q = diag(1/a^2, 1/b^2), and
+        # the closure with its own normal derivative recovers it: that
+        # is |grad q| on the polar boundary, and 1 on the faces of the
+        # unit square and in the mean relation of its corners
+        g = BLOCK_GRIDS[name]()
+        sl = flow._interior_slice(g)
+        if g.backend == "polar":
+            a, b = g.domain.a, g.domain.b
+            phi = f"sqrt((x1/{a * a})^2 + (x2/{b * b})^2)"
+        else:
+            a, b, phi = 1.0, 1.0, "1"
+        q = 0.5 * ((g.x / a) ** 2 + (g.y / b) ** 2)
+        phi = flow._as_field(phi, "phi")
+        zero = discretize.hessian(
+            g, discretize.apply_neumann(g, np.zeros(g.shape), phi))
+        for B, h0, want in zip(discretize.hessian_blocks(g), zero,
+                               (1 / a**2, 0.0, 1 / b**2)):
+            got = _apply_blocks(B, q[sl]) + h0[sl]
+            assert np.max(np.abs(got - want)) <= 1e-10
+
+    def test_cached_read_only_block_tridiagonal(self, name):
+        g = BLOCK_GRIDS[name]()
+        blocks = discretize.hessian_blocks(g)
+        assert discretize.hessian_blocks(g) is blocks
+        shape = g.x[flow._interior_slice(g)].shape
+        for B in blocks:
+            assert B.shape == (shape[0], 3, shape[1], shape[1])
+            # nothing below the first block row or above the last
+            assert not B[0, 0].any() and not B[-1, 2].any()
+            with pytest.raises(ValueError):
+                B[...] = 0.0
+
+
 class TestInterpolation:
     def test_cartesian_linear_exact(self):
         rng = np.random.default_rng(7)

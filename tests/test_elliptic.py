@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from hqflow import discretize, elliptic, flow, geometry
+from hqflow import discretize, elliptic, flow, geometry, symmfunc
 
 
 def disk_grid(n_r=12, n_t=24):
@@ -21,17 +21,17 @@ def laplace_spec(n_r=12, n_t=24, f="1"):
 class TestSolveRegularized:
     def test_disk_unit_damping_balances_log_laplacian(self):
         spec = laplace_spec()
-        u = elliptic.solve_regularized(spec, 1.0)
+        u, _ = elliptic.solve_regularized(spec, 1.0)
         ev = flow._evaluate(spec, u)
         gap = np.log(ev.q) - u[spec._interior]
         assert np.max(np.abs(gap)) <= 1e-6
 
     def test_decay_rate_follows_damping(self):
+        # the flow of the damped problem decays at the damping rate
         spec = laplace_spec(10, 20)
-        _, slow = elliptic.solve_regularized(spec, 1.0, mean_shift=False,
-                                             full_output=True)
-        _, fast = elliptic.solve_regularized(spec, 10.0, mean_shift=False,
-                                             full_output=True)
+        slow, fast = (flow.run(elliptic._damped_spec(spec, eps),
+                               mode="steady", t_max=400.0, tol_steady=1e-8)
+                      for eps in (1.0, 10.0))
         assert 0.8 <= flow.decay_rate(slow) <= 2.0
         assert flow.decay_rate(fast) >= 8.0
 
@@ -46,12 +46,62 @@ class TestSolveRegularized:
             grid = disk_grid(n_r, n_t)
             spec = flow.ProblemSpec(grid, 1, 0, f=f, phi=phi, u0=ustar,
                                     require_nonnegative_initial_speed=False)
-            u = elliptic.solve_regularized(spec, 1.0)
+            u, _ = elliptic.solve_regularized(spec, 1.0)
             want = (0.5 * (grid.x**2 + grid.y**2)
                     + 0.1 * np.exp(grid.x / 2))
             errs.append(float(np.max(np.abs(u - want))))
         order = math.log2(errs[0] / errs[1])
         assert 1.5 <= order <= 2.6
+
+    def test_newton_root_is_the_steady_state_of_the_flow(self):
+        # the explicit flow of the damped problem is the reference
+        grid = disk_grid(10, 20)
+        spec = flow.ProblemSpec(grid, 2, 1, f="1 + 0.2*x1", phi="1",
+                                u0="(x1^2 + x2^2)/2",
+                                require_nonnegative_initial_speed=False)
+        u, steps = elliptic.solve_regularized(spec, 1.0)
+        assert 1 <= steps <= 5
+        ref = flow.run(elliptic._damped_spec(spec, 1.0), mode="steady",
+                       t_max=400.0, tol_steady=1e-8, mean_shift=True)
+        assert ref.status == "steady"
+        assert np.max(np.abs(u - ref.state.u)) <= 1e-6
+
+    def test_solved_data_takes_no_step(self):
+        spec = laplace_spec(8, 16)
+        u, steps = elliptic.solve_regularized(spec, 1.0)
+        again, none = elliptic.solve_regularized(spec, 1.0, u_init=u)
+        assert steps >= 1 and none == 0
+        assert np.max(np.abs(again - u)) <= 1e-12
+
+    @pytest.mark.parametrize("k, l", [(1, 0), (2, 0), (2, 1)])
+    def test_closed_form_slopes_match_symmfunc(self, k, l):
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            m = rng.standard_normal((2, 2))
+            a = m @ m.T + 0.1 * np.eye(2)
+            _, F = symmfunc.log_quotient_matrix(a, k, l)
+            got = elliptic._log_quotient_slopes(
+                k, l, *(np.array([v]) for v in (a[0, 0], a[0, 1], a[1, 1])))
+            want = (F[0, 0], 2.0 * F[0, 1], F[1, 1])
+            for g, w in zip(got, want):
+                assert abs(g[0] - w) <= 1e-12 * (1.0 + np.max(np.abs(F)))
+
+    def test_block_elimination_matches_dense_solve(self):
+        rng = np.random.default_rng(2)
+        n_p, m = 5, 4
+        J = rng.standard_normal((n_p, 3, m, m))
+        J[:, 1] += 8.0 * np.eye(m)
+        J[0, 0] = J[-1, 2] = 0.0
+        dense = np.zeros((n_p * m, n_p * m))
+        for p in range(n_p):
+            for k in range(3):
+                q = p - 1 + k
+                if 0 <= q < n_p:
+                    dense[p * m:(p + 1) * m, q * m:(q + 1) * m] = J[p, k]
+        rhs = rng.standard_normal((n_p, m))
+        want = np.linalg.solve(dense, rhs.ravel()).reshape(n_p, m)
+        got = elliptic._block_thomas(J, rhs)
+        assert np.max(np.abs(got - want)) <= 1e-12
 
     def test_rejects_u_dependent_fields(self):
         bad_phi = flow.ProblemSpec(disk_grid(8, 16), 1, 0, f="1",
@@ -127,7 +177,7 @@ class TestEigenpair:
 
     @pytest.mark.parametrize("kwargs, name", [
         ({"n_halvings": 0}, "n_halvings"), ({"eps0": -1.0}, "eps0"),
-        ({"t_max": math.inf}, "t_max"), ({"y0": (1.0, 2.0)}, "y0")])
+        ({"tol": 0.0}, "tol"), ({"y0": (1.0, 2.0)}, "y0")])
     def test_schedule_errors_name_their_argument(self, kwargs, name):
         with pytest.raises(geometry.ArgumentError) as exc:
             elliptic.solve_eigenpair(laplace_spec(6, 12), **kwargs)
@@ -151,9 +201,11 @@ class TestEigenpair:
         spec = laplace_spec(10, 20)
         pair = elliptic.solve_eigenpair(spec, n_halvings=2)
         out = elliptic.eigen_summary(pair, oracle_s=math.log(2.0))
-        assert set(out) == {"s_hat", "epsilon_trace", "residual",
-                            "oracle_s", "status", "notes"}
+        assert set(out) == {"s_hat", "epsilon_trace", "newton_iterations",
+                            "residual", "oracle_s", "status", "notes"}
         assert len(out["epsilon_trace"]) == 3
+        assert len(out["newton_iterations"]) == 3
+        assert all(1 <= n <= 5 for n in out["newton_iterations"])
         assert out["epsilon_trace"][0][0] == 1.0
         assert out["oracle_s"] == math.log(2.0)
 

@@ -450,6 +450,19 @@ class TestTranslatingRun:
         assert result.state.step_count > 10
         assert len(calls) == result.state.step_count + 2
 
+    @pytest.mark.parametrize("changes, field", [
+        ({"cfl": 1e-12}, "cfl"), ({"t_max": 1e20}, "t_max")])
+    def test_step_budget_names_its_argument(self, changes, field):
+        # either would need more than 1e8 steps of the initial dt; the
+        # run is refused before its first step
+        spec = flow.ProblemSpec(disk_grid(4, 8), 1, 0, f="1", phi="1",
+                                u0="(x1^2 + x2^2)/2",
+                                cfl=changes.get("cfl", 0.4))
+        with pytest.raises(geometry.ArgumentError) as exc:
+            flow.run(spec, mode="steady", t_max=changes.get("t_max", 0.05))
+        assert exc.value.field == field
+        assert "too many steps" in exc.value.reason
+
     def test_step_that_cannot_advance_t_diverges(self):
         # a cfl lowered after validation makes dt underflow to 0, which
         # would hold t at 0 for ever
