@@ -493,9 +493,11 @@ class TestEigenCommand:
         d = json.loads((tmp_path / "o" / "summary.json").read_text())
         assert d["status"] == "diverged"
 
-    def test_t_max_is_an_unknown_key(self, tmp_path, capsys):
-        # the damped solves are Newton solves, with no time horizon
-        cfg = write_cfg(tmp_path, EIGEN_CFG + "eigen.t_max = 400\n")
+    @pytest.mark.parametrize("t_max", ["inf", "nan", "0", "-1", "400"])
+    def test_unusable_t_max_exit_2(self, tmp_path, capsys, t_max):
+        # the damped solves are Newton solves, with no time horizon, so
+        # eigen.t_max is an unknown key whatever its value
+        cfg = write_cfg(tmp_path, EIGEN_CFG + f"eigen.t_max = {t_max}\n")
         assert cli.main(["eigen", cfg]) == 2
         assert "config error at eigen.t_max: unknown key" \
             in capsys.readouterr().err
