@@ -23,11 +23,13 @@ a cyclic tridiagonal matrix.  Square corners enforce the mean of their
 two one-sided face relations, which reach only face nodes, so the faces
 are closed first and the corners from them.  One Newton iteration
 solves the relation on every grid: each step solves the linearization
-(M - diag(d)) u_b = phi - d u_b_old - (inner-row terms), d the
-finite-difference phi_u.  A phi that declares it does not depend on u
-(`phi.depends_on_u is False`) makes the relation affine, and one step
-with d = 0 solves it exactly.  For phi_u <= 0 the relation is strictly
-increasing in u_b; a step whose slope - d is not positive is refused.
+(M - diag(d)) u_b = phi - d u_b_old - (inner-row terms), d = phi.du the
+u-derivative of the phi field (`exprparse.as_field`): exact for a
+parsed phi, so a phi affine in u closes in one step.  A phi that
+declares it does not depend on u (`phi.depends_on_u is False`) makes
+the relation affine in u_b, and one step with d = 0 solves it with one
+evaluation of phi.  For phi_u <= 0 the relation is strictly increasing
+in u_b; a step whose slope - d is not positive is refused.
 
 With a u-free phi the closure is affine in the interior values, and
 `hessian_blocks` folds its linear part into the Hessian weights: the
@@ -43,6 +45,8 @@ import functools
 import math
 
 import numpy as np
+
+from . import exprparse
 
 __all__ = [
     "gradient", "hessian", "difference_operators", "hessian_blocks",
@@ -438,28 +442,29 @@ _MAX_NEWTON = 50
 def apply_neumann(grid, u, phi):
     """Return a copy of u whose boundary values satisfy u_nu = phi(x, u).
 
-    `phi` is called as phi(x, y, u) with arrays of boundary data.  The
-    one-sided discrete normal derivative at each boundary node is
-    driven to phi within 1e-13 (1 + max|phi|); square corners satisfy
-    the mean of their two face relations.  The relation is solved by
-    Newton on the boundary values of all nodes at once.  A phi whose
+    `phi` is made a field by `exprparse.as_field` and called as
+    phi(x, y, u) with arrays of boundary data.  The one-sided discrete
+    normal derivative at each boundary node is driven to phi within
+    1e-13 (1 + max|phi|); square corners satisfy the mean of their two
+    face relations.  The relation is solved by Newton on the boundary
+    values of all nodes at once, with the slope phi.du.  A phi whose
     `depends_on_u` attribute is False makes it affine: one step solves
     it, with phi evaluated once.  Raises ValueError when phi is not
     finite at an iterate, when the relation is not increasing in u
     (phi_u >= the stencil slope), or after 50 steps.
     """
     u = np.array(u, dtype=float)
+    phi = exprparse.as_field(phi, "phi")
     nodes, x, y, slope = _boundary_nodes(grid)
     p = phi(x, y, u[nodes])
-    if getattr(phi, "depends_on_u", None) is False:
+    if phi.depends_on_u is False:
         _close_linear(grid, u, p)
         return u
     v = np.array(u[nodes])
     for _ in range(_MAX_NEWTON):
         if not np.all(np.isfinite(p)):
             raise ValueError("phi is not finite at the boundary values")
-        delta = 1e-7 * (1.0 + np.abs(v))
-        d = (phi(x, y, v + delta) - p) / delta
+        d = phi.du(x, y, v)
         if not np.all(slope - d > 0.0):
             raise ValueError(
                 "boundary relation is not increasing in u and need not "

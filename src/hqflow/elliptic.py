@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import discretize, flow, geometry
+from . import discretize, exprparse, flow, geometry
 from .geometry import ArgumentError
 
 __all__ = [
@@ -60,12 +60,12 @@ def _require_x_only(spec):
         raise ArgumentError(
             "phi", "must not depend on u: the damped solver needs a "
             "boundary flux phi(x)")
-    sl = spec._interior
-    x_i, y_i = spec.grid.x[sl], spec.grid.y[sl]
-    u_i = spec.u0_grid[sl]
-    probe = np.max(np.abs(spec.f(x_i, y_i, u_i + 0.5)
-                          - spec.f(x_i, y_i, u_i)))
-    if probe > 1e-12:
+    f_depends_on_u = spec.f.depends_on_u
+    if f_depends_on_u is None:
+        sl = spec._interior
+        f_u = spec.f.du(spec.grid.x[sl], spec.grid.y[sl], spec.u0_grid[sl])
+        f_depends_on_u = np.max(np.abs(f_u)) > 1e-12
+    if f_depends_on_u:
         raise ArgumentError(
             "f", "must not depend on u: the damped solver needs a right "
             "side f(x); pass the translating-frame f")
@@ -170,7 +170,12 @@ def solve_regularized(spec, eps, u_init=None, tol=1e-8):
         if steps == _MAX_NEWTON:
             break
         coef = _log_quotient_slopes(spec.k, spec.l, *ev.hess)
-        J = sum(c[:, None, :, None] * B for c, B in zip(coef, blocks))
+        # sum_i c_i[:, None, :, None] * B_i, one block row at a time:
+        # the terms add in the same order, with no full-size temporary
+        J = np.zeros_like(blocks[0])
+        for c, B in zip(coef, blocks):
+            for p in range(len(J)):
+                J[p] += c[p, None, :, None] * B[p]
         J[:, 1] -= eps * eye
         try:
             du = _block_thomas(J, -ev.ut)
@@ -301,8 +306,8 @@ def solve_eigenpair(spec, eps0=1.0, n_halvings=6, y0=(0.0, 0.0), tol=1e-8):
 def laplace_speed_oracle(grid, f, phi, panels=4096):
     """Closed-form speed for k=1, l=0: log of the boundary integral of
     phi over the area integral of f (both must be positive)."""
-    f_fn = flow._as_field(f, "f")
-    phi_fn = flow._as_field(phi, "phi")
+    f_fn = exprparse.as_field(f, "f")
+    phi_fn = exprparse.as_field(phi, "phi")
     fv = f_fn(grid.x, grid.y, np.zeros(grid.shape))
     area_int = float(np.sum(geometry.area_weights(grid) * fv))
 

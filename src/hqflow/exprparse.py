@@ -1,5 +1,6 @@
-"""Parser and evaluator for the scalar expressions f(x,u), phi(x,u), u0(x)
-found in configuration files.
+"""Parser, evaluator and u-derivative for the scalar expressions f(x,u),
+phi(x,u), u0(x) found in configuration files, and the constructor that
+turns them into fields.
 
 Grammar (EBNF)::
 
@@ -17,6 +18,22 @@ ignored.  Parse errors carry a 1-based byte offset into the source.
 
 ASTs are immutable after parse and evaluation is pure, so sharing across
 threads is safe.
+
+`diff_u` builds the exact derivative in u of an AST by the forward-mode
+rules (Griewank & Walther, *Evaluating Derivatives*, SIAM 2008); a
+subtree free of u differentiates to Num(0).  The derivative of abs is
+sign(a), 0 at a = 0; `sign` exists only inside derivatives and is not
+part of the grammar.  The derivative of sqrt at 0 divides by zero and
+raises EvalError, like every other domain error.
+
+`as_field` is the one place that turns an expression string, a parsed
+expression, a callable or (for u0) a grid array into a field: a
+vectorized callable fn(x, y, u) carrying `depends_on_u` (True or False
+when known, None for an opaque callable unless it declares the flag).
+Fields of the f and phi slots also carry `du(x, y, u)`, their
+derivative in u: exact for a parsed expression, built once when the
+field is made; one central difference of step 1e-6 (1 + |u|) for an
+opaque callable.
 """
 
 import math
@@ -28,7 +45,7 @@ import numpy as np
 __all__ = [
     "Num", "Var", "Neg", "BinOp", "Call",
     "ExprError", "ParseError", "EvalError",
-    "parse", "eval", "partial_u", "free_vars", "to_str",
+    "parse", "eval", "diff_u", "as_field", "free_vars", "to_str",
     "VARIABLES", "FUNCTIONS", "SLOT_VARS",
 ]
 
@@ -43,6 +60,9 @@ FUNCTIONS = {
     "abs": np.abs,
     "tanh": np.tanh,
 }
+
+# `sign` appears only in derivatives (of abs), never in parsed source
+_EVAL_FUNCTIONS = dict(FUNCTIONS, sign=np.sign)
 
 _CONSTANTS = {"pi": math.pi, "e": math.e}
 
@@ -286,7 +306,7 @@ def eval(ast, env):
             if np.any(bad):
                 raise EvalError(
                     f"sqrt of negative argument {_first_offender(arg, bad)}")
-        return FUNCTIONS[ast.func](arg)
+        return _EVAL_FUNCTIONS[ast.func](arg)
     left = eval(ast.left, env)
     right = eval(ast.right, env)
     op = ast.op
@@ -310,13 +330,154 @@ def eval(ast, env):
     return out
 
 
-def partial_u(ast, env, h=1e-6):
-    """Central-difference derivative of `ast` with respect to u at `env`."""
-    lo = dict(env)
-    hi = dict(env)
-    lo["u"] = np.asarray(env["u"]) - h
-    hi["u"] = np.asarray(env["u"]) + h
-    return (eval(ast, hi) - eval(ast, lo)) / (2.0 * h)
+_ZERO, _ONE, _TWO = Num(0.0), Num(1.0), Num(2.0)
+
+
+def _is(ast, value):
+    return isinstance(ast, Num) and ast.value == value
+
+
+def _neg(a):
+    return _ZERO if _is(a, 0.0) else Neg(a)
+
+
+def _add(a, b):
+    if _is(a, 0.0):
+        return b
+    return a if _is(b, 0.0) else BinOp("+", a, b)
+
+
+def _sub(a, b):
+    if _is(b, 0.0):
+        return a
+    return _neg(b) if _is(a, 0.0) else BinOp("-", a, b)
+
+
+def _mul(a, b):
+    if _is(a, 0.0) or _is(b, 0.0):
+        return _ZERO
+    if _is(a, 1.0):
+        return b
+    return a if _is(b, 1.0) else BinOp("*", a, b)
+
+
+def _div(a, b):
+    if _is(a, 0.0):
+        return _ZERO
+    return a if _is(b, 1.0) else BinOp("/", a, b)
+
+
+# g'(a) for each function g, given a and the node g(a) itself
+_OUTER = {
+    "sin": lambda a, ga: Call("cos", a),
+    "cos": lambda a, ga: Neg(Call("sin", a)),
+    "exp": lambda a, ga: ga,
+    "log": lambda a, ga: _div(_ONE, a),
+    "sqrt": lambda a, ga: _div(_ONE, _mul(_TWO, ga)),
+    "abs": lambda a, ga: Call("sign", a),
+    "tanh": lambda a, ga: BinOp("-", _ONE, BinOp("*", ga, ga)),
+}
+
+
+def diff_u(ast):
+    """Exact derivative in u of `ast`, as an AST; Num(0) for an `ast`
+    free of u."""
+    if isinstance(ast, Num):
+        return _ZERO
+    if isinstance(ast, Var):
+        return _ONE if ast.name == "u" else _ZERO
+    if isinstance(ast, Neg):
+        return _neg(diff_u(ast.arg))
+    if isinstance(ast, Call):
+        return _mul(_OUTER[ast.func](ast.arg, ast), diff_u(ast.arg))
+    a, b = ast.left, ast.right
+    da, db = diff_u(a), diff_u(b)
+    if ast.op == "+":
+        return _add(da, db)
+    if ast.op == "-":
+        return _sub(da, db)
+    if ast.op == "*":
+        return _add(_mul(da, b), _mul(a, db))
+    if ast.op == "/":
+        # (da - (a/b) db) / b divides by nothing the quotient does not
+        return _div(_sub(da, _mul(ast, db)), b)
+    # a^b = exp(b log a) where b depends on u; b a^(b-1) da where not
+    if _is(db, 0.0):
+        if _is(da, 0.0):
+            return _ZERO
+        b1 = Num(b.value - 1.0) if isinstance(b, Num) else _sub(b, _ONE)
+        return _mul(_mul(b, BinOp("^", a, b1)), da)
+    inner = _mul(db, Call("log", a))
+    if not _is(da, 0.0):
+        inner = _add(inner, _div(_mul(b, da), a))
+    return _mul(ast, inner)
+
+
+def as_field(obj, slot):
+    """Normalize an expression string / parsed expression / callable /
+    grid array (u0 only) to a field for `slot` ("u0", "f" or "phi"),
+    which picks the allowed variables.
+
+    The field is a vectorized callable fn(x, y, u) carrying
+    `depends_on_u`, and for f and phi also `du(x, y, u)`.  A field this
+    function already made for the same slot is returned unchanged, so
+    the flag and the derivative survive being passed on.
+    """
+    if getattr(obj, "field_slot", None) == slot:
+        return obj
+    if isinstance(obj, np.ndarray):
+        if slot != "u0":
+            raise TypeError(
+                f"a grid array is accepted only for u0, not for {slot!r}; "
+                f"pass an expression or a callable of (x, y, u)")
+
+        def fn(x, y, u=None, _v=obj.astype(float, copy=True)):
+            return np.broadcast_to(_v, np.shape(x))
+
+        fn.depends_on_u = False
+    elif isinstance(obj, str | Expr):
+        if isinstance(obj, str):
+            obj = parse(obj, slot=slot)
+        fn = _bind(obj)
+        if slot != "u0":
+            fn.du = _bind(diff_u(obj))
+    elif callable(obj):
+        n_args = 2 if slot == "u0" else 3
+
+        def fn(x, y, u=None):
+            args = (x, y, u)[:n_args]
+            val = obj(*(np.asarray(a, dtype=float) for a in args))
+            return np.broadcast_to(np.asarray(val, dtype=float), np.shape(x))
+
+        if slot != "u0":
+            def du(x, y, u):
+                u = np.asarray(u, dtype=float)
+                h = 1e-6 * (1.0 + np.abs(u))
+                return (fn(x, y, u + h) - fn(x, y, u - h)) / (2 * h)
+
+            fn.du = du
+        fn.depends_on_u = getattr(obj, "depends_on_u", None)
+    else:
+        raise TypeError(f"cannot use {obj!r} as a field for slot {slot!r}")
+    fn.field_slot = slot
+    return fn
+
+
+def _bind(ast):
+    """`ast` as a vectorized callable of (x, y, u), broadcast to x, with
+    its `depends_on_u`."""
+    uses_u = "u" in free_vars(ast)
+
+    def fn(x, y, u=None):
+        env = {"x1": np.asarray(x, dtype=float),
+               "x2": np.asarray(y, dtype=float)}
+        if uses_u:
+            env["u"] = np.asarray(u, dtype=float)
+        val = eval(ast, env)
+        return np.broadcast_to(np.asarray(val, dtype=float), np.shape(x))
+
+    fn.depends_on_u = uses_u
+    return fn
 
 
 _PREC_ADD, _PREC_MUL, _PREC_NEG, _PREC_POW, _PREC_ATOM = 1, 2, 3, 4, 5

@@ -45,8 +45,6 @@ __all__ = [
     "min_update_spacing",
 ]
 
-_EXPR_TYPES = (exprparse.Num, exprparse.Var, exprparse.Neg,
-               exprparse.BinOp, exprparse.Call)
 _MAX_HALVINGS = 20
 _SHIFT_GATE = 1e-7
 # A run refuses, before its first step, an initial dt that would need
@@ -56,67 +54,6 @@ _MAX_STEPS = 1e8
 
 class DivergenceError(RuntimeError):
     """The explicit scheme could not continue (non-finite speed bound)."""
-
-
-def _as_field(obj, slot):
-    """Normalize an expression string / parsed expression / callable /
-    grid array (u0 only) to a vectorized callable; `slot` picks the
-    allowed variables.
-
-    The result carries `depends_on_u`: True or False when known, None
-    for an opaque callable.  A field this function already made for the
-    same slot is returned unchanged, so the flag survives being passed
-    on to another ProblemSpec.
-    """
-    if getattr(obj, "field_slot", None) == slot:
-        return obj
-    fn = _make_field(obj, slot)
-    fn.field_slot = slot
-    return fn
-
-
-def _make_field(obj, slot):
-    if isinstance(obj, np.ndarray):
-        if slot != "u0":
-            raise TypeError(
-                f"a grid array is accepted only for u0, not for {slot!r}; "
-                f"pass an expression or a callable of (x, y, u)")
-
-        def fn(x, y, u=None, _v=obj.astype(float, copy=True)):
-            return np.broadcast_to(_v, np.shape(x))
-
-        fn.depends_on_u = False
-        return fn
-    if isinstance(obj, str):
-        obj = exprparse.parse(obj, slot=slot)
-    if isinstance(obj, _EXPR_TYPES):
-        names = exprparse.free_vars(obj)
-        uses_u = "u" in names
-
-        def fn(x, y, u=None, _ast=obj, _uses_u=uses_u):
-            env = {"x1": np.asarray(x, dtype=float),
-                   "x2": np.asarray(y, dtype=float)}
-            if _uses_u:
-                env["u"] = np.asarray(u, dtype=float)
-            val = exprparse.eval(_ast, env)
-            return np.broadcast_to(np.asarray(val, dtype=float), np.shape(x))
-
-        fn.depends_on_u = uses_u
-        return fn
-    if callable(obj):
-        if slot == "u0":
-            def fn(x, y, u=None, _f=obj):
-                val = _f(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
-                return np.broadcast_to(np.asarray(val, dtype=float), np.shape(x))
-        else:
-            def fn(x, y, u=None, _f=obj):
-                val = _f(np.asarray(x, dtype=float),
-                         np.asarray(y, dtype=float),
-                         np.asarray(u, dtype=float))
-                return np.broadcast_to(np.asarray(val, dtype=float), np.shape(x))
-        fn.depends_on_u = None
-        return fn
-    raise TypeError(f"cannot use {obj!r} as a field for slot {slot!r}")
 
 
 def _interior_slice(grid):
@@ -179,7 +116,7 @@ class ProblemSpec:
     fields f, phi, u0, and the structural rates the estimates use.
 
     `growth_rate` asserts d(log f)/du >= growth_rate > 0 everywhere
-    (checked by sampling); `damping_rate` asserts d(phi)/du <=
+    (checked at the nodes); `damping_rate` asserts d(phi)/du <=
     damping_rate < 0.  Either may be None when not claimed.  With
     `require_nonnegative_initial_speed` the initial quotient must
     dominate f(x, u0) so the initial speed is nonnegative.  A rejected
@@ -197,9 +134,9 @@ class ProblemSpec:
         self.grid = grid
         self.k = int(k)
         self.l = int(l)
-        self.f = _as_field(f, "f")
-        self.phi = _as_field(phi, "phi")
-        self.u0 = _as_field(u0, "u0")
+        self.f = exprparse.as_field(f, "f")
+        self.phi = exprparse.as_field(phi, "phi")
+        self.u0 = exprparse.as_field(u0, "u0")
         self.growth_rate = None if growth_rate is None else float(growth_rate)
         self.damping_rate = None if damping_rate is None else float(damping_rate)
         self.require_nonnegative_initial_speed = bool(
@@ -228,14 +165,10 @@ class ProblemSpec:
             if not np.all(np.isfinite(self.phi(xb, yb, raw[bm]))):
                 raise ArgumentError("phi",
                                     "is not finite at the boundary values")
-            self.initial_neumann_residual = float(np.max(np.abs(
-                discretize.neumann_residual(grid, raw, self.phi))))
             u0f = _apply_pole_filter(self, raw.copy())
             u0c = discretize.apply_neumann(grid, u0f, self.phi)
             ub = u0c[bm]
-            dub = 1e-6 * (1.0 + np.abs(ub))
-            phi_u = (self.phi(xb, yb, ub + dub)
-                     - self.phi(xb, yb, ub - dub)) / (2 * dub)
+            phi_u = self.phi.du(xb, yb, ub)
         sl = self._interior
         x_i, y_i, u_i = grid.x[sl], grid.y[sl], u0c[sl]
         with _blame("f"):
@@ -244,9 +177,7 @@ class ProblemSpec:
                 raise ArgumentError(
                     "f", f"must be positive and finite on the initial data; "
                     f"min f = {np.min(fval):.6g}")
-            du = 1e-6 * (1.0 + np.abs(u_i))
-            f_u = (self.f(x_i, y_i, u_i + du)
-                   - self.f(x_i, y_i, u_i - du)) / (2 * du)
+            f_u = self.f.du(x_i, y_i, u_i)
         if np.min(f_u) < -1e-8:
             raise ArgumentError(
                 "f", f"must be nondecreasing in u; sampled f_u = "
@@ -257,9 +188,9 @@ class ProblemSpec:
                 raise ArgumentError(
                     "growth_rate", f"{self.growth_rate:.6g} exceeds the "
                     f"sampled minimum of f_u/f, {np.min(ratio):.6g}")
-        self.phi_depends_on_u = bool(np.max(np.abs(phi_u)) > 1e-12)
-        if self.phi.depends_on_u is not None:
-            self.phi_depends_on_u = self.phi.depends_on_u
+        self.phi_depends_on_u = self.phi.depends_on_u
+        if self.phi_depends_on_u is None:
+            self.phi_depends_on_u = bool(np.max(np.abs(phi_u)) > 1e-12)
         if self.phi_depends_on_u:
             worst = float(np.max(phi_u))
             if worst >= 0.0:
@@ -292,9 +223,7 @@ class ProblemSpec:
             raise ArgumentError("cfl", f"is too small, got {self.cfl:g}: "
                                 "the initial time step underflows to 0")
         self.u0_grid = u0c
-        ut0 = _tendency(self, ev.ut)
-        self.ut0_max_abs = float(np.max(np.abs(ut0)))
-        self.ut0_max = float(np.max(ut0))
+        self.ut0_max_abs = float(np.max(np.abs(_tendency(self, ev.ut))))
         self.monitor_tol = 1e-6 * (1.0 + self.ut0_max_abs)
         self.amplitude_bound = None
         self.quotient_floor = None
@@ -567,15 +496,6 @@ class RunResult:
     shifts: int
 
 
-def _log_f_slope(spec, u):
-    sl = spec._interior
-    x_i, y_i, u_i = spec.grid.x[sl], spec.grid.y[sl], u[sl]
-    du = 1e-6 * (1.0 + np.abs(u_i))
-    fp = spec.f(x_i, y_i, u_i + du)
-    fm = spec.f(x_i, y_i, u_i - du)
-    return float(np.mean((np.log(fp) - np.log(fm)) / (2 * du)))
-
-
 def run(spec, mode="steady", t_max=50.0, tol_steady=1e-8, tol_trans=1e-8,
         window=50, checkpoint_every=100, mean_shift=False):
     """Integrate until the stop rule fires.
@@ -642,7 +562,10 @@ def run(spec, mode="steady", t_max=50.0, tol_steady=1e-8, tol_trans=1e-8,
         elif state.step_count % checkpoint_every == 0 or state.t >= t_max:
             ut = _tendency(spec, ev.ut)
             if mean_shift and _osc(ut) < _SHIFT_GATE:
-                slope = _log_f_slope(spec, state.u)
+                sl = spec._interior
+                x_i, y_i, u_i = spec.grid.x[sl], spec.grid.y[sl], state.u[sl]
+                slope = float(np.mean(spec.f.du(x_i, y_i, u_i)
+                                      / spec.f(x_i, y_i, u_i)))
                 if slope > 1e-12:
                     shift = float(np.mean(ut)) / slope
                     state.u = state.u + shift

@@ -551,6 +551,14 @@ class TestEigenCommand:
         assert cli.main(["eigen", cfg]) == 2
         assert "problem.f" in capsys.readouterr().err
 
+    def test_slowly_u_dependent_f_exit_2(self, tmp_path, capsys,
+                                         monkeypatch):
+        cfg = write_cfg(tmp_path, EIGEN_CFG.replace(
+            'problem.f = "1"', 'problem.f = "exp(0.1*u)"'))
+        monkeypatch.setenv("HQFLOW_OUT", str(tmp_path / "o"))
+        assert cli.main(["eigen", cfg]) == 2
+        assert "config error at problem.f" in capsys.readouterr().err
+
 
 class TestVerifyCommand:
     def test_small_suite_passes(self, tmp_path, monkeypatch):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from hqflow import discretize, flow, geometry
+from hqflow import discretize, exprparse, flow, geometry
 
 
 def _orders(errs):
@@ -207,7 +207,7 @@ class TestNeumannClosure:
         # the radial slope; the closure must still solve the relation
         g = geometry.build_grid(geometry.Ellipse(1.4, 0.8), n_r=4,
                                 n_theta=n_theta)
-        phi = flow._as_field("1 + x1/3 - u", "phi")
+        phi = exprparse.as_field("1 + x1/3 - u", "phi")
         out = discretize.apply_neumann(g, _closure_input(g), phi)
         assert np.max(np.abs(
             discretize.neumann_residual(g, out, phi))) <= 1e-12
@@ -244,7 +244,7 @@ class TestAffineClosure:
 
     def test_matches_newton_path(self, name):
         g = CLOSURE_GRIDS[name]()
-        direct_phi = flow._as_field("1 + x1/3", "phi")
+        direct_phi = exprparse.as_field("1 + x1/3", "phi")
         assert direct_phi.depends_on_u is False
         u = _closure_input(g)
         direct = discretize.apply_neumann(g, u, direct_phi)
@@ -257,7 +257,7 @@ class TestAffineClosure:
 
     def test_idempotent(self, name):
         g = CLOSURE_GRIDS[name]()
-        phi = flow._as_field("1 + x1/3", "phi")
+        phi = exprparse.as_field("1 + x1/3", "phi")
         once = discretize.apply_neumann(g, _closure_input(g), phi)
         assert np.array_equal(discretize.apply_neumann(g, once, phi), once)
 
@@ -266,7 +266,7 @@ class TestAffineClosure:
         # u-dependent and opaque ones are iterated to 1e-12
         g = CLOSURE_GRIDS[name]()
         u = _closure_input(g)
-        affine = flow._as_field("1 + x1/3", "phi")
+        affine = exprparse.as_field("1 + x1/3", "phi")
         calls = []
 
         def counted(x, y, v):
@@ -276,8 +276,9 @@ class TestAffineClosure:
         counted.depends_on_u = False
         discretize.apply_neumann(g, u, counted)
         assert len(calls) == 1
-        for phi in (flow._as_field("1 + x1/3 - u", "phi"),
-                    flow._as_field(lambda x, y, v: 1 + x / 3 - v, "phi")):
+        for phi in (exprparse.as_field("1 + x1/3 - u", "phi"),
+                    exprparse.as_field(lambda x, y, v: 1 + x / 3 - v,
+                                       "phi")):
             assert phi.depends_on_u is not False
             out = discretize.apply_neumann(g, u, phi)
             assert np.max(np.abs(
@@ -461,7 +462,7 @@ class TestHessianBlocks:
     def test_matches_hessian_of_the_closure(self, name):
         g = BLOCK_GRIDS[name]()
         sl = flow._interior_slice(g)
-        phi = flow._as_field("1 + x1/3 - x2/5", "phi")
+        phi = exprparse.as_field("1 + x1/3 - x2/5", "phi")
         u = np.random.default_rng(11).standard_normal(g.shape)
         full = discretize.hessian(g, discretize.apply_neumann(g, u, phi))
         zero = discretize.hessian(
@@ -485,7 +486,7 @@ class TestHessianBlocks:
         else:
             a, b, phi = 1.0, 1.0, "1"
         q = 0.5 * ((g.x / a) ** 2 + (g.y / b) ** 2)
-        phi = flow._as_field(phi, "phi")
+        phi = exprparse.as_field(phi, "phi")
         zero = discretize.hessian(
             g, discretize.apply_neumann(g, np.zeros(g.shape), phi))
         for B, h0, want in zip(discretize.hessian_blocks(g), zero,
@@ -504,6 +505,44 @@ class TestHessianBlocks:
             assert not B[0, 0].any() and not B[-1, 2].any()
             with pytest.raises(ValueError):
                 B[...] = 0.0
+
+
+@pytest.mark.parametrize("name", sorted(BLOCK_GRIDS))
+class TestExactClosure:
+    """Newton steps of the closure take phi_u from the exact derivative
+    of a parsed phi."""
+
+    def test_affine_phi_closes_in_one_step(self, name, monkeypatch):
+        g = BLOCK_GRIDS[name]()
+        ast = exprparse.parse("1 + x1/3 - u", slot="phi")
+        phi = exprparse.as_field(ast, "phi")
+        calls = []
+        evaluate = exprparse.eval
+
+        def counted(node, env):
+            if node is ast:
+                calls.append(1)
+            return evaluate(node, env)
+
+        monkeypatch.setattr(exprparse, "eval", counted)
+        out = discretize.apply_neumann(g, _closure_input(g), phi)
+        # phi at the start and after the one step that solves the relation
+        assert len(calls) == 2
+        assert np.max(np.abs(
+            discretize.neumann_residual(g, out, phi))) <= 1e-12
+
+    def test_abs_kink_at_zero(self, name):
+        # the closure starts from u_b = 0, where abs takes the slope 0
+        g = BLOCK_GRIDS[name]()
+        phi = exprparse.as_field("1 + x1/3 - u - 0.5*abs(u)", "phi")
+        u = _closure_input(g)
+        assert not u[g.boundary_mask].any()
+        xb, yb = g.x[g.boundary_mask], g.y[g.boundary_mask]
+        assert np.array_equal(phi.du(xb, yb, np.zeros(xb.shape)),
+                              np.full(xb.shape, -1.0))
+        out = discretize.apply_neumann(g, u, phi)
+        assert np.max(np.abs(
+            discretize.neumann_residual(g, out, phi))) <= 1e-12
 
 
 class TestInterpolation:

@@ -118,6 +118,18 @@ class TestSolveRegularized:
             elliptic.solve_regularized(laplace_spec(8, 16), -1.0)
 
 
+    @pytest.mark.parametrize("f", [
+        "exp(0.1*u)", lambda x, y, u: np.exp(0.1 * u)],
+        ids=["parsed", "opaque"])
+    def test_u_dependent_f_named(self, f):
+        spec = flow.ProblemSpec(disk_grid(8, 16), 1, 0, f=f, phi="1",
+                                u0="(x1^2 + x2^2)/2",
+                                require_nonnegative_initial_speed=False)
+        with pytest.raises(geometry.ArgumentError) as exc:
+            elliptic.solve_regularized(spec, 1.0)
+        assert exc.value.field == "f"
+
+
 class TestSpeedExtraction:
     def test_worked_values(self):
         grid = disk_grid(8, 16)

@@ -102,20 +102,62 @@ class TestErrors:
             "+", ep.Var("u"), ep.Var("x1"))
 
 
-class TestPartialU:
+def _central(ast, env, h=1e-6):
+    """Central difference in u of `ast` at `env`."""
+    hi, lo = dict(env, u=env["u"] + h), dict(env, u=env["u"] - h)
+    return (ep.eval(ast, hi) - ep.eval(ast, lo)) / (2.0 * h)
+
+
+class TestDiffU:
     def test_linear(self):
-        ast = ep.parse("1 - u")
-        assert ep.partial_u(ast, {"u": 0.3}) == pytest.approx(-1.0, abs=1e-9)
+        d = ep.diff_u(ep.parse("1 - u"))
+        assert ep.eval(d, {"u": 0.3}) == -1.0
 
     def test_exp_ratio(self):
         ast = ep.parse("exp(u)")
         env = {"u": 0.7}
-        fu = ep.partial_u(ast, env)
-        assert fu / ep.eval(ast, env) == pytest.approx(1.0, abs=1e-9)
+        assert ep.eval(ep.diff_u(ast), env) / ep.eval(ast, env) == 1.0
 
     def test_quadratic(self):
-        ast = ep.parse("1 + u^2")
-        assert ep.partial_u(ast, {"u": 1.0}) == pytest.approx(2.0, abs=1e-6)
+        assert ep.eval(ep.diff_u(ep.parse("1 + u^2")), {"u": 1.0}) == 2.0
+
+    def test_u_free_is_zero(self):
+        ast = ep.parse("sin(x1)*exp(x2) - t/3 + x1^x2 + abs(log(x2))")
+        assert ep.diff_u(ast) == ep.Num(0)
+
+    # each operator and function of the grammar, alone and under the
+    # chain rule, with u in both operands of the binary ones
+    @pytest.mark.parametrize("src", [
+        "x1 + u", "u - x1", "x1 - u", "-u", "x1*u", "u*u", "x1/u", "u/x1",
+        "u/(1 + u^2)", "u^3", "u^x1", "x1^u", "u^u", "(x1 + u)^(2*u)",
+        "sin(x1*u)", "cos(u^2)", "exp(-u/2)", "log(x1 + u)", "sqrt(x1*u)",
+        "abs(u - 1)", "tanh(x1*u)", "exp(sin(u))*log(1 + u^2)/sqrt(u)"])
+    def test_matches_central_difference(self, src):
+        ast, d = ep.parse(src), ep.diff_u(ep.parse(src))
+        for x1 in (0.5, 1.3):
+            for u in (0.3, 0.8, 2.5):
+                env = {"x1": x1, "u": u}
+                assert ep.eval(d, env) == pytest.approx(
+                    _central(ast, env), rel=1e-6)
+
+    def test_vectorized(self):
+        u = np.linspace(0.2, 2.0, 9)
+        d = ep.eval(ep.diff_u(ep.parse("u*log(u)")), {"u": u})
+        assert np.allclose(d, np.log(u) + 1.0, rtol=1e-15, atol=0.0)
+
+    def test_abs_slope_is_zero_at_zero(self):
+        d = ep.diff_u(ep.parse("abs(u)"))
+        u = np.array([-2.0, 0.0, 3.0])
+        assert np.array_equal(ep.eval(d, {"u": u}), [-1.0, 0.0, 1.0])
+
+    def test_sign_is_not_in_the_grammar(self):
+        with pytest.raises(ep.ParseError, match="unknown function"):
+            ep.parse("sign(u)")
+
+    def test_sqrt_slope_at_zero_is_a_domain_error(self):
+        d = ep.diff_u(ep.parse("sqrt(u)"))
+        with pytest.raises(ep.EvalError, match="division by zero"):
+            ep.eval(d, {"u": np.array([1.0, 0.0])})
 
 
 def test_pythagorean_sweep():
@@ -150,9 +192,49 @@ def _extend(children):
 
 
 _ast = st.recursive(_leaf, _extend, max_leaves=25)
+# the same trees, each an operator or function over a subtree that holds
+# u, with u drawn as often as all other leaves together
+_u_ast = _extend(st.recursive(st.one_of(st.just(ep.Var("u")), _leaf),
+                              _extend, max_leaves=12)) \
+    .filter(lambda ast: "u" in ep.free_vars(ast))
 
 
 @settings(max_examples=100, deadline=None)
 @given(_ast)
 def test_print_parse_round_trip(ast):
     assert ep.parse(ep.to_str(ast)) == ast
+
+
+def _finite(ast, env):
+    """Value of `ast` at `env` as a float, None where it has none."""
+    try:
+        with np.errstate(all="ignore"):
+            val = float(ep.eval(ast, env))
+    except (ep.EvalError, OverflowError, ZeroDivisionError):
+        return None
+    return val if math.isfinite(val) else None
+
+
+@settings(max_examples=300, deadline=None)
+@given(ast=_u_ast, x=st.tuples(*[st.floats(-2.0, 2.0)] * 3),
+       u=st.floats(-3.0, 3.0))
+def test_diff_u_matches_central_differences(ast, x, u):
+    """Where the expression is smooth and well conditioned near the
+    point (its exact slope barely moves across the stencil, and central
+    differences of steps h and h/4 agree), the exact slope agrees with
+    them."""
+    env = dict(zip(("x1", "x2", "t"), x), u=u)
+    h = 1e-4 * (1.0 + abs(u))
+    vals = [_finite(ast, dict(env, u=u + k * h / 4)) for k in range(-4, 5)]
+    d_ast = ep.diff_u(ast)
+    slopes = [_finite(d_ast, dict(env, u=u + k * h / 4)) for k in (-1, 0, 1)]
+    if None in vals + slopes:
+        return
+    d = slopes[1]
+    coarse = (vals[8] - vals[0]) / (2 * h)
+    fine = (vals[5] - vals[3]) / (h / 2)
+    noise = 1e-12 * max(abs(vals[k]) for k in (0, 3, 5, 8)) / h
+    if (max(abs(s - d) for s in slopes) > 1e-3 * abs(d) + noise
+            or abs(coarse - fine) > 1e-6 * abs(fine) + noise):
+        return
+    assert abs(d - fine) <= 1e-4 * abs(fine) + 100 * noise

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from hqflow import discretize, flow, geometry, symmfunc
+from hqflow import discretize, exprparse, flow, geometry, symmfunc
 
 
 def disk_grid(n_r=12, n_t=24):
@@ -112,15 +112,21 @@ class TestValidation:
         spec = flow.ProblemSpec(disk_grid(), 1, 0, f="3", phi="1",
                                 u0="(x1^2 + x2^2)/2",
                                 require_nonnegative_initial_speed=False)
-        assert spec.ut0_max < 0
+        assert np.max(flow.rhs(spec.u0_grid, spec)[:-1, :]) < 0
 
     def test_compatibility_residual_recorded(self):
-        spec = quadratic_disk_spec()
-        assert spec.initial_neumann_residual <= 1e-12
+        # the residual of the initial data before the closure replaces
+        # its boundary values
+        def residual(spec):
+            g = spec.grid
+            return np.max(np.abs(discretize.neumann_residual(
+                g, spec.u0(g.x, g.y), spec.phi)))
+
+        assert residual(quadratic_disk_spec()) <= 1e-12
         bump = flow.ProblemSpec(
             disk_grid(), 1, 0, f="1", phi="1",
             u0="(x1^2 + x2^2)/2 + 0.1*(1 - x1^2 - x2^2)^2")
-        assert 0.0 < bump.initial_neumann_residual < 0.1
+        assert 0.0 < residual(bump) < 0.1
 
     @pytest.mark.parametrize("cfl", [0.0, -0.1, math.nan, math.inf])
     def test_unusable_cfl_rejected(self, cfl):
@@ -164,12 +170,24 @@ class TestValidation:
 class TestFields:
     def test_normalized_field_passes_through(self):
         for expr, depends in (("1 + x1/3", False), ("1 - u", True)):
-            phi = flow._as_field(expr, "phi")
+            phi = exprparse.as_field(expr, "phi")
             assert phi.depends_on_u is depends
-            assert flow._as_field(phi, "phi") is phi
-        opaque = flow._as_field(lambda x, y, u: np.ones_like(x), "phi")
+            assert exprparse.as_field(phi, "phi") is phi
+        opaque = exprparse.as_field(lambda x, y, u: np.ones_like(x), "phi")
         assert opaque.depends_on_u is None
-        assert flow._as_field(opaque, "phi") is opaque
+        assert exprparse.as_field(opaque, "phi") is opaque
+
+    def test_fields_carry_their_u_derivative(self):
+        x = np.array([0.5, -0.25])
+        u = np.array([0.3, 1.7])
+        parsed = exprparse.as_field("x1*u^2", "f")
+        assert np.array_equal(parsed.du(x, x, u), 2.0 * x * u)
+        opaque = exprparse.as_field(lambda x, y, u: x * u**2, "f")
+        assert np.allclose(opaque.du(x, x, u), 2.0 * x * u, rtol=1e-8)
+        # a flag the callable declares is kept
+        declared = lambda x, y, u: 1.0 + 0.0 * x  # noqa: E731
+        declared.depends_on_u = False
+        assert exprparse.as_field(declared, "phi").depends_on_u is False
 
     def test_respecified_phi_keeps_its_flag(self):
         # elliptic.solve_regularized and the CLI translation check build
@@ -183,9 +201,10 @@ class TestFields:
     @pytest.mark.parametrize("slot", ["f", "phi"])
     def test_grid_array_only_for_u0(self, slot):
         grid = disk_grid(8, 16)
-        assert flow._as_field(np.ones(grid.shape), "u0").depends_on_u is False
+        u0 = exprparse.as_field(np.ones(grid.shape), "u0")
+        assert u0.depends_on_u is False
         with pytest.raises(TypeError, match=f"only for u0, not for '{slot}'"):
-            flow._as_field(np.ones(grid.shape), slot)
+            exprparse.as_field(np.ones(grid.shape), slot)
 
 
 class TestDtSelection:
