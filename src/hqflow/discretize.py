@@ -34,7 +34,8 @@ in u_b; a step whose slope - d is not positive is refused.
 With a u-free phi the closure is affine in the interior values, and
 `hessian_blocks` folds its linear part into the Hessian weights: the
 closed Hessian as a block-tridiagonal linear map over the rings (lattice
-rows on the square), the operator of a Newton step.
+rows on the square), the operator of the flow's implicit time step and
+of the eigen lane's Newton step.
 
 The per-grid constants (chain-rule coefficients, boundary geometry,
 closure coefficients, Hessian blocks) are built once per grid and kept
@@ -433,7 +434,9 @@ def hessian_blocks(grid):
         return np.bincount(idx, vals, minlength=n_p * 3 * m * m) \
             .reshape(n_p, 3, m, m)
 
-    return _read_only(*(fold(op) for op in difference_operators(grid)[2:]))
+    # each triplet table is dropped once it is folded
+    ops = list(difference_operators(grid)[2:])
+    return _read_only(*(fold(ops.pop(0)) for _ in range(3)))
 
 
 _MAX_NEWTON = 50

@@ -98,43 +98,6 @@ def _damped_spec(spec, eps, u_init=None):
                                f"start: {exc}") from exc
 
 
-def _log_quotient_slopes(k, l, hxx, hxy, hyy):
-    """Coefficients (F11, 2 F12, F22) of the derivative d log q =
-    F11 dhxx + 2 F12 dhxy + F22 dhyy of q = sigma_k/sigma_l at the 2x2
-    Hessian A, in closed form: F = I/tr A for (1, 0), A^{-1} for (2, 0)
-    and A^{-1} - I/tr A for (2, 1)."""
-    trace = hxx + hyy
-    if (k, l) == (1, 0):
-        return 1.0 / trace, np.zeros_like(hxy), 1.0 / trace
-    det = hxx * hyy - hxy * hxy
-    f11, f22 = hyy / det, hxx / det
-    if l == 1:
-        f11, f22 = f11 - 1.0 / trace, f22 - 1.0 / trace
-    return f11, -2.0 * hxy / det, f22
-
-
-def _block_thomas(J, rhs):
-    """Solve sum_k J[p, k] x[p - 1 + k] = rhs[p] for the block rows p of
-    a block-tridiagonal system, J of shape (n_p, 3, m, m), by block
-    elimination from the first row down and substitution back up."""
-    n_p = rhs.shape[0]
-    upper, x = [], np.empty_like(rhs)
-    diag, r = J[0, 1], rhs[0]
-    for p in range(n_p):
-        if p:
-            diag = J[p, 1] - J[p, 0] @ upper[-1]
-            r = rhs[p] - J[p, 0] @ x[p - 1]
-        if p < n_p - 1:
-            sol = np.linalg.solve(diag, np.column_stack((J[p, 2], r)))
-            upper.append(sol[:, :-1])
-            x[p] = sol[:, -1]
-        else:
-            x[p] = np.linalg.solve(diag, r)
-    for p in range(n_p - 2, -1, -1):
-        x[p] -= upper[p] @ x[p + 1]
-    return x
-
-
 def solve_regularized(spec, eps, u_init=None, tol=1e-8):
     """Solution of the damped problem log q(D^2 u) = log f(x) + eps u,
     u_nu = phi(x), and the number of Newton steps it took.
@@ -143,9 +106,10 @@ def solve_regularized(spec, eps, u_init=None, tol=1e-8):
     is affine in them, so the Jacobian of the residual G (the u_t of
     the flow with right side f e^{eps u}) is F11 Lxx + 2 F12 Lxy +
     F22 Lyy - eps I, with L the closed Hessian of
-    `discretize.hessian_blocks`.  Each Newton step is solved by block
-    elimination over the rows of the grid and halved until the iterate
-    stays in the cone and max|G| decreases.  The damping makes the
+    `discretize.hessian_blocks`.  Each Newton step is solved by
+    `flow._linearized_solve`, the solver of the flow's time step, with
+    the diagonal eps, and halved until the iterate stays in the cone
+    and max|G| decreases.  The damping makes the
     Jacobian nonsingular for eps > 0.  `u_init` warm starts the solve;
     it stops at max|G| < tol.  Raises ArgumentError for an eps or a tol
     that is not positive, and ConvergenceError when the damped problem
@@ -159,8 +123,6 @@ def solve_regularized(spec, eps, u_init=None, tol=1e-8):
     _require_x_only(spec)
     mspec = _damped_spec(spec, eps, u_init)
     grid, sl = spec.grid, spec._interior
-    blocks = discretize.hessian_blocks(grid)
-    eye = np.eye(blocks[0].shape[-1])
     u = mspec.u0_grid
     ev = flow._evaluate(mspec, u)
     res = float(np.max(np.abs(ev.ut)))
@@ -169,16 +131,8 @@ def solve_regularized(spec, eps, u_init=None, tol=1e-8):
             return u, steps
         if steps == _MAX_NEWTON:
             break
-        coef = _log_quotient_slopes(spec.k, spec.l, *ev.hess)
-        # sum_i c_i[:, None, :, None] * B_i, one block row at a time:
-        # the terms add in the same order, with no full-size temporary
-        J = np.zeros_like(blocks[0])
-        for c, B in zip(coef, blocks):
-            for p in range(len(J)):
-                J[p] += c[p, None, :, None] * B[p]
-        J[:, 1] -= eps * eye
         try:
-            du = _block_thomas(J, -ev.ut)
+            du = flow._linearized_solve(mspec, ev.hess, eps, ev.ut)
         except np.linalg.LinAlgError as exc:
             raise ConvergenceError(
                 f"damped solve at eps = {eps:.6g}: Newton step {steps + 1} "
@@ -323,15 +277,15 @@ def laplace_speed_oracle(grid, f, phi, panels=4096):
     return math.log(bnd_int / area_int)
 
 
-def check_translating_profile(spec, pair, t_max=1.0, checkpoint_every=50):
+def check_translating_profile(spec, pair, t_max=1.0):
     """Feed the profile back into the flow for a unit of time; returns
-    the worst deviation of u_t from the speed over the run."""
+    the worst deviation of u_t from the speed over its steps."""
     pspec = flow.ProblemSpec(spec.grid, spec.k, spec.l, f=spec.f,
                              phi=spec.phi, u0=pair.u_ell,
                              require_nonnegative_initial_speed=False,
                              cfl=spec.cfl)
     result = flow.run(pspec, mode="translating", t_max=t_max,
-                      tol_trans=0.0, checkpoint_every=checkpoint_every)
+                      tol_trans=0.0)
     return max(max(abs(r.max_ut - pair.s), abs(r.min_ut - pair.s))
                for r in result.records)
 

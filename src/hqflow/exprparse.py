@@ -282,8 +282,9 @@ def eval(ast, env):
 
     Bindings may be floats or numpy arrays (broadcast together).  log or
     sqrt outside their domain, a power producing NaN, and division by an
-    exact zero all raise EvalError naming the offending value rather
-    than propagating non-finite results.
+    exact zero, also as a negative power of zero, all raise EvalError
+    naming the offending value rather than propagating non-finite
+    results.
     """
     if isinstance(ast, Num):
         return ast.value
@@ -321,6 +322,8 @@ def eval(ast, env):
         if np.any(bad):
             raise EvalError("division by zero")
         return np.divide(left, right)
+    if np.any(np.equal(left, 0.0) & np.less(right, 0.0)):
+        raise EvalError("division by zero")
     with np.errstate(invalid="ignore", divide="ignore"):
         out = np.power(left, right)
     bad = np.isnan(np.asarray(out))

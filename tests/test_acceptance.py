@@ -36,7 +36,6 @@ grid.n_r = {n_r}
 flow.mode = translating
 flow.t_max = 40.0
 flow.tol_trans = 1e-7
-flow.checkpoint_every = 100
 problem.k = {k}
 problem.l = {l}
 problem.u0 = "(x1^2 + x2^2)/2 + 0.1*(1 - x1^2 - x2^2)^2"
@@ -66,7 +65,6 @@ problem.growth_rate = 1.0
 problem.require_nonnegative_initial_speed = false
 flow.t_max = 40.0
 flow.tol_steady = 1e-8
-flow.checkpoint_every = 100
 """
 
 CONFIGS = {

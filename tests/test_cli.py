@@ -347,29 +347,37 @@ class TestFlowCommand:
 
     @pytest.mark.parametrize("cfl", ["1e-12", "1e-320"])
     def test_cfl_beyond_step_budget_exit_2(self, tmp_path, cfl):
-        # the initial dt is positive but would take astronomically many
-        # steps; the timeout turns a run that never ends into a failure
+        # a tiny first dt only adds doublings: the run reaches t_max
+        # after about log2(t_max / dt0) steps, dt0 = cfl h^2 / (4 g_max)
+        # with h = pi dr / 4 and g_max = 1/2; the timeout turns a run
+        # that never ends into a failure
         cfg = write_cfg(tmp_path, fuzz_config({"flow.cfl": cfl,
                                                "flow.mode": "steady"}))
         proc = run_module(["flow", cfg], tmp_path, timeout=120)
-        assert proc.returncode == 2
-        assert "config error at flow.cfl: gives too many steps" \
-            in proc.stderr
+        assert proc.returncode == 4
+        d = json.loads((tmp_path / "summary.json").read_text())
+        assert d["status"] == "t_max" and d["t_final"] == 0.05
+        h = math.pi / 3.5 / 4.0
+        dt0 = float(cfl) * h**2 / 2.0
+        assert d["steps"] <= math.log2(0.05 / dt0) + 2
 
     def test_diverged_summary_ends_on_last_row(self, tmp_path, monkeypatch):
-        # the speed bound fails at about step 80, between the checkpoints
-        # at steps 50 and 100
+        # every trial of step 8 leaves the cone, between the records at
+        # steps 5 and 10; the first two evaluations check the initial
+        # data and start the run
         calls = itertools.count()
-        stable_dt = flow._stable_dt
+        evaluate = flow._evaluate
 
-        def failing(spec, ev):
-            if next(calls) == 80:
-                raise flow.DivergenceError("forced")
-            return stable_dt(spec, ev)
+        def failing(spec, u):
+            ev = evaluate(spec, u)
+            if next(calls) >= 9:
+                ev.ok_all = False
+            return ev
 
-        monkeypatch.setattr(flow, "_stable_dt", failing)
+        monkeypatch.setattr(flow, "_evaluate", failing)
         monkeypatch.setenv("HQFLOW_OUT", str(tmp_path / "o"))
-        assert cli.main(["flow", write_cfg(tmp_path, FLOW_CFG)]) == 3
+        assert cli.main(["flow", write_cfg(tmp_path, FLOW_CFG.replace(
+            "flow.checkpoint_every = 50", "flow.checkpoint_every = 5"))]) == 3
         d = json.loads((tmp_path / "o" / "summary.json").read_text())
         rows = [ln.split(",") for ln in
                 (tmp_path / "o" / "monitors.csv").read_text().splitlines()
@@ -377,7 +385,7 @@ class TestFlowCommand:
         last = dict(zip(rows[0], rows[-1]))
         max_ut, min_ut = float(last["max_ut"]), float(last["min_ut"])
         assert d["status"] == last["status"] == "diverged"
-        assert 50 < d["steps"] < 100
+        assert d["steps"] == 7
         assert d["t_final"] == float(last["t"])
         assert d["final_max_abs_ut"] == max(abs(max_ut), abs(min_ut))
         assert d["final_osc_ut"] == max_ut - min_ut

@@ -1,6 +1,7 @@
 """Tests of the finite-difference operators and the Neumann closure."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -211,6 +212,20 @@ class TestNeumannClosure:
         out = discretize.apply_neumann(g, _closure_input(g), phi)
         assert np.max(np.abs(
             discretize.neumann_residual(g, out, phi))) <= 1e-12
+
+    def test_power_slope_at_zero_stops_the_closure(self):
+        # phi = 1 - u^0.5 has the slope -0.5 u^(-0.5), a division by zero
+        # at u_b = 0: the closure stops there, without a warning and
+        # without iterating on a slope of -inf
+        g = geometry.build_grid(geometry.Disk(1.0), n_r=8, n_theta=16)
+        u = _closure_input(g)
+        phi = exprparse.as_field("1 - u^0.5", "phi")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(exprparse.EvalError,
+                               match="division by zero") as exc:
+                discretize.apply_neumann(g, u, phi)
+        assert "nan" not in str(exc.value)
 
     def test_newton_that_does_not_converge_is_rejected(self):
         # phi_u runs from -1e4 at u = 0 to about 0 far away, so Newton

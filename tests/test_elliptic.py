@@ -54,7 +54,8 @@ class TestSolveRegularized:
         assert 1.5 <= order <= 2.6
 
     def test_newton_root_is_the_steady_state_of_the_flow(self):
-        # the explicit flow of the damped problem is the reference
+        # the flow of the damped problem is the reference: its fixed
+        # point does not depend on the Jacobian of its step
         grid = disk_grid(10, 20)
         spec = flow.ProblemSpec(grid, 2, 1, f="1 + 0.2*x1", phi="1",
                                 u0="(x1^2 + x2^2)/2",
@@ -80,7 +81,7 @@ class TestSolveRegularized:
             m = rng.standard_normal((2, 2))
             a = m @ m.T + 0.1 * np.eye(2)
             _, F = symmfunc.log_quotient_matrix(a, k, l)
-            got = elliptic._log_quotient_slopes(
+            got = flow._log_quotient_slopes(
                 k, l, *(np.array([v]) for v in (a[0, 0], a[0, 1], a[1, 1])))
             want = (F[0, 0], 2.0 * F[0, 1], F[1, 1])
             for g, w in zip(got, want):
@@ -100,7 +101,7 @@ class TestSolveRegularized:
                     dense[p * m:(p + 1) * m, q * m:(q + 1) * m] = J[p, k]
         rhs = rng.standard_normal((n_p, m))
         want = np.linalg.solve(dense, rhs.ravel()).reshape(n_p, m)
-        got = elliptic._block_thomas(J, rhs)
+        got = flow._block_thomas(J, rhs)
         assert np.max(np.abs(got - want)) <= 1e-12
 
     def test_rejects_u_dependent_fields(self):

@@ -91,6 +91,14 @@ class TestErrors:
         with pytest.raises(ep.EvalError, match="power"):
             ev("x1^0.5", x1=-1.0)
 
+    def test_negative_power_of_zero_is_division_by_zero(self):
+        # as "/" reports it, not as inf
+        for src in ("x1^(0 - 0.5)", "x1^(0 - 2)"):
+            with pytest.raises(ep.EvalError, match="division by zero"):
+                ep.eval(ep.parse(src), {"x1": np.array([1.0, 0.0])})
+        assert ev("x1^0.5", x1=0.0) == 0.0
+        assert ev("x1^0", x1=0.0) == 1.0
+
     def test_unbound_variable(self):
         with pytest.raises(ep.EvalError, match="unbound"):
             ev("u + 1")
@@ -156,6 +164,12 @@ class TestDiffU:
 
     def test_sqrt_slope_at_zero_is_a_domain_error(self):
         d = ep.diff_u(ep.parse("sqrt(u)"))
+        with pytest.raises(ep.EvalError, match="division by zero"):
+            ep.eval(d, {"u": np.array([1.0, 0.0])})
+
+    def test_power_slope_at_zero_is_a_domain_error(self):
+        # the slope 0.5 u^(-0.5) of u^0.5, like that of sqrt(u)
+        d = ep.diff_u(ep.parse("u^0.5"))
         with pytest.raises(ep.EvalError, match="division by zero"):
             ep.eval(d, {"u": np.array([1.0, 0.0])})
 

@@ -208,104 +208,143 @@ class TestFields:
 
 
 class TestDtSelection:
+    """The first dt is the forward-Euler bound; from there dt doubles
+    after each accepted step, up to 0.25 / max(1, max f_u/f)."""
+
     def test_matches_speed_bound_formula(self):
         spec = quadratic_disk_spec()
-        state = flow.initial_state(spec)
-        # D^2 u = I: for k=1 the quotient slope bound is 1/trace = 1/2
-        want = 0.4 * spec.h_min**2 / (4.0 * 0.5)
+        state, _ = flow._initial(spec)
+        # D^2 u = I: for k=1 the quotient slope bound is 1/trace = 1/2;
+        # the polar spacing is pi dr / 4
+        h = math.pi * spec.grid.dr / 4.0
+        want = 0.4 * h**2 / (4.0 * 0.5)
         assert abs(state.dt - want) <= 1e-12 * want
 
     def test_update_spacing_values(self):
-        grid = disk_grid(16, 32)
-        # ring 0 keeps two azimuthal modes: spacing pi*(dr/2)/2
-        want = math.pi * grid.dr / 4.0
-        assert abs(flow.min_update_spacing(grid) - want) <= 1e-15
-        # the same caps drive the pole filter's slaving plan
-        caps = flow._mode_caps(grid)
-        assert flow.min_update_spacing(grid) == min(
-            grid.dr, float(np.min(np.pi * grid.r[:-1] / caps)))
-        sq = square_grid(17)
-        assert flow.min_update_spacing(sq) == sq.h
+        # f = exp(4u) has f_u/f = 4, so the steps, spaced in time, double
+        # from the first dt up to the cap 0.25/4
+        spec = flow.ProblemSpec(disk_grid(8, 16), 1, 0, f="exp(4*u)",
+                                phi="1", u0="(x1^2 + x2^2)/2",
+                                require_nonnegative_initial_speed=False)
+        dt0 = flow._initial(spec)[0].dt
+        result = flow.run(spec, mode="steady", t_max=1.0, tol_steady=0.0)
+        t = np.array([r.t for r in result.records])
+        assert len(t) == result.state.step_count + 1
+        want = np.minimum(dt0 * 2.0 ** np.arange(len(t) - 1), 0.0625)
+        steps = np.diff(t)
+        assert np.allclose(steps[:-1], want[:-1], rtol=1e-9, atol=0.0)
+        # the last step ends the run at t_max
+        assert steps[-1] <= want[-1] * (1.0 + 1e-9)
+        assert t[-1] == 1.0
 
     def test_doubling_resolution_quarters_dt(self):
         dts = []
         for n_r, n_t in ((8, 16), (16, 32)):
             spec = quadratic_disk_spec(n_r=n_r, n_t=n_t)
-            dts.append(flow.initial_state(spec).dt)
+            dts.append(flow._initial(spec)[0].dt)
         ratio = dts[0] / dts[1]
         assert 3.6 <= ratio <= 4.4
 
     def test_nonfinite_speed_bound_raises(self):
         spec = quadratic_disk_spec()
-        state = flow.initial_state(spec)
-        state.u = state.u * np.inf
         with np.errstate(invalid="ignore"):
-            with pytest.raises((flow.DivergenceError,
-                                symmfunc.AdmissibilityError)):
-                flow.select_dt(state, spec)
+            ev = flow._evaluate(spec, spec.u0_grid * np.inf)
+            with pytest.raises(flow.DivergenceError):
+                flow._stable_dt(spec, ev)
 
 
 class TestPoleFilter:
-    """The slaving map S of `_slave_modes` on the interior rings."""
-
-    @staticmethod
-    def plan_and_fields(n_r=16, n_t=32, seed=0):
-        grid = disk_grid(n_r, n_t)
-        plan = flow._filter_plan(grid)
-        rng = np.random.default_rng(seed)
-        u, v = rng.standard_normal((2, n_r - 1, n_t))
-        return grid, plan, u, v
-
-    @staticmethod
-    def slave(plan, block):
-        return flow._slave_modes(plan, block.copy(), block.shape[1])
+    """No pole filter: the implicit step itself damps the azimuthal
+    modes that an explicit update could not resolve near the pole."""
 
     def test_linear(self):
-        _, plan, u, v = self.plan_and_fields()
-        lhs = self.slave(plan, 2.5 * u - 0.75 * v)
-        rhs = 2.5 * self.slave(plan, u) - 0.75 * self.slave(plan, v)
-        assert np.max(np.abs(lhs - rhs)) <= 1e-12
+        # the step's linear solve superposes
+        spec = quadratic_disk_spec(n_r=16, n_t=32)
+        ev = flow._evaluate(spec, spec.u0_grid)
+        a, b = np.random.default_rng(0).standard_normal((2,) + ev.ut.shape)
+
+        def solve(r):
+            return flow._linearized_solve(spec, ev.hess, 10.0, r)
+
+        lhs = solve(2.5 * a - 0.75 * b)
+        rhs = 2.5 * solve(a) - 0.75 * solve(b)
+        assert np.max(np.abs(lhs - rhs)) <= 1e-12 * np.max(np.abs(lhs))
 
     def test_idempotent(self):
-        _, plan, u, _ = self.plan_and_fields()
-        once = self.slave(plan, u)
-        assert np.max(np.abs(self.slave(plan, once) - once)) <= 1e-12
-        assert np.max(np.abs(once - u)) > 1e-3
+        # a step of the largest dt maps a steady state to itself: J is
+        # exact only for a u-free phi, but u_t = 0 is the fixed point of
+        # the step with any J
+        ustar, f, phi = TestManufacturedSteady.fields()
+        spec = flow.ProblemSpec(square_grid(9), 1, 0, f=f, phi=phi,
+                                u0=ustar, growth_rate=1.0,
+                                require_nonnegative_initial_speed=False)
+        result = flow.run(spec, mode="steady", t_max=40.0, tol_steady=1e-10)
+        assert result.status == "steady"
+        state = result.state
+        ev = flow._evaluate(spec, state.u)
+        slope = flow._log_f_slope(spec, state.u)
+        new, _ = flow._implicit_update(spec, state, ev, slope, 0.25)
+        assert new.dt == 0.25
+        assert np.max(np.abs(new.u - state.u)) <= 1e-10
 
     def test_resolved_modes_pass_through(self):
-        grid, plan, u, _ = self.plan_and_fields()
-        caps = flow._mode_caps(grid)
-        before = np.fft.rfft(u, axis=1)
-        after = np.fft.rfft(self.slave(plan, u), axis=1)
-        for j, cap in enumerate(caps):
-            assert np.max(np.abs(after[j, :cap + 1]
-                                 - before[j, :cap + 1])) <= 1e-12
-        # the innermost ring keeps modes 0..2 only
-        assert caps[0] == 2
-        assert np.max(np.abs(after[0, 3:] - before[0, 3:])) > 1e-3
-        # slaved modes follow r^m, so harmonic r^m cos(m theta) is kept
-        r, theta = grid.r[:-1, None], grid.theta[None, :]
-        for m in (3, 7, 16):
-            harmonic = r**m * np.cos(m * theta)
-            assert np.max(np.abs(self.slave(plan, harmonic)
-                                 - harmonic)) <= 1e-12
+        # the highest azimuthal mode on the innermost ring, which an
+        # explicit update of this dt would amplify about 12,000-fold, is
+        # damped by one step of the largest dt, in the cone
+        spec = quadratic_disk_spec(n_r=16, n_t=32, require=False)
+        m = 15
+        state, _ = flow._initial(spec)
+        state.u[0] += 1e-6 * np.cos(m * spec.grid.theta)
+        ev = flow._evaluate(spec, state.u)
+        assert ev.ok_all
+        slope = flow._log_f_slope(spec, state.u)
+        new, ev_new = flow._implicit_update(spec, state, ev, slope, 0.25)
+        assert not new.diverged and new.dt == 0.25
+
+        def amplitude(u):
+            return abs(np.fft.rfft(u[0])[m])
+
+        assert amplitude(new.u) <= 1e-2 * amplitude(state.u)
+        # the smooth part moves by about dt log 2, as on exact data
+        assert abs(np.mean(new.u - state.u) - 0.25 * math.log(2.0)) <= 1e-5
 
 
 class TestStep:
+    """One linearly-implicit step, (I/dt - J) du = u_t."""
+
     def test_uniform_speed_shifts_field(self):
         spec = quadratic_disk_spec()
-        state = flow.initial_state(spec)
-        new = flow.step(state, spec)
+        state, ev = flow._initial(spec)
+        slope = flow._log_f_slope(spec, state.u)
+        new, _ = flow._implicit_update(spec, state, ev, slope, state.dt)
         shift = new.u - state.u
-        # interior rises by dt*log2 and the closure follows it exactly
+        # J annihilates constants, so the interior rises by dt*log2 and
+        # the closure follows it exactly
         assert np.max(np.abs(shift - new.dt * math.log(2.0))) <= 1e-13
         assert new.step_count == 1
         assert new.t == new.dt
 
+    def test_constant_mode_decays_by_the_implicit_factor(self):
+        # f = 2 exp(4 (u - r^2/2)) makes u_t = -4 c uniform on u = r^2/2
+        # + c, and J 1 = -f_u/f = -4, so one step multiplies c by
+        # 1 / (1 + 4 dt), where forward Euler would give 1 - 4 dt
+        spec = flow.ProblemSpec(disk_grid(8, 16), 1, 0,
+                                f="2*exp(4*(u - (x1^2 + x2^2)/2))", phi="1",
+                                u0="(x1^2 + x2^2)/2 + 0.1",
+                                require_nonnegative_initial_speed=False)
+        state, ev = flow._initial(spec)
+        slope = flow._log_f_slope(spec, state.u)
+        dt = flow._dt_cap(slope)
+        assert dt == 0.0625
+        new, _ = flow._implicit_update(spec, state, ev, slope, dt)
+        shift = new.u - (state.u - 0.1)
+        assert np.max(np.abs(shift - 0.1 / (1.0 + 4.0 * dt))) <= 1e-12
+
     def test_forced_large_dt_diverges(self):
         # Exact quadratic data on the square: D^2 u0 = diag(1, 1e-5) and
-        # D^2 u_t = diag(0, -80) at every deep interior node, so any dt
-        # down to 2^-20 drives the small eigenvalue negative.
+        # D^2 u_t = diag(0, -80) at every deep interior node; the
+        # linearization holds only while dt is tiny, so a step from dt =
+        # 1 leaves the cone after every one of its 20 halvings.
         lam2 = 1e-5
 
         def u0(x, y):
@@ -323,17 +362,18 @@ class TestStep:
 
         spec = flow.ProblemSpec(square_grid(9), 2, 0, f=f, phi=phi, u0=u0,
                                 require_nonnegative_initial_speed=False)
-        state = flow.initial_state(spec)
-        state.dt = 1.0
-        out = flow.step(state, spec)
+        state, ev = flow._initial(spec)
+        slope = flow._log_f_slope(spec, state.u)
+        out, _ = flow._implicit_update(spec, state, ev, slope, 1.0)
         assert out.diverged
         assert out.t == state.t
         assert np.array_equal(out.u, state.u)
-        # with its own dt the guarded step stays admissible
-        state.dt = 0.0
+        # from the first dt, doubling, the guarded step stays admissible
+        dt = state.dt
         for _ in range(3):
-            state = flow.step(state, spec)
+            state, ev = flow._implicit_update(spec, state, ev, slope, dt)
             assert not state.diverged
+            dt = 2.0 * state.dt
 
 
 class TestManufacturedSteady:
@@ -464,7 +504,7 @@ class TestTranslatingRun:
 
         monkeypatch.setattr(discretize, "hessian", counting)
         spec = quadratic_disk_spec(n_r=8, n_t=16)
-        result = flow.run(spec, mode="translating", t_max=0.05,
+        result = flow.run(spec, mode="translating", t_max=2.0,
                           checkpoint_every=10)
         assert result.state.step_count > 10
         assert len(calls) == result.state.step_count + 2
@@ -472,15 +512,23 @@ class TestTranslatingRun:
     @pytest.mark.parametrize("changes, field", [
         ({"cfl": 1e-12}, "cfl"), ({"t_max": 1e20}, "t_max")])
     def test_step_budget_names_its_argument(self, changes, field):
-        # either would need more than 1e8 steps of the initial dt; the
-        # run is refused before its first step
+        # a t_max of more than 1e8 steps of the largest dt is refused
+        # before the first step; a tiny cfl only adds doublings of dt,
+        # about log2(0.05 / dt0) = 36 of them, and the run ends
         spec = flow.ProblemSpec(disk_grid(4, 8), 1, 0, f="1", phi="1",
                                 u0="(x1^2 + x2^2)/2",
                                 cfl=changes.get("cfl", 0.4))
-        with pytest.raises(geometry.ArgumentError) as exc:
-            flow.run(spec, mode="steady", t_max=changes.get("t_max", 0.05))
-        assert exc.value.field == field
-        assert "too many steps" in exc.value.reason
+        t_max = changes.get("t_max", 0.05)
+        if field == "t_max":
+            with pytest.raises(geometry.ArgumentError) as exc:
+                flow.run(spec, mode="steady", t_max=t_max)
+            assert exc.value.field == field
+            assert "too many steps" in exc.value.reason
+            return
+        dt0 = flow._initial(spec)[0].dt
+        result = flow.run(spec, mode="steady", t_max=t_max)
+        assert result.status == "t_max" and result.state.t == t_max
+        assert result.state.step_count <= math.log2(t_max / dt0) + 2
 
     def test_step_that_cannot_advance_t_diverges(self):
         # a cfl lowered after validation makes dt underflow to 0, which
@@ -491,6 +539,28 @@ class TestTranslatingRun:
                           checkpoint_every=1)
         assert result.status == "diverged"
         assert result.state.t == 0.0 and result.state.step_count == 0
+
+    def test_step_count_guard(self):
+        # the main cost of a run: from the forward-Euler dt of the
+        # 8x16 grid, doubling to the cap, then the steps of the window
+        spec = flow.ProblemSpec(
+            disk_grid(8, 16), 1, 0, f="1", phi="1",
+            u0="(x1^2 + x2^2)/2 + 0.08*(1 - x1^2 - x2^2)^2")
+        result = flow.run(spec, mode="translating", t_max=40.0,
+                          tol_trans=1e-7, window=5)
+        assert result.status == "translating"
+        assert result.state.step_count <= 60
+        assert abs(result.records[-1].mean_ut - math.log(2.0)) <= 1e-6
+
+    def test_drift_window_counts_steps(self):
+        # the drift test reads the last `window` steps, whatever the
+        # record stride
+        spec = quadratic_disk_spec(n_r=8, n_t=16)
+        for every in (1, 7, 100):
+            result = flow.run(spec, mode="translating", t_max=40.0,
+                              window=12, checkpoint_every=every)
+            assert result.status == "translating"
+            assert result.state.step_count == 11
 
     def test_records_hold_the_run_history(self):
         spec = quadratic_disk_spec(n_r=8, n_t=16)
@@ -510,6 +580,85 @@ class TestTranslatingRun:
         result = flow.run(spec, mode="translating", t_max=0.01)
         assert result.status == "t_max"
         assert result.state.t >= 0.01 - 1e-12
+
+
+class TestGapMonitor:
+    """`gap_osc_nonincreasing` compares osc(u - u_prev) / (t - t_prev):
+    the records of a run are not equally spaced in time."""
+
+    @staticmethod
+    def result(times, gaps):
+        recs = [flow.MonitorRecord(t=t, max_ut=1.0, min_ut=1.0, mean_ut=1.0,
+                                   min_u=0.0, max_u=1.0, sup_grad=1.0,
+                                   sup_hess=1.0, min_quotient=1.0,
+                                   osc_u=1.0, gap_osc=g)
+                for t, g in zip(times, [None] + gaps)]
+        return flow.RunResult(None, recs, "translating", "translating", 0)
+
+    def test_raw_gap_growing_with_dt_passes(self):
+        spec = quadratic_disk_spec(n_r=8, n_t=16)
+        # dt doubles while the gap per unit time halves
+        res = self.result([0.0, 1.0, 3.0, 7.0], [0.5, 0.5, 0.5])
+        check = flow.monitor_report(res, spec)["gap_osc_nonincreasing"]
+        assert check["ok"] and check["margin"] > 0.0
+
+    def test_planted_rise_is_flagged(self):
+        spec = quadratic_disk_spec(n_r=8, n_t=16)
+        # equal raw gaps, but the third covers half the time
+        res = self.result([0.0, 1.0, 2.0, 2.5], [0.5, 0.5, 0.5])
+        check = flow.monitor_report(res, spec)["gap_osc_nonincreasing"]
+        assert not check["ok"]
+        assert abs(check["margin"] - (spec.monitor_tol - 0.5)) <= 1e-15
+
+
+LINEARIZED_GRIDS = {
+    "disk": lambda: geometry.build_grid(geometry.Disk(1.0), n_r=8,
+                                        n_theta=16),
+    "ellipse": lambda: geometry.build_grid(geometry.Ellipse(1.25, 0.8),
+                                           n_r=8, n_theta=16),
+    "square": lambda: square_grid(9),
+}
+
+
+@pytest.mark.parametrize("k, l", [(1, 0), (2, 0), (2, 1)])
+@pytest.mark.parametrize("name", sorted(LINEARIZED_GRIDS))
+def test_linearized_solve_inverts_the_derivative_of_rhs(name, k, l):
+    """(d - J) x = r, solved by `_linearized_solve` with the diagonal
+    d = f_u/f + s, recovers the w with r = s w - J w, where J w is the
+    central difference of `rhs` along the closed direction of w: the
+    derivative of u_t, with the closure of the u-free phi folded in and
+    the -f_u/f of a u-dependent f."""
+    grid = LINEARIZED_GRIDS[name]()
+    # phi is the normal derivative of the quadratic part of u0 (see
+    # test_discretize's TestHessianBlocks)
+    if name == "square":
+        a, b, phi = 1.0, 1.0, "1"
+    else:
+        a, b = grid.domain.a, grid.domain.b
+        phi = f"sqrt((x1/{a * a})^2 + (x2/{b * b})^2)"
+    spec = flow.ProblemSpec(
+        grid, k, l, f="exp(0.5*u)*(1 + 0.1*x1)", phi=phi,
+        u0=f"(x1^2/{a * a} + x2^2/{b * b})/2 + 0.05*x1*x2 + 0.02*x1^3",
+        require_nonnegative_initial_speed=False)
+    sl = spec._interior
+    u = spec.u0_grid
+    rng = np.random.default_rng(3)
+    v = np.zeros(grid.shape)
+    v[sl] = rng.standard_normal(v[sl].shape)
+    zero = discretize.apply_neumann(grid, np.zeros(grid.shape), spec.phi)
+    w = discretize.apply_neumann(grid, v, spec.phi) - zero
+    # the inner ring makes |J w| about 1e4: a step of 1e-8 balances
+    # truncation and round-off near 1e-8
+    h = 1e-8
+    jw = (flow.rhs(u + h * w, spec) - flow.rhs(u - h * w, spec))[sl] \
+        / (2.0 * h)
+    s = 10.0
+    ev = flow._evaluate(spec, u)
+    x = flow._linearized_solve(spec, ev.hess,
+                               flow._log_f_slope(spec, u) + s,
+                               s * w[sl] - jw)
+    # without the f_u/f term the gap is 0.05
+    assert np.max(np.abs(x - w[sl])) <= 1e-6
 
 
 class TestMonitorCsv:
