@@ -582,7 +582,8 @@ def main(argv=None):
                    help="trials per property (default: per-property budget)")
     p.add_argument("--self-test", action="store_true", dest="self_test",
                    help="also check that the suite flags a corrupted "
-                        "sigma implementation")
+                        "sigma implementation; this check always runs 200 "
+                        "trials per property, whatever --trials is")
 
     p = sub.add_parser("converge", help="order study against a "
                                         "manufactured solution")

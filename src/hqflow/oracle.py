@@ -66,14 +66,18 @@ def in_gamma_brute(lam, k):
     return all(sigma_brute(lam, i) > 0.0 for i in range(1, k + 1))
 
 
-def log_quotient_brute(A, k, l):
-    """log(sigma_k/sigma_l)(lambda(A)) via numpy eigenvalues and brute sigma."""
-    lam = np.linalg.eigvalsh(np.asarray(A, dtype=float))
+def _log_quotient_eigs(lam, k, l):
     num = sigma_brute(lam, k)
     den = sigma_brute(lam, l)
     if num <= 0.0 or den <= 0.0:
         raise ValueError("matrix is not admissible for the quotient")
     return math.log(num / den)
+
+
+def log_quotient_brute(A, k, l):
+    """log(sigma_k/sigma_l)(lambda(A)) via numpy eigenvalues and brute sigma."""
+    return _log_quotient_eigs(np.linalg.eigvalsh(np.asarray(A, dtype=float)),
+                              k, l)
 
 
 def _rows_in_gamma(rows, k):
@@ -97,65 +101,66 @@ def fij_fd(A, k, l, h=1e-6, h_min=1e-12):
     n = A.shape[0]
     if not in_gamma_brute(np.linalg.eigvalsh(A), k):
         raise ValueError("base matrix is not admissible")
+    iu, ju = np.triu_indices(n)
+    pairs = np.arange(iu.size)
+    E = np.zeros((iu.size, n, n))
+    E[pairs, iu, ju] = E[pairs, ju, iu] = np.where(iu == ju, 1.0, 0.5)
+    step = np.full(iu.size, float(h))
+    plus = np.empty(iu.size)
+    minus = np.empty(iu.size)
+    todo = pairs
+    while todo.size:
+        # One stacked eigensolve for every pending entry's +/- stencil.
+        shift = step[todo, None, None] * E[todo]
+        lam = np.linalg.eigvalsh(np.concatenate([A + shift, A - shift]))
+        failed = []
+        for t, p in enumerate(todo):
+            try:
+                plus[p] = _log_quotient_eigs(lam[t], k, l)
+                minus[p] = _log_quotient_eigs(lam[todo.size + t], k, l)
+            except ValueError:
+                failed.append(p)
+        todo = np.array(failed, dtype=int)
+        step[todo] *= 0.5
+        if np.any(step[todo] < h_min):
+            raise ValueError("perturbation cannot stay in Gamma_k above "
+                             f"h_min={h_min}")
     F = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i, n):
-            E = np.zeros((n, n))
-            if i == j:
-                E[i, i] = 1.0
-            else:
-                E[i, j] = E[j, i] = 0.5
-            step = h
-            while True:
-                try:
-                    plus = log_quotient_brute(A + step * E, k, l)
-                    minus = log_quotient_brute(A - step * E, k, l)
-                    break
-                except ValueError:
-                    step *= 0.5
-                    if step < h_min:
-                        raise ValueError(
-                            "perturbation cannot stay in Gamma_k above "
-                            f"h_min={h_min}") from None
-            F[i, j] = F[j, i] = (plus - minus) / (2.0 * step)
+    F[iu, ju] = F[ju, iu] = (plus - minus) / (2.0 * step)
     return F
 
 
 def _apply_filters(rows, min_negative, pinch):
-    """Constraint filters; returns a list of eigenvalue vectors.
+    """Constraint filters; returns the kept eigenvalue lists as rows.
 
     Default output order is descending.  With min_negative the order is
     ascending so the designated first entry is the negative one.  With
     pinch=(delta, eps) the output is (lam_1, rest descending) where
     lam_1 is the smallest positive entry satisfying the pinch
-    inequalities against the remaining entries.
+    inequalities against the remaining entries.  Each chunk is sorted
+    once; the outputs are permutations of the input rows.
     """
-    out = []
-    for row in rows:
-        if min_negative:
-            lam = np.sort(row)
-            if lam[0] >= 0.0:
-                continue
-            out.append(lam)
-        elif pinch is not None:
-            delta, eps = pinch
-            chosen = None
-            for i in np.argsort(row):
-                first = row[i]
-                if first <= 0.0:
-                    continue
-                rest = np.delete(row, i)
-                if rest.min() >= 0.0:
-                    break
-                if first >= delta * rest.max() and -rest.min() >= eps * first:
-                    chosen = np.concatenate(([first], np.sort(rest)[::-1]))
-                    break
-            if chosen is None:
-                continue
-            out.append(chosen)
-        else:
-            out.append(np.sort(row)[::-1])
-    return out
+    asc = np.sort(rows, axis=1)
+    if min_negative:
+        return asc[asc[:, 0] < 0.0]
+    if pinch is None:
+        return asc[:, ::-1]
+    delta, eps = pinch
+    n = asc.shape[1]
+    # The largest entry other than entry j, for each ascending position j.
+    rest_max = np.where(np.arange(n) == n - 1, asc[:, [n - 2]],
+                        asc[:, [n - 1]])
+    # The negative minimum stays in the rest of every positive entry.
+    lowest = asc[:, [0]]
+    fits = ((asc > 0.0) & (lowest < 0.0) & (asc >= delta * rest_max)
+            & (-lowest >= eps * asc))
+    hit = fits.any(axis=1)
+    asc = asc[hit]
+    j = np.argmax(fits[hit], axis=1)
+    desc = np.arange(n)[::-1]
+    rest = np.broadcast_to(desc, asc.shape)[desc != j[:, None]]
+    order = np.concatenate([j[:, None], rest.reshape(-1, n - 1)], axis=1)
+    return np.take_along_axis(asc, order, axis=1)
 
 
 def sample_gamma_k(n, k, rng, min_negative=False, pinch=None):
@@ -177,9 +182,10 @@ def sample_gamma_k_batch(n, k, rng, count, min_negative=False, pinch=None,
         raise ValueError(f"sampling limited to n <= {_MAX_N}, got {n}")
     if not 1 <= k <= n:
         raise ValueError(f"cone order k={k} out of range for n={n}")
-    accepted = []
+    accepted = [np.empty((0, n))]
+    have = 0
     rejected = 0
-    while len(accepted) < count:
+    while have < count:
         rows = rng.uniform(_BOX_LO, _BOX_HI, size=(chunk, n))
         rows = rows[_rows_in_gamma(rows, k)]
         kept = _apply_filters(rows, min_negative, pinch)
@@ -187,8 +193,9 @@ def sample_gamma_k_batch(n, k, rng, count, min_negative=False, pinch=None,
         if rejected > _MAX_REJECT:
             raise ValueError("sampling constraint too tight: "
                              f"{rejected} rejections without {count} accepts")
-        accepted.extend(kept)
-    return np.array(accepted[:count])
+        accepted.append(kept)
+        have += len(kept)
+    return np.concatenate(accepted)[:count]
 
 
 def sample_arrowhead(n, k, rng):
@@ -208,10 +215,11 @@ def sample_arrowhead_batch(n, k, rng, count, chunk=512):
         raise ValueError(f"sampling limited to n <= {_MAX_N}, got {n}")
     if not 1 <= k <= n:
         raise ValueError(f"cone order k={k} out of range for n={n}")
-    accepted = []
+    accepted = [np.empty((0, n, n))]
+    have = 0
     rejected = 0
     idx = np.arange(1, n)
-    while len(accepted) < count:
+    while have < count:
         A = np.zeros((chunk, n, n))
         A[:, idx, idx] = rng.uniform(0.0, 3.0, (chunk, n - 1))
         A[:, 0, 0] = -rng.uniform(0.05, 1.0, chunk)
@@ -223,5 +231,6 @@ def sample_arrowhead_batch(n, k, rng, count, chunk=512):
         if rejected > _MAX_REJECT:
             raise ValueError("sampling constraint too tight: "
                              f"arrowhead n={n} k={k}")
-        accepted.extend(kept)
-    return np.array(accepted[:count])
+        accepted.append(kept)
+        have += kept.shape[0]
+    return np.concatenate(accepted)[:count]

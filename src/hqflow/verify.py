@@ -17,6 +17,11 @@ one batch from the `oracle` samplers.  The arrowhead sampler skips the (n, k) pa
 distribution cannot reach (acceptance below 1e-3 for k = n-1 once
 n >= 6); the inequalities themselves carry no such restriction.
 
+Each batch is scored by array calls on the whole stack, in the RNG
+stream order and with the arithmetic of scoring one trial at a time, so
+the margins do not depend on the batching.  A trial whose sample leaves
+the cone where the calculus needs it scores nan.
+
 `run_suite` returns per-property results keyed by name; `self_test`
 reruns the suite against a sigma with a deliberate sign fault and
 demands at least one failure, guarding the harness against vacuous
@@ -50,11 +55,12 @@ _ARROW_K_MAX = {2: 1, 3: 2, 4: 3, 5: 4, 6: 4, 7: 5, 8: 5}
 
 
 class _Tally:
-    """Per-trial margin accumulator.
+    """Margin accumulator over batches of trials.
 
     kind "identity": pass at margin <= tol, worst is the maximum.
     kind "bound": pass at margin >= -tol, worst is the minimum.
-    A nan margin fails the trial and poisons the worst value.
+    A nan margin fails the trial and poisons the worst value.  Among
+    equal extremes the earliest trial's value is kept.
     """
 
     def __init__(self, kind, tol):
@@ -65,26 +71,24 @@ class _Tally:
         self._extreme = None
         self._nan = False
 
-    def add(self, margin):
-        margin = float(margin)
-        self.count += 1
-        if math.isnan(margin):
-            self._nan = True
+    def add_many(self, margins):
+        margins = np.asarray(margins, dtype=float).ravel()
+        self.count += margins.size
+        nan = np.isnan(margins)
+        self._nan = self._nan or bool(nan.any())
+        valid = margins[~nan]
+        if valid.size == 0:
             return
         if self.kind == "identity":
-            if margin <= self.tol:
-                self.passes += 1
-            better = self._extreme is None or margin > self._extreme
+            self.passes += int(np.count_nonzero(valid <= self.tol))
+            extreme = float(valid[np.argmax(valid)])
+            better = self._extreme is None or extreme > self._extreme
         else:
-            if margin >= -self.tol:
-                self.passes += 1
-            better = self._extreme is None or margin < self._extreme
+            self.passes += int(np.count_nonzero(valid >= -self.tol))
+            extreme = float(valid[np.argmin(valid)])
+            better = self._extreme is None or extreme < self._extreme
         if better:
-            self._extreme = margin
-
-    def add_many(self, margins):
-        for m in np.asarray(margins, dtype=float).ravel():
-            self.add(m)
+            self._extreme = extreme
 
     @property
     def worst(self):
@@ -129,20 +133,35 @@ def _counts_by_n(trials, n_lo=2, n_hi=8):
     return {n_lo + i: base + (1 if i < extra else 0) for i in range(span)}
 
 
-def _abs_sigma(lam, m):
-    """sigma_m(|lambda|): the absolute-value sum of the sigma_m terms."""
-    if m == 0:
-        return 1.0
-    return symmfunc.sigma(np.abs(lam), m)
+def _pick(table, idx):
+    """table[r, idx[r]] for every row r."""
+    return np.take_along_axis(table, idx[:, None], axis=1)[:, 0]
 
 
-def _elem_deleted(calc, row, i):
-    """elementary_all of row with the 0-based entry i removed, tolerant
-    of the length-1 remainder at n = 2."""
-    rest = np.delete(row, i)
-    if rest.size >= 2:
+def _abs_elem(rows):
+    """sigma_0..sigma_n of |lambda| per row: sigma_m(|lambda|) is the
+    absolute-value sum of the sigma_m terms."""
+    return symmfunc.elementary_all(np.abs(rows))
+
+
+def _elem_deleted(calc, rest):
+    """elementary_all of deleted lists (last axis), tolerant of the
+    length-1 remainder at n = 2."""
+    if rest.shape[-1] >= 2:
         return calc.elementary_all(rest)
-    return np.array([1.0, float(rest[0])])
+    return np.stack([np.ones(rest.shape[:-1]), rest[..., 0]], axis=-1)
+
+
+def _libm_pow(base, exponent):
+    """base ** exponent value by value, through the C library's pow as
+    for numpy scalars; numpy's vectorized power rounds differently in
+    the last bit on some CPUs."""
+    return np.array([b ** x for b, x in zip(base, exponent.tolist())])
+
+
+def _max(*terms):
+    """Elementwise max(terms[0], terms[1], ...), folded left to right."""
+    return functools.reduce(np.maximum, terms)
 
 
 def _groups(rng, trials, k_range, sample, n_lo=2, n_hi=8):
@@ -170,62 +189,71 @@ def _cone_rows(rng, **filters):
                                                        **filters)
 
 
-def _conjugated(rng, lam):
-    """Symmetric matrix with spectrum `lam`, random orthogonal frame."""
-    q, _ = np.linalg.qr(rng.standard_normal((lam.size, lam.size)))
-    A = (q * lam) @ q.T
-    return 0.5 * (A + A.T)
+def _conjugated(rng, lams):
+    """Symmetric matrices with the spectra `lams` (one per row), each in
+    its own random orthogonal frame.  The one (c, n, n) normal draw is
+    the c per-matrix draws in stream order."""
+    c, n = lams.shape
+    q, _ = np.linalg.qr(rng.standard_normal((c, n, n)))
+    A = (q * lams[:, None, :]) @ np.swapaxes(q, -1, -2)
+    return 0.5 * (A + np.swapaxes(A, -1, -2))
+
+
+def _box_rows(rng, trials, m_lo, m_hi):
+    """Yield (n, rows, ms): box rows and one order m in [m_lo, m_hi(n)]
+    per row, for each dimension of the cycle."""
+    for n, count in _counts_by_n(trials).items():
+        rows = rng.uniform(_BOX_LO, _BOX_HI, size=(count, n))
+        ms = rng.integers(m_lo, m_hi(n) + 1, size=count)
+        if count > 0:
+            yield n, rows, ms
 
 
 def _prop_deletion_identity(rng, trials, calc):
     """sigma_m = sigma_m(lam|i) + lam_i sigma_{m-1}(lam|i) for every i."""
     tally = _Tally("identity", IDENTITY_RTOL)
-    for n, count in _counts_by_n(trials).items():
-        rows = rng.uniform(_BOX_LO, _BOX_HI, size=(count, n))
-        ms = rng.integers(1, n + 1, size=count)
-        for row, m in zip(rows, ms):
-            m = int(m)
-            full = calc.sigma(row, m)
-            scale = max(1.0, _abs_sigma(row, m))
-            worst = 0.0
-            for i in range(n):
-                e = _elem_deleted(calc, row, i)
-                deleted = e[m] if m <= n - 1 else 0.0
-                part = deleted + row[i] * e[m - 1]
-                worst = max(worst, abs(full - part))
-            tally.add(worst / scale)
+    for n, rows, ms in _box_rows(rng, trials, 1, lambda n: n):
+        full = _pick(calc.elementary_all(rows), ms)
+        scale = np.maximum(1.0, _pick(_abs_elem(rows), ms))
+        dele = _elem_deleted(calc, symmfunc.omit_each(rows))
+        worst = np.zeros(rows.shape[0])
+        for i in range(n):
+            e = dele[:, i]
+            deleted = np.where(ms <= n - 1, _pick(e, np.minimum(ms, n - 1)),
+                               0.0)
+            part = deleted + rows[:, i] * _pick(e, ms - 1)
+            worst = np.maximum(worst, np.abs(full - part))
+        tally.add_many(worst / scale)
     return tally
 
 
 def _prop_weighted_deletion_sum(rng, trials, calc):
     """sum_i lam_i sigma_{m-1}(lam|i) = m sigma_m."""
     tally = _Tally("identity", IDENTITY_RTOL)
-    for n, count in _counts_by_n(trials).items():
-        rows = rng.uniform(_BOX_LO, _BOX_HI, size=(count, n))
-        ms = rng.integers(1, n + 1, size=count)
-        for row, m in zip(rows, ms):
-            m = int(m)
-            lhs = sum(row[i] * _elem_deleted(calc, row, i)[m - 1]
-                      for i in range(n))
-            rhs = m * calc.sigma(row, m)
-            scale = max(1.0, m * _abs_sigma(row, m))
-            tally.add(abs(lhs - rhs) / scale)
+    for n, rows, ms in _box_rows(rng, trials, 1, lambda n: n):
+        dele = _elem_deleted(calc, symmfunc.omit_each(rows))
+        # Summed left to right like the one-trial sum; np.sum would pair
+        # the terms for n = 8 and round differently.
+        lhs = np.zeros(rows.shape[0])
+        for i in range(n):
+            lhs = lhs + rows[:, i] * _pick(dele[:, i], ms - 1)
+        rhs = ms * _pick(calc.elementary_all(rows), ms)
+        scale = np.maximum(1.0, ms * _pick(_abs_elem(rows), ms))
+        tally.add_many(np.abs(lhs - rhs) / scale)
     return tally
 
 
 def _prop_deletion_count_sum(rng, trials, calc):
     """sum_i sigma_m(lam|i) = (n - m) sigma_m."""
     tally = _Tally("identity", IDENTITY_RTOL)
-    for n, count in _counts_by_n(trials).items():
-        rows = rng.uniform(_BOX_LO, _BOX_HI, size=(count, n))
-        ms = rng.integers(1, n, size=count)
-        for row, m in zip(rows, ms):
-            m = int(m)
-            lhs = sum(_elem_deleted(calc, row, i)[m]
-                      for i in range(n))
-            rhs = (n - m) * calc.sigma(row, m)
-            scale = max(1.0, (n - m) * _abs_sigma(row, m))
-            tally.add(abs(lhs - rhs) / scale)
+    for n, rows, ms in _box_rows(rng, trials, 1, lambda n: n - 1):
+        dele = _elem_deleted(calc, symmfunc.omit_each(rows))
+        lhs = np.zeros(rows.shape[0])
+        for i in range(n):
+            lhs = lhs + _pick(dele[:, i], ms)
+        rhs = (n - ms) * _pick(calc.elementary_all(rows), ms)
+        scale = np.maximum(1.0, (n - ms) * _pick(_abs_elem(rows), ms))
+        tally.add_many(np.abs(lhs - rhs) / scale)
     return tally
 
 
@@ -236,7 +264,7 @@ def _prop_sigma_matches_enumeration(rng, trials, calc):
         if count == 0:
             continue
         rows = rng.uniform(_BOX_LO, _BOX_HI, size=(count, n))
-        fast = np.array([calc.elementary_all(row) for row in rows])
+        fast = calc.elementary_all(rows)
         margins = np.zeros(count)
         for m in range(1, n + 1):
             brute = oracle.sigma_brute_rows(rows, m)
@@ -252,12 +280,11 @@ def _prop_descending_minor_chain(rng, trials, calc):
     one is positive."""
     tally = _Tally("bound", BOUND_SLACK)
     for n, k, rows in _groups(rng, trials, lambda n: (1, n), _cone_rows(rng)):
-        for row in rows:
-            d = np.array([calc.sigma_omit(row, k - 1, i)
-                          for i in range(1, n + 1)])
-            scale = max(1.0, float(np.max(np.abs(d))))
-            slack = min(float(np.min(np.diff(d))), float(d[0]))
-            tally.add(slack / scale)
+        each = np.broadcast_to(rows[:, None, :], (rows.shape[0], n, n))
+        d = calc.sigma_omit(each, k - 1, np.arange(1, n + 1))
+        scale = np.maximum(1.0, np.max(np.abs(d), axis=1))
+        slack = np.minimum(np.min(np.diff(d, axis=1), axis=1), d[:, 0])
+        tally.add_many(slack / scale)
     return tally
 
 
@@ -267,13 +294,12 @@ def _prop_sorted_product_bound(rng, trials, calc):
     tally = _Tally("bound", BOUND_SLACK)
     for n, k, rows in _groups(rng, trials, lambda n: (1, n), _cone_rows(rng)):
         cnk = math.comb(n, k)
-        for row in rows:
-            pos = float(row[k - 1]) / max(1.0, abs(float(row[0])))
-            prod = float(np.prod(row[:k]))
-            sk = calc.sigma(row, k)
-            scale = max(1.0, cnk * float(np.prod(np.abs(row[:k]))),
-                        _abs_sigma(row, k))
-            tally.add(min(pos, (cnk * prod - sk) / scale))
+        pos = rows[:, k - 1] / np.maximum(1.0, np.abs(rows[:, 0]))
+        prod = np.prod(rows[:, :k], axis=1)
+        sk = calc.sigma(rows, k)
+        scale = _max(1.0, cnk * np.prod(np.abs(rows[:, :k]), axis=1),
+                      _abs_elem(rows)[:, k])
+        tally.add_many(np.minimum(pos, (cnk * prod - sk) / scale))
     return tally
 
 
@@ -281,10 +307,9 @@ def _prop_leading_entry_share(rng, trials, calc):
     """lam_1 sigma_{k-1}(lam|1) >= (k/n) sigma_k on sorted Gamma_k."""
     tally = _Tally("bound", BOUND_SLACK)
     for n, k, rows in _groups(rng, trials, lambda n: (1, n), _cone_rows(rng)):
-        for row in rows:
-            lhs = float(row[0]) * calc.sigma_omit(row, k - 1, 1)
-            rhs = (k / n) * calc.sigma(row, k)
-            tally.add((lhs - rhs) / max(1.0, abs(lhs), abs(rhs)))
+        lhs = rows[:, 0] * calc.sigma_omit(rows, k - 1, 1)
+        rhs = (k / n) * calc.sigma(rows, k)
+        tally.add_many((lhs - rhs) / _max(1.0, np.abs(lhs), np.abs(rhs)))
     return tally
 
 
@@ -294,23 +319,37 @@ def _prop_normalized_quotient_monotone(rng, trials, calc):
     k > l, r > s, k >= r, l >= s, on Gamma_k."""
     tally = _Tally("bound", BOUND_SLACK)
     for n, k, rows in _groups(rng, trials, lambda n: (1, n), _cone_rows(rng)):
-        ls = rng.integers(0, k, size=rows.shape[0])
-        rs = rng.integers(1, k + 1, size=rows.shape[0])
-        for row, l, r in zip(rows, ls, rs):
-            l, r = int(l), int(r)
-            s = int(rng.integers(0, min(l, r - 1) + 1))
-            e = calc.elementary_all(row)
+        c = rows.shape[0]
+        ls = rng.integers(0, k, size=c)
+        rs = rng.integers(1, k + 1, size=c)
+        ss = rng.integers(0, np.minimum(ls, rs - 1) + 1)
+        e = calc.elementary_all(rows)
+        comb = np.array([math.comb(n, a) for a in range(n + 1)], dtype=float)
 
-            def mean(a, b):
-                num = e[a] / math.comb(n, a)
-                den = e[b] / math.comb(n, b)
-                if num <= 0.0 or den <= 0.0:
-                    return float("nan")
-                return (num / den) ** (1.0 / (a - b))
+        def mean(a, b):
+            num = _pick(e, a) / comb[a]
+            den = _pick(e, b) / comb[b]
+            out = np.full(c, np.nan)
+            ok = ~((num <= 0.0) | (den <= 0.0))
+            out[ok] = _libm_pow(num[ok] / den[ok], 1.0 / (a - b)[ok])
+            return out
 
-            hi, lo = mean(r, s), mean(k, l)
-            tally.add((hi - lo) / max(1.0, abs(hi), abs(lo)))
+        hi, lo = mean(rs, ss), mean(np.full(c, k), ls)
+        tally.add_many((hi - lo) / _max(1.0, np.abs(hi), np.abs(lo)))
     return tally
+
+
+def _deletion_slack(calc, rows, orders, weight):
+    """Per row, the least over m in `orders` of
+    (sigma_m(lam|1) - weight sigma_m) / max(1, sigma_m(|lam|))."""
+    full = calc.elementary_all(rows)
+    part = _elem_deleted(calc, rows[:, 1:])
+    abs_e = _abs_elem(rows)
+    slack = np.full(rows.shape[0], math.inf)
+    for m in orders:
+        scale = np.maximum(1.0, abs_e[:, m])
+        slack = np.minimum(slack, (part[:, m] - weight * full[:, m]) / scale)
+    return slack
 
 
 def _prop_negative_entry_deletion(rng, trials, calc):
@@ -319,14 +358,7 @@ def _prop_negative_entry_deletion(rng, trials, calc):
     tally = _Tally("bound", BOUND_SLACK)
     for n, k, rows in _groups(rng, trials, lambda n: (1, n - 1),
                               _cone_rows(rng, min_negative=True)):
-        for row in rows:
-            full = calc.elementary_all(row)
-            part = _elem_deleted(calc, row, 0)
-            slack = math.inf
-            for m in range(1, k + 1):
-                scale = max(1.0, _abs_sigma(row, m))
-                slack = min(slack, (part[m] - full[m]) / scale)
-            tally.add(slack)
+        tally.add_many(_deletion_slack(calc, rows, range(1, k + 1), 1.0))
     return tally
 
 
@@ -337,12 +369,10 @@ def _prop_negative_entry_gradient(rng, trials, calc):
     for n, k, rows in _groups(rng, trials, lambda n: (1, n - 1),
                               _cone_rows(rng, min_negative=True)):
         ls = rng.integers(0, k, size=rows.shape[0])
-        for row, l in zip(rows, ls):
-            l = int(l)
-            g = calc.d_quotient(row, k, l)
-            rhs = (n / k) * ((k - l) / (n - l)) / (n - k + 1) * float(g.sum())
-            lhs = float(g[0])
-            tally.add((lhs - rhs) / max(1.0, abs(lhs), abs(rhs)))
+        g = calc.d_quotient(rows, k, ls)
+        rhs = (n / k) * ((k - ls) / (n - ls)) / (n - k + 1) * g.sum(axis=1)
+        lhs = g[:, 0]
+        tally.add_many((lhs - rhs) / _max(1.0, np.abs(lhs), np.abs(rhs)))
     return tally
 
 
@@ -351,12 +381,13 @@ def _arrow_groups(rng, trials):
                    lambda n, k, c: oracle.sample_arrowhead_batch(n, k, rng, c))
 
 
-def _arrow_derivatives(calc, A, k, l):
-    """(dq/da_11, sum_i dq/da_ii) for q = sigma_k/sigma_l at an
+def _arrow_derivatives(calc, mats, k, ls):
+    """(dq/da_11, sum_i dq/da_ii) for q = sigma_k/sigma_l at each
     arrowhead matrix, through the spectral derivative formula."""
-    lam, Q = np.linalg.eigh(A)
-    g = calc.d_quotient(lam, k, l)
-    return float(Q[0] ** 2 @ g), float(g.sum())
+    lam, Q = np.linalg.eigh(mats)
+    g = calc.d_quotient(lam, k, ls)
+    d11 = ((Q[:, 0, :] ** 2)[:, None, :] @ g[:, :, None])[:, 0, 0]
+    return d11, g.sum(axis=1)
 
 
 def _prop_arrowhead_gradient_share(rng, trials, calc):
@@ -366,11 +397,9 @@ def _prop_arrowhead_gradient_share(rng, trials, calc):
     tally = _Tally("bound", BOUND_SLACK)
     for n, k, mats in _arrow_groups(rng, trials):
         ls = rng.integers(0, k, size=mats.shape[0])
-        for A, l in zip(mats, ls):
-            l = int(l)
-            d11, total = _arrow_derivatives(calc, A, k, l)
-            rhs = (n / k) * ((k - l) / (n - l)) / (n - k + 1) * total
-            tally.add((d11 - rhs) / max(1.0, abs(d11), abs(rhs)))
+        d11, total = _arrow_derivatives(calc, mats, k, ls)
+        rhs = (n / k) * ((k - ls) / (n - ls)) / (n - k + 1) * total
+        tally.add_many((d11 - rhs) / _max(1.0, np.abs(d11), np.abs(rhs)))
     return tally
 
 
@@ -380,11 +409,11 @@ def _prop_arrowhead_trace_floor(rng, trials, calc):
     tally = _Tally("bound", BOUND_SLACK)
     for n, k, mats in _arrow_groups(rng, trials):
         ls = rng.integers(0, k, size=mats.shape[0])
-        for A, l in zip(mats, ls):
-            l = int(l)
-            _, total = _arrow_derivatives(calc, A, k, l)
-            floor = ((k - l) / k) / math.comb(n, l) * (-A[0, 0]) ** (k - l - 1)
-            tally.add((total - floor) / max(1.0, total, floor))
+        _, total = _arrow_derivatives(calc, mats, k, ls)
+        comb = np.array([math.comb(n, l) for l in range(k)], dtype=float)
+        floor = (((k - ls) / k) / comb[ls]
+                 * _libm_pow(-mats[:, 0, 0], k - ls - 1))
+        tally.add_many((total - floor) / _max(1.0, total, floor))
     return tally
 
 
@@ -401,15 +430,8 @@ def _prop_pinched_deletion(rng, trials, calc):
     tally = _Tally("bound", BOUND_SLACK)
     for n, k, rows in _groups(rng, trials, lambda n: (2, n - 1),
                               _cone_rows(rng, pinch=_PINCH), n_lo=3):
-        c0 = _pinch_c0(n)
-        for row in rows:
-            full = calc.elementary_all(row)
-            part = _elem_deleted(calc, row, 0)
-            slack = math.inf
-            for m in range(1, k):
-                scale = max(1.0, _abs_sigma(row, m))
-                slack = min(slack, (part[m] - c0 * full[m]) / scale)
-            tally.add(slack)
+        tally.add_many(_deletion_slack(calc, rows, range(1, k),
+                                       _pinch_c0(n)))
     return tally
 
 
@@ -422,13 +444,21 @@ def _prop_pinched_gradient(rng, trials, calc):
                               _cone_rows(rng, pinch=_PINCH), n_lo=3):
         c0 = _pinch_c0(n)
         ls = rng.integers(0, k, size=rows.shape[0])
-        for row, l in zip(rows, ls):
-            l = int(l)
-            g = calc.d_quotient(row, k, l)
-            c1 = (n / k) * ((k - l) / (n - l)) * c0**2 / (n - k + 1)
-            lhs, rhs = float(g[0]), c1 * float(g.sum())
-            tally.add((lhs - rhs) / max(1.0, abs(lhs), abs(rhs)))
+        g = calc.d_quotient(rows, k, ls)
+        c1 = (n / k) * ((k - ls) / (n - ls)) * c0**2 / (n - k + 1)
+        lhs, rhs = g[:, 0], c1 * g.sum(axis=1)
+        tally.add_many((lhs - rhs) / _max(1.0, np.abs(lhs), np.abs(rhs)))
     return tally
+
+
+def _log_quotients(calc, mats, k, ls, ok):
+    """(value, F) of calc.log_quotient_matrix for the rows where `ok`;
+    nan elsewhere."""
+    vals = np.full(mats.shape[0], np.nan)
+    F = np.full(mats.shape, np.nan)
+    if ok.any():
+        vals[ok], F[ok] = calc.log_quotient_matrix(mats[ok], k, ls[ok])
+    return vals, F
 
 
 def _prop_midpoint_concavity(rng, trials, calc):
@@ -439,19 +469,17 @@ def _prop_midpoint_concavity(rng, trials, calc):
             rng, trials, lambda n: (1, n),
             lambda n, k, c: oracle.sample_gamma_k_batch(n, k, rng, 2 * c)):
         ls = rng.integers(0, k, size=rows.shape[0] // 2)
-        for p, l in enumerate(ls):
-            l = int(l)
-            A = _conjugated(rng, rows[2 * p])
-            B = _conjugated(rng, rows[2 * p + 1])
-            try:
-                va = calc.log_quotient_matrix(A, k, l)[0]
-                vb = calc.log_quotient_matrix(B, k, l)[0]
-                vm = calc.log_quotient_matrix(0.5 * (A + B), k, l)[0]
-            except symmfunc.AdmissibilityError:
-                tally.add(float("nan"))
-                continue
-            slack = vm - 0.5 * (va + vb)
-            tally.add(slack / max(1.0, abs(va), abs(vb), abs(vm)))
+        mats = _conjugated(rng, rows)
+        A, B = mats[0::2], mats[1::2]
+        trio = np.concatenate([A, B, 0.5 * (A + B)])
+        # A trial whose pair or midpoint leaves the cone fails with nan.
+        inside = symmfunc.in_gamma_k(symmfunc.eigen_sym(trio)[0], k)
+        ok = np.tile(inside.reshape(3, -1).all(axis=0), 3)
+        vals, _ = _log_quotients(calc, trio, k, np.tile(ls, 3), ok)
+        va, vb, vm = vals.reshape(3, -1)
+        slack = vm - 0.5 * (va + vb)
+        scale = _max(1.0, np.abs(va), np.abs(vb), np.abs(vm))
+        tally.add_many(slack / scale)
     return tally
 
 
@@ -461,11 +489,10 @@ def _prop_derivative_matrix_definite(rng, trials, calc):
     tally = _Tally("bound", BOUND_SLACK)
     for n, k, rows in _groups(rng, trials, lambda n: (1, n), _cone_rows(rng)):
         ls = rng.integers(0, k, size=rows.shape[0])
-        for row, l in zip(rows, ls):
-            A = _conjugated(rng, row)
-            _, F = calc.log_quotient_matrix(A, k, int(l))
-            w = np.linalg.eigvalsh(F)
-            tally.add(float(w[0]) / max(1.0, float(w[-1])))
+        mats = _conjugated(rng, rows)
+        _, F = calc.log_quotient_matrix(mats, k, ls)
+        w = np.linalg.eigvalsh(F)
+        tally.add_many(w[:, 0] / np.maximum(1.0, w[:, -1]))
     return tally
 
 
@@ -481,17 +508,18 @@ def _interior_rows(rng, n, k, count):
     with curvature bounded in terms of the margin alone.
     """
     out = []
+    have = 0
     rounds = 0
-    while len(out) < count:
+    while have < count:
         rows = oracle.sample_gamma_k_batch(n, k, rng, count)
-        for row in rows:
-            if oracle.in_gamma_brute(row - _FD_MARGIN, k):
-                out.append(row)
+        kept = rows[oracle._rows_in_gamma(rows - _FD_MARGIN, k)]
+        out.append(kept)
+        have += kept.shape[0]
         rounds += 1
         if rounds > 200:
             raise ValueError("sampling constraint too tight: "
                              f"interior n={n} k={k}")
-    return np.array(out[:count])
+    return np.concatenate(out)[:count]
 
 
 def _prop_derivative_matrix_matches_fd(rng, trials, calc):
@@ -501,16 +529,17 @@ def _prop_derivative_matrix_matches_fd(rng, trials, calc):
     for n, k, rows in _groups(rng, trials, lambda n: (1, n),
                               functools.partial(_interior_rows, rng), n_hi=4):
         ls = rng.integers(0, k, size=rows.shape[0])
-        for row, l in zip(rows, ls):
-            l = int(l)
-            A = _conjugated(rng, row)
+        mats = _conjugated(rng, rows)
+        # A trial whose stencil cannot stay in the cone fails with nan.
+        fd = np.full(mats.shape, np.nan)
+        ok = np.ones(ls.size, dtype=bool)
+        for p, (A, l) in enumerate(zip(mats, ls)):
             try:
-                fd = oracle.fij_fd(A, k, l)
+                fd[p] = oracle.fij_fd(A, k, int(l))
             except ValueError:
-                tally.add(float("nan"))
-                continue
-            _, F = calc.log_quotient_matrix(A, k, l)
-            tally.add(float(np.max(np.abs(F - fd))))
+                ok[p] = False
+        _, F = _log_quotients(calc, mats, k, ls, ok)
+        tally.add_many(np.max(np.abs(F - fd), axis=(1, 2)))
     return tally
 
 
@@ -572,7 +601,7 @@ class _ShadowCalc:
     @staticmethod
     def _corrupt(lam):
         arr = np.array(lam, dtype=float)
-        arr[0] = -arr[0]
+        arr[..., 0] = -arr[..., 0]
         return arr
 
     def sigma(self, lam, m):

@@ -2,7 +2,8 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from hqflow import oracle, symmfunc as sf
 
@@ -265,3 +266,178 @@ def test_weighted_deletion_sums(lam):
         terms = [sf.sigma_omit(lam, k, i) for i in range(1, n + 1)]
         target = (n - k) * sf.sigma(lam, k)
         assert abs(sum(terms) - target) <= 1e-12 * _term_scale(target, *terms)
+
+
+# Batched calculus: a stack of lists must give, list by list, exactly the
+# numbers of the one-list expansion loop transcribed below.
+
+def _expand_one(values, mmax):
+    e = [0.0] * (mmax + 1)
+    e[0] = 1.0
+    for i, v in enumerate(values):
+        for j in range(min(i + 1, mmax), 0, -1):
+            e[j] += v * e[j - 1]
+    return e
+
+
+def _d_quotient_one(lam, k, l):
+    e = _expand_one(lam, k)
+    sk, sl = e[k], (1.0 if l == 0 else e[l])
+    out = np.empty(lam.size)
+    for i in range(lam.size):
+        d = _expand_one(np.delete(lam, i), k - 1)
+        slm1 = 0.0 if l == 0 else d[l - 1]
+        out[i] = (d[k - 1] * sl - sk * slm1) / (sl * sl)
+    return out
+
+
+def _log_quotient_matrix_one(A, k, l):
+    lam, Q = np.linalg.eigh(A)
+    lam, Q = lam[::-1], Q[:, ::-1]
+    e = _expand_one(lam, k)
+    quo = e[k] / (1.0 if l == 0 else e[l])
+    F = (Q * (_d_quotient_one(lam, k, l) / quo)) @ Q.T
+    return math.log(quo), 0.5 * (F + F.T)
+
+
+def _per_list(fn, stack, *indices, tail_dims=1):
+    """fn(item, *index values) over the lists (or matrices) of a stack;
+    each index is one integer or one per list."""
+    batch = stack.shape[:stack.ndim - tail_dims]
+    flat = stack.reshape((-1,) + stack.shape[len(batch):])
+    idx = [np.broadcast_to(i, batch).ravel() for i in indices]
+    out = [fn(item, *(int(v[p]) for v in idx)) for p, item in enumerate(flat)]
+    return out, batch
+
+
+def _ref_array(fn, stack, *indices, tail_dims=1):
+    out, batch = _per_list(fn, stack, *indices, tail_dims=tail_dims)
+    out = np.array(out)
+    return out.reshape(batch + out.shape[1:])
+
+
+_batch_shapes = st.sampled_from([(), (1,), (4,), (2, 3), (3, 1)])
+
+
+def _index(draw, batch, lo, hi):
+    """One index in [lo, hi], or an array of one per list."""
+    if draw(st.booleans()):
+        return draw(st.integers(lo, hi))
+    return draw(hnp.arrays(np.int64, batch, elements=st.integers(lo, hi)))
+
+
+@st.composite
+def _stacks(draw):
+    n = draw(st.integers(2, 8))
+    shape = draw(_batch_shapes) + (n,)
+    values = st.floats(-3.0, 3.0, allow_nan=False)
+    return draw(hnp.arrays(np.float64, shape, elements=values))
+
+
+@st.composite
+def _cone_stacks(draw):
+    """A stack of Gamma_k lists in sign-mixed order, with k and l."""
+    n = draw(st.integers(2, 8))
+    k = draw(st.integers(1, n))
+    batch = draw(_batch_shapes)
+    l = _index(draw, batch, 0, k - 1)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    count = int(np.prod(batch, dtype=int))
+    rows = oracle.sample_gamma_k_batch(n, k, rng, count)
+    rows = rng.permuted(rows, axis=1)
+    return rows.reshape(batch + (n,)), k, l, rng
+
+
+@settings(max_examples=150, deadline=None)
+@given(_stacks(), st.data())
+def test_stacked_sigma_tables_are_bitwise_per_list(lam, data):
+    n = lam.shape[-1]
+    m = data.draw(st.integers(0, n))
+    i = _index(data.draw, lam.shape[:-1], 1, n)
+    mo = data.draw(st.integers(0, n - 1))
+    assert np.array_equal(sf.sigma(lam, m),
+                          _ref_array(lambda r: _expand_one(r, m)[m], lam))
+    assert np.array_equal(sf.elementary_all(lam),
+                          _ref_array(lambda r: _expand_one(r, n), lam))
+    assert np.array_equal(
+        sf.sigma_omit(lam, mo, i),
+        _ref_array(lambda r, i: _expand_one(np.delete(r, i - 1), mo)[mo],
+                   lam, i))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_cone_stacks())
+def test_stacked_quotients_are_bitwise_per_list(case):
+    lam, k, l, _ = case
+
+    def quotient_one(r, l):
+        e = _expand_one(r, k)
+        return e[k] / (1.0 if l == 0 else e[l])
+
+    assert np.array_equal(sf.quotient(lam, k, l),
+                          _ref_array(quotient_one, lam, l))
+    assert np.array_equal(
+        sf.d_quotient(lam, k, l),
+        _ref_array(lambda r, l: _d_quotient_one(r, k, l), lam, l))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_cone_stacks())
+def test_stacked_log_quotient_matrix_is_bitwise_per_matrix(case):
+    lam, k, l, rng = case
+    n = lam.shape[-1]
+    q, _ = np.linalg.qr(rng.standard_normal(lam.shape + (n,)))
+    A = (q * lam[..., None, :]) @ np.swapaxes(q, -1, -2)
+    A = 0.5 * (A + np.swapaxes(A, -1, -2))
+    flat = A.reshape(-1, n, n)
+    assume(all(oracle.in_gamma_brute(np.linalg.eigvalsh(M), k)
+                and sf.in_gamma_k(sf.eigen_sym(M)[0], k) for M in flat))
+    vals, F = sf.log_quotient_matrix(A, k, l)
+    refs, batch = _per_list(lambda M, l: _log_quotient_matrix_one(M, k, l),
+                            A, l, tail_dims=2)
+    assert np.array_equal(vals, np.array([r[0] for r in refs]).reshape(batch))
+    assert np.array_equal(
+        F, np.array([r[1] for r in refs]).reshape(batch + (n, n)))
+    if not batch:
+        assert type(vals) is float
+
+
+class TestStackedAdmissibility:
+    def test_one_list_outside_the_cone_raises(self):
+        lam = (3.0, 1.0, -1.0)
+        for call in (lambda: sf.quotient(lam, 2, 1),
+                     lambda: sf.d_quotient(lam, 2, 0),
+                     lambda: sf.log_quotient_matrix(np.diag(lam), 2, 1)):
+            with pytest.raises(sf.AdmissibilityError) as err:
+                call()
+            assert err.value.m == 2
+            assert err.value.value == pytest.approx(-1.0)
+
+    def test_stack_reports_its_first_failing_list(self):
+        stack = np.array([[1.0, 1.0, 1.0], [2.0, -3.0, 1.0],
+                          [3.0, 1.0, -1.0]])
+        with pytest.raises(sf.AdmissibilityError) as err:
+            sf.require_gamma_k(stack, 2)
+        assert (err.value.m, err.value.value) == (1, 0.0)
+        with pytest.raises(sf.AdmissibilityError):
+            sf.d_quotient(stack, 2, 1)
+
+    def test_membership_of_a_stack(self):
+        stack = np.array([[[1.0, 1.0, -0.1]], [[3.0, 1.0, -1.0]]])
+        assert sf.in_gamma_k(stack, 2).tolist() == [[True], [False]]
+        assert sf.in_gamma_k(stack[0, 0], 2) is True
+
+    def test_per_list_indices_are_checked(self):
+        lam = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
+        with pytest.raises(ValueError, match="0 <= l < k <= n"):
+            sf.d_quotient(lam, 2, np.array([0, 2]))
+        with pytest.raises(ValueError, match="must be integers"):
+            sf.quotient(lam, 2, np.array([0.0, 1.0]))
+        with pytest.raises(ValueError, match="out of range"):
+            sf.sigma_omit(lam, 1, np.array([1, 4]))
+
+    def test_omit_each_lists_every_deletion(self):
+        lam = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
+        out = sf.omit_each(lam)
+        assert out.shape == (2, 3, 2)
+        assert out[1].tolist() == [[5.0, 6.0], [4.0, 6.0], [4.0, 5.0]]

@@ -143,3 +143,52 @@ class TestInteriorSampling:
         rows = verify._interior_rows(rng, 3, 3, 50)
         assert rows.shape == (50, 3)
         assert float(rows.min()) > verify._FD_MARGIN
+
+
+# The planted sign fault (sigma sees entry 0 of each list negated) breaks
+# exactly these seven properties at 200 trials and seeds 0, 1 and 101; the
+# other ten pass under it.  The pass counts were measured with the
+# one-trial-at-a-time suite; a fault planted on the wrong axis of a stack
+# (say, all of a stack's first list) keeps the set but not the counts.
+_SHADOW_PASSES = {
+    0: {"deletion_count_sum": 0, "deletion_identity": 27,
+        "negative_entry_deletion": 33, "normalized_quotient_monotone": 25,
+        "pinched_deletion": 17, "sigma_matches_enumeration": 0,
+        "weighted_deletion_sum": 33},
+    1: {"deletion_count_sum": 0, "deletion_identity": 37,
+        "negative_entry_deletion": 22, "normalized_quotient_monotone": 12,
+        "pinched_deletion": 17, "sigma_matches_enumeration": 0,
+        "weighted_deletion_sum": 30},
+    101: {"deletion_count_sum": 0, "deletion_identity": 33,
+          "negative_entry_deletion": 19, "normalized_quotient_monotone": 23,
+          "pinched_deletion": 17, "sigma_matches_enumeration": 0,
+          "weighted_deletion_sum": 41},
+}
+
+
+class TestShadowCalc:
+    @pytest.mark.parametrize("seed", [0, 1, 101])
+    def test_planted_fault_fails_exactly_the_sigma_properties(self, seed):
+        res = verify.run_suite(trials=200, seed=seed,
+                               calc=verify._ShadowCalc())
+        failed = {name: r.passes for name, r in res.items() if not r.ok}
+        assert set(failed) == {
+            "deletion_count_sum", "deletion_identity",
+            "negative_entry_deletion", "normalized_quotient_monotone",
+            "pinched_deletion", "sigma_matches_enumeration",
+            "weighted_deletion_sum"}
+        assert failed == _SHADOW_PASSES[seed]
+
+    def test_corrupts_entry_zero_of_every_list_of_a_stack(self):
+        stack = np.arange(1.0, 13.0).reshape(2, 2, 3)
+        out = verify._ShadowCalc._corrupt(stack)
+        want = stack.copy()
+        want[..., 0] *= -1.0
+        assert np.array_equal(out, want)
+        assert stack[0, 0, 0] == 1.0
+
+    def test_stacked_sigma_sees_each_list_corrupted(self):
+        calc = verify._ShadowCalc()
+        stack = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
+        assert calc.sigma(stack, 1).tolist() == [4.0, 7.0]
+        assert calc.elementary_all(stack)[:, 3].tolist() == [-6.0, -120.0]
