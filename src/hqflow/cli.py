@@ -63,9 +63,8 @@ KNOWN_KEYS = frozenset({
     "problem.growth_rate", "problem.damping_rate",
     "problem.require_nonnegative_initial_speed",
     "grid.n_r", "grid.n_theta", "grid.n",
-    "flow.mode", "flow.cfl", "flow.t_max", "flow.tol_steady",
-    "flow.tol_trans", "flow.window", "flow.checkpoint_every",
-    "flow.mean_shift",
+    "flow.mode", "flow.t_max", "flow.tol_steady", "flow.tol_trans",
+    "flow.window", "flow.checkpoint_every", "flow.mean_shift",
     "eigen.eps0", "eigen.n_halvings", "eigen.tol", "eigen.check_translation",
     "converge.u_star", "converge.resolutions",
     "output.dir", "output.formats",
@@ -238,8 +237,7 @@ def build_spec(cfg, grid):
             u0=cfg.expr("problem.u0", "u0"),
             **_options(cfg, "problem", growth_rate=Config.float_,
                        damping_rate=Config.float_,
-                       require_nonnegative_initial_speed=Config.bool_),
-            **_options(cfg, "flow", cfl=Config.float_))
+                       require_nonnegative_initial_speed=Config.bool_))
     except symmfunc.AdmissibilityError as exc:
         raise ConfigError("problem.u0", str(exc)) from exc
 

@@ -91,8 +91,7 @@ def _damped_spec(spec, eps, u_init=None):
     try:
         return flow.ProblemSpec(spec.grid, spec.k, spec.l, f=f_damped,
                                 phi=spec.phi, u0=u0, growth_rate=eps,
-                                require_nonnegative_initial_speed=False,
-                                cfl=spec.cfl)
+                                require_nonnegative_initial_speed=False)
     except ArgumentError as exc:
         raise ConvergenceError(f"damped solve at eps = {eps:.6g} cannot "
                                f"start: {exc}") from exc
@@ -132,7 +131,7 @@ def solve_regularized(spec, eps, u_init=None, tol=1e-8):
         if steps == _MAX_NEWTON:
             break
         try:
-            du = flow._linearized_solve(mspec, ev.hess, eps, ev.ut)
+            du = flow._linearized_solve(mspec, ev.slopes, eps, ev.ut)
         except np.linalg.LinAlgError as exc:
             raise ConvergenceError(
                 f"damped solve at eps = {eps:.6g}: Newton step {steps + 1} "
@@ -282,8 +281,7 @@ def check_translating_profile(spec, pair, t_max=1.0):
     the worst deviation of u_t from the speed over its steps."""
     pspec = flow.ProblemSpec(spec.grid, spec.k, spec.l, f=spec.f,
                              phi=spec.phi, u0=pair.u_ell,
-                             require_nonnegative_initial_speed=False,
-                             cfl=spec.cfl)
+                             require_nonnegative_initial_speed=False)
     result = flow.run(pspec, mode="translating", t_max=t_max,
                       tol_trans=0.0)
     return max(max(abs(r.max_ut - pair.s), abs(r.min_ut - pair.s))
@@ -297,8 +295,7 @@ def translation_identity(spec, eps0=1.0, tol=1e-8):
     sspec = flow.ProblemSpec(spec.grid, spec.k, spec.l,
                              f=lambda x, y, u: math.e * spec.f(x, y, u),
                              phi=spec.phi, u0=spec.u0_grid,
-                             require_nonnegative_initial_speed=False,
-                             cfl=spec.cfl)
+                             require_nonnegative_initial_speed=False)
     base, shifted = (solve_regularized(s, eps0, tol=tol)[0]
                      for s in (spec, sspec))
     dev = float(np.max(np.abs(shifted - (base - 1.0 / eps0))))

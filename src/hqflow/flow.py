@@ -2,19 +2,20 @@
 - log f(x, u) with the oblique boundary condition u_nu = phi(x, u) on
 convex planar domains.
 
-The right side is evaluated from the closed-form 2x2 eigenvalue pair of
-the discrete Hessian, guarded so the spectrum stays in the Garding cone
-Gamma_k.  `run` advances by linearly-implicit Euler steps (Hairer &
-Wanner, Solving ODEs II, IV.7): each step solves (I/dt - J) du = u_t on
-the interior nodes, where J = F11 Lxx + 2 F12 Lxy + F22 Lyy - diag(f_u/f)
-is the derivative of u_t, F the closed-form derivative of log q at the
-current Hessian and L the closed Hessian of `discretize.hessian_blocks`.
-The boundary is then closed exactly by `discretize.apply_neumann`.  J
-folds in the closure of a u-free phi, so a phi that depends on u makes
-the step a W-method: J is approximate, but the fixed point u_t = 0 of
-the scheme is the exact one.  dt starts at the forward-Euler bound,
-doubles after each accepted step up to 0.25 / max(1, max f_u/f), and a
-step that would leave the cone is retried with a halved dt, up to 20
+The right side is evaluated in closed form from sigma_1 = trace and
+sigma_2 = det of the 2x2 discrete Hessian, guarded so the Hessian stays
+in the Garding cone Gamma_k.  `run` advances by linearly-implicit Euler
+steps (Hairer & Wanner, Solving ODEs II, IV.7): each step solves
+(I/dt - J) du = u_t on the interior nodes, where J = F11 Lxx + 2 F12 Lxy
++ F22 Lyy - diag(f_u/f) is the derivative of u_t, F the closed-form
+derivative of log q at the current Hessian and L the closed Hessian of
+`discretize.hessian_blocks`.  The boundary is then closed exactly by
+`discretize.apply_neumann`.  J folds in the closure of a u-free phi, so
+a phi that depends on u makes the step a W-method: J is approximate, but
+the fixed point u_t = 0 of the scheme is the exact one.  The step needs
+no stability bound: each dt is min(2 dt_prev, 0.25 / max(1, max f_u/f),
+t_max - t), so the first is the cap, and a step that would leave the
+cone or meets a singular system is retried with a halved dt, up to 20
 times, after which the state is declared diverged.  `_linearized_solve`
 is shared with the Newton solver of `elliptic.solve_regularized`.
 
@@ -42,25 +43,21 @@ from .geometry import ArgumentError
 from .symmfunc import AdmissibilityError
 
 __all__ = [
-    "ProblemSpec", "FlowState", "MonitorRecord", "RunResult",
-    "DivergenceError", "rhs", "run", "decay_rate", "monitor_report",
-    "write_monitor_csv",
+    "ProblemSpec", "FlowState", "MonitorRecord", "RunResult", "rhs", "run",
+    "decay_rate", "monitor_report", "write_monitor_csv",
 ]
 
 # a step that leaves the cone is retried with dt halved, this many times
 _MAX_HALVINGS = 20
 _SHIFT_GATE = 1e-7
-# dt doubles up to _DT_CAP / max(1, max f_u/f).  An implicit Euler step
-# damps a mode of rate lam by 1 / (1 + lam dt), so at the cap a mode of
-# rate f_u/f decays at 4 log(1.25) = 0.89 of its true rate per unit time.
+# dt starts at, and doubles back up to, _DT_CAP / max(1, max f_u/f).  An
+# implicit Euler step damps a mode of rate lam by 1 / (1 + lam dt), so at
+# the cap a mode of rate f_u/f decays at 4 log(1.25) = 0.89 of its true
+# rate per unit time.
 _DT_CAP = 0.25
 # A run refuses, before its first step, a t_max that would take more
 # steps than this at the largest dt.
 _MAX_STEPS = 1e8
-
-
-class DivergenceError(RuntimeError):
-    """A run could not start (non-finite speed bound)."""
 
 
 def _interior_slice(grid):
@@ -87,8 +84,7 @@ class ProblemSpec:
     """
 
     def __init__(self, grid, k, l, f, phi, u0, growth_rate=None,
-                 damping_rate=None, require_nonnegative_initial_speed=True,
-                 cfl=0.4):
+                 damping_rate=None, require_nonnegative_initial_speed=True):
         if k not in (1, 2):
             raise ArgumentError("k", f"must be 1 or 2, got {k!r}")
         if l not in range(k):
@@ -103,15 +99,11 @@ class ProblemSpec:
         self.damping_rate = None if damping_rate is None else float(damping_rate)
         self.require_nonnegative_initial_speed = bool(
             require_nonnegative_initial_speed)
-        self.cfl = float(cfl)
         self._interior = _interior_slice(grid)
         self._validate()
 
     def _validate(self):
         grid = self.grid
-        if not (math.isfinite(self.cfl) and self.cfl > 0.0):
-            raise ArgumentError("cfl", f"must be finite and positive, got "
-                                f"{self.cfl:g}")
         if self.growth_rate is not None and not self.growth_rate > 0:
             raise ArgumentError("growth_rate", "must be positive when given")
         if self.damping_rate is not None and not self.damping_rate < 0:
@@ -178,9 +170,6 @@ class ProblemSpec:
                     "u0", f"has the quotient {ev.q[j]:.6g} below f = "
                     f"{fval[j]:.6g} at node {_to_grid_node(self, j)}; the "
                     f"initial speed would be negative")
-        if not _stable_dt(self, ev) > 0.0:
-            raise ArgumentError("cfl", f"is too small, got {self.cfl:g}: "
-                                "the initial time step underflows to 0")
         self.u0_grid = u0c
         self.ut0_max_abs = float(np.max(np.abs(ev.ut)))
         self.monitor_tol = 1e-6 * (1.0 + self.ut0_max_abs)
@@ -217,55 +206,53 @@ def _to_grid_node(spec, idx):
 
 
 class _FieldEval:
-    __slots__ = ("ok", "ok_all", "q", "g_max", "ut", "lam_hi", "lam_lo",
-                 "sigma1", "hess")
+    __slots__ = ("ok", "ok_all", "q", "ut", "sigma1", "sigma2", "slopes",
+                 "hess")
 
-    def __init__(self, ok, q, g_max, ut, lam_hi, lam_lo, sigma1, hess):
+    def __init__(self, ok, q, ut, sigma1, sigma2, slopes, hess):
         self.ok = ok
         self.ok_all = bool(ok.all())
         self.q = q
-        self.g_max = g_max
         self.ut = ut
-        self.lam_hi = lam_hi
-        self.lam_lo = lam_lo
         self.sigma1 = sigma1
+        self.sigma2 = sigma2
+        self.slopes = slopes
         self.hess = hess
 
 
 def _evaluate(spec, u):
-    """Closed-form 2x2 spectral evaluation of the quotient, its log
-    derivative bound, and u_t over interior nodes; `hess` keeps the
-    interior Hessian (hxx, hxy, hyy) it was computed from."""
+    """The closed form of q = sigma_k/sigma_l over interior nodes, from
+    sigma_1 = trace and sigma_2 = det of the 2x2 discrete Hessian A: q,
+    the cone test, u_t = log q - log f, and the `slopes` (F11, 2 F12,
+    F22) of d log q = F11 dhxx + 2 F12 dhxy + F22 dhyy, with F = I/tr A
+    for (1, 0), A^{-1} for (2, 0) and A^{-1} - I/tr A for (2, 1).
+    `hess` keeps the interior Hessian (hxx, hxy, hyy)."""
     grid = spec.grid
     sl = spec._interior
     hxx, hxy, hyy = discretize.hessian(grid, u)
     hxx, hxy, hyy = hxx[sl], hxy[sl], hyy[sl]
     trace = hxx + hyy
     det = hxx * hyy - hxy * hxy
-    half = 0.5 * (hxx - hyy)
-    disc = np.sqrt(half * half + hxy * hxy)
-    lam_hi = 0.5 * trace + disc
-    lam_lo = 0.5 * trace - disc
     eps = 1e-12 * (1.0 + np.abs(trace))
-    k, l = spec.k, spec.l
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        if (k, l) == (1, 0):
+        if spec.k == 1:
             ok = trace > eps
             q = trace
-            g_max = 1.0 / trace
-        elif (k, l) == (2, 0):
-            ok = (trace > eps) & (det > eps)
-            q = det
-            g_max = 1.0 / lam_lo
+            inv = 1.0 / trace
+            slopes = (inv, np.zeros_like(hxy), inv)
         else:
             ok = (trace > eps) & (det > eps)
-            q = det / trace
-            g_max = lam_hi * lam_hi / (trace * det)
+            q = det
+            f11, f22 = hyy / det, hxx / det
+            if spec.l == 1:
+                q = det / trace
+                inv = 1.0 / trace
+                f11, f22 = f11 - inv, f22 - inv
+            slopes = (f11, -2.0 * hxy / det, f22)
         fval = spec.f(grid.x[sl], grid.y[sl], u[sl])
         ut = np.log(q) - np.log(fval)
-    ok = ok & np.isfinite(ut) & np.isfinite(g_max)
-    return _FieldEval(ok, q, g_max, ut, lam_hi, lam_lo, trace,
-                      (hxx, hxy, hyy))
+    ok = ok & np.isfinite(ut)
+    return _FieldEval(ok, q, ut, trace, det, slopes, (hxx, hxy, hyy))
 
 
 def _admissible_evaluate(spec, u, prefix=""):
@@ -280,7 +267,7 @@ def _admissible_evaluate(spec, u, prefix=""):
     if sigma1 <= 1e-12 * (1.0 + abs(sigma1)):
         m, value = 1, sigma1
     else:
-        m, value = 2, float(ev.lam_hi[idx] * ev.lam_lo[idx])
+        m, value = 2, float(ev.sigma2[idx])
     err = AdmissibilityError(m, value, node=node)
     if prefix:
         err.args = (prefix + err.args[0],)
@@ -295,24 +282,6 @@ def rhs(u, spec, t=0.0):
     return out
 
 
-def _stable_dt(spec, ev):
-    """The first dt of a run: the forward-Euler bound cfl h^2 / (4 g_max)
-    of the evaluation `ev`, g_max its largest quotient slope.  h is the
-    lattice spacing on the square, and on the polar grids pi dr / 4
-    times the shorter semi-axis, the arc that the lowest modes resolve
-    on the innermost ring.  The value only sets where the doubling of
-    dt starts."""
-    g = float(np.max(ev.g_max)) if ev.ok_all else float("nan")
-    if not math.isfinite(g) or g <= 0.0:
-        raise DivergenceError(f"speed bound g_max = {g} is not usable")
-    grid = spec.grid
-    if grid.backend == "cartesian":
-        h = grid.h
-    else:
-        h = min(grid.domain.a, grid.domain.b) * math.pi * grid.dr / 4.0
-    return spec.cfl * h**2 / (4.0 * g)
-
-
 def _log_f_slope(spec, u):
     """f_u / f at the interior nodes of u."""
     sl = spec._interior
@@ -323,21 +292,6 @@ def _log_f_slope(spec, u):
 def _dt_cap(slope):
     """The largest dt of a step, given f_u/f at its start."""
     return _DT_CAP / max(1.0, float(np.max(slope)))
-
-
-def _log_quotient_slopes(k, l, hxx, hxy, hyy):
-    """Coefficients (F11, 2 F12, F22) of the derivative d log q =
-    F11 dhxx + 2 F12 dhxy + F22 dhyy of q = sigma_k/sigma_l at the 2x2
-    Hessian A, in closed form: F = I/tr A for (1, 0), A^{-1} for (2, 0)
-    and A^{-1} - I/tr A for (2, 1)."""
-    trace = hxx + hyy
-    if (k, l) == (1, 0):
-        return 1.0 / trace, np.zeros_like(hxy), 1.0 / trace
-    det = hxx * hyy - hxy * hxy
-    f11, f22 = hyy / det, hxx / det
-    if l == 1:
-        f11, f22 = f11 - 1.0 / trace, f22 - 1.0 / trace
-    return f11, -2.0 * hxy / det, f22
 
 
 def _block_thomas(rows, rhs):
@@ -364,10 +318,10 @@ def _block_thomas(rows, rhs):
     return x
 
 
-def _linearized_solve(spec, hess, diag, rhs):
+def _linearized_solve(spec, slopes, diag, rhs):
     """Solve (diag - F11 Lxx - 2 F12 Lxy - F22 Lyy) x = rhs for the
-    interior values x, with F the slopes of log q at the interior
-    Hessian `hess` (`_log_quotient_slopes`) and L the closed Hessian of
+    interior values x, with `slopes` the (F11, 2 F12, F22) of log q of
+    an evaluation (`_evaluate`) and L the closed Hessian of
     `discretize.hessian_blocks`; `diag` is a scalar or one value per
     interior node.  A Newton step of the damped problem passes its
     damping eps and its residual; a time step passes f_u/f + 1/dt and
@@ -375,8 +329,7 @@ def _linearized_solve(spec, hess, diag, rhs):
     (lattice rows on the square); a singular block raises
     np.linalg.LinAlgError."""
     blocks = discretize.hessian_blocks(spec.grid)
-    coef = _log_quotient_slopes(spec.k, spec.l, *hess)
-    diag = np.broadcast_to(diag, coef[0].shape)
+    diag = np.broadcast_to(diag, slopes[0].shape)
     i = np.arange(diag.shape[1])
 
     def rows():
@@ -384,7 +337,7 @@ def _linearized_solve(spec, hess, diag, rhs):
         # time, so no full-size matrix is ever held
         for p in range(len(diag)):
             row = np.zeros_like(blocks[0][p])
-            for c, B in zip(coef, blocks):
+            for c, B in zip(slopes, blocks):
                 row += c[p, None, :, None] * B[p]
             row[1, i, i] -= diag[p]
             yield row
@@ -394,8 +347,8 @@ def _linearized_solve(spec, hess, diag, rhs):
 
 @dataclass
 class FlowState:
-    """A state of a run; `dt` is the step that reached it (the first dt
-    before the first step)."""
+    """A state of a run; `dt` is the step that reached it (inf before the
+    first step, so that the first dt is the cap)."""
     t: float
     u: np.ndarray
     dt: float
@@ -428,14 +381,6 @@ class MonitorRecord:
         return max(abs(self.max_ut), abs(self.min_ut))
 
 
-def _initial(spec):
-    """Closed initial data with the first dt, and its evaluation."""
-    state = FlowState(t=0.0, u=spec.u0_grid.copy(), dt=0.0)
-    ev = _evaluate(spec, state.u)
-    state.dt = _stable_dt(spec, ev)
-    return state, ev
-
-
 def _implicit_update(spec, state, ev, slope, dt):
     """One linearly-implicit Euler step from `state`, given its
     evaluation `ev` and its f_u/f `slope`: (I/dt - J) du = u_t on the
@@ -450,7 +395,8 @@ def _implicit_update(spec, state, ev, slope, dt):
         if state.t + dt == state.t:
             break
         try:
-            du = _linearized_solve(spec, ev.hess, slope + 1.0 / dt, ev.ut)
+            du = _linearized_solve(spec, ev.slopes, slope + 1.0 / dt,
+                                   ev.ut)
         except np.linalg.LinAlgError:
             du = None
         if du is not None:
@@ -471,6 +417,10 @@ def _record(spec, state, ev, prev_u):
     previous record (None at the first)."""
     ut = ev.ut
     gx, gy = discretize.gradient(spec.grid, state.u)
+    hxx, hxy, hyy = ev.hess
+    half = 0.5 * (hxx - hyy)
+    # the spectral radius |tr A|/2 + disc of the 2x2 Hessian A
+    disc = np.sqrt(half * half + hxy * hxy)
     return MonitorRecord(
         t=state.t,
         max_ut=float(np.max(ut)),
@@ -479,8 +429,7 @@ def _record(spec, state, ev, prev_u):
         min_u=float(np.min(state.u)),
         max_u=float(np.max(state.u)),
         sup_grad=float(np.max(np.hypot(gx, gy))),
-        sup_hess=float(np.max(np.maximum(np.abs(ev.lam_hi),
-                                         np.abs(ev.lam_lo)))),
+        sup_hess=float(np.max(0.5 * np.abs(ev.sigma1) + disc)),
         min_quotient=float(np.min(ev.q)),
         osc_u=_osc(state.u),
         gap_osc=None if prev_u is None else _osc(state.u - prev_u),
@@ -528,7 +477,8 @@ def run(spec, mode="steady", t_max=50.0, tol_steady=1e-8, tol_trans=1e-8,
     if not (math.isfinite(t_max) and t_max > 0.0):
         raise ArgumentError("t_max",
                             f"must be finite and positive, got {t_max!r}")
-    state, ev = _initial(spec)
+    state = FlowState(t=0.0, u=spec.u0_grid.copy(), dt=math.inf)
+    ev = _evaluate(spec, state.u)
     slope = _log_f_slope(spec, state.u)
     n_steps = t_max / _dt_cap(slope)
     if n_steps > _MAX_STEPS:
@@ -549,11 +499,8 @@ def run(spec, mode="steady", t_max=50.0, tol_steady=1e-8, tol_trans=1e-8,
     prev_u = state.u
     shifts = 0
     status = mode if stopped() else "t_max"
-    # a dt of 0 (from a spec changed after its validation) ends the run
-    # as diverged at the first step
     while status == "t_max" and state.t < t_max:
-        dt = min(state.dt * (2.0 if state.step_count else 1.0),
-                 _dt_cap(slope), t_max - state.t)
+        dt = min(2.0 * state.dt, _dt_cap(slope), t_max - state.t)
         state, ev = _implicit_update(spec, state, ev, slope, dt)
         if state.diverged:
             status = "diverged"

@@ -610,10 +610,10 @@ class _ShadowCalc:
     def elementary_all(self, lam):
         return symmfunc.elementary_all(self._corrupt(lam))
 
-    sigma_omit = staticmethod(symmfunc.sigma_omit)
-    d_quotient = staticmethod(symmfunc.d_quotient)
-    quotient = staticmethod(symmfunc.quotient)
-    log_quotient_matrix = staticmethod(symmfunc.log_quotient_matrix)
+    def __getattr__(self, name):
+        # the honest rest, looked up on `symmfunc` at each call, so that
+        # a wrapper put on the module later sees these calls too
+        return getattr(symmfunc, name)
 
 
 def self_test(seed=0, trials=200):

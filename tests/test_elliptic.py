@@ -76,16 +76,24 @@ class TestSolveRegularized:
 
     @pytest.mark.parametrize("k, l", [(1, 0), (2, 0), (2, 1)])
     def test_closed_form_slopes_match_symmfunc(self, k, l):
+        # the Newton step runs the slopes of flow._evaluate; on the
+        # square its Hessian of u = x.A x/2 is A at every interior node
+        grid = geometry.build_grid(geometry.Square(1.0), n=9)
+        spec = flow.ProblemSpec(grid, k, l, f="1", phi="1",
+                                u0="(x1^2 + x2^2)/2",
+                                require_nonnegative_initial_speed=False)
         rng = np.random.default_rng(5)
         for _ in range(20):
             m = rng.standard_normal((2, 2))
             a = m @ m.T + 0.1 * np.eye(2)
             _, F = symmfunc.log_quotient_matrix(a, k, l)
-            got = flow._log_quotient_slopes(
-                k, l, *(np.array([v]) for v in (a[0, 0], a[0, 1], a[1, 1])))
+            u = 0.5 * (a[0, 0] * grid.x**2 + 2.0 * a[0, 1] * grid.x * grid.y
+                       + a[1, 1] * grid.y**2)
+            got = flow._evaluate(spec, u).slopes
             want = (F[0, 0], 2.0 * F[0, 1], F[1, 1])
             for g, w in zip(got, want):
-                assert abs(g[0] - w) <= 1e-12 * (1.0 + np.max(np.abs(F)))
+                assert np.max(np.abs(g - w)) <= \
+                    1e-12 * (1.0 + np.max(np.abs(F)))
 
     def test_block_elimination_matches_dense_solve(self):
         rng = np.random.default_rng(2)

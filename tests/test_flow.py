@@ -1,5 +1,5 @@
-"""Flow module tests: right side values against the eigen route,
-stability of the dt rule, guarded stepping, stop rules, monitors."""
+"""Flow module tests: right side values and slopes against the eigen
+route, the dt rule, guarded stepping, stop rules, monitors."""
 
 import math
 
@@ -22,6 +22,12 @@ def quadratic_disk_spec(k=1, l=0, n_r=12, n_t=24, require=True):
     return flow.ProblemSpec(disk_grid(n_r, n_t), k, l, f="1", phi="1",
                             u0="(x1^2 + x2^2)/2",
                             require_nonnegative_initial_speed=require)
+
+
+def start(spec):
+    """The state a run starts from, and its evaluation."""
+    state = flow.FlowState(t=0.0, u=spec.u0_grid.copy(), dt=math.inf)
+    return state, flow._evaluate(spec, state.u)
 
 
 class TestRhs:
@@ -50,16 +56,18 @@ class TestRhs:
                                     u0="(x1^2 + x2^2)/2",
                                     require_nonnegative_initial_speed=False)
             ut = flow.rhs(u, spec)
-            g_max = flow._evaluate(spec, u).g_max
+            slopes = flow._evaluate(spec, u).slopes
             for i in range(grid.shape[0] - 1):
                 for j in range(0, grid.shape[1], 3):
                     a = np.array([[hxx[i, j], hxy[i, j]],
                                   [hxy[i, j], hyy[i, j]]])
                     want, F = symmfunc.log_quotient_matrix(a, k, l)
                     assert abs(ut[i, j] - want) <= 1e-10
-                    # the dt rule's speed bound is the top eigenvalue of F
-                    top = np.linalg.eigvalsh(F)[-1]
-                    assert abs(g_max[i, j] - top) <= 1e-10 * abs(top)
+                    # the slopes the linear solve runs are d log q / dA
+                    scale = np.max(np.abs(F))
+                    for got, w in zip(slopes, (F[0, 0], 2.0 * F[0, 1],
+                                               F[1, 1])):
+                        assert abs(got[i, j] - w) <= 1e-10 * scale
         del spec1
 
     def test_concave_data_rejected_with_node(self):
@@ -74,13 +82,6 @@ class TestRhs:
 
 
 class TestValidation:
-    def test_cfl_with_no_time_step_rejected(self):
-        # 5e-324 is positive, but the stable dt it scales underflows to 0
-        with pytest.raises(geometry.ArgumentError) as exc:
-            flow.ProblemSpec(disk_grid(4, 8), 1, 0, f="1", phi="1",
-                             u0="(x1^2 + x2^2)/2", cfl=5e-324)
-        assert exc.value.field == "cfl"
-
     def test_nonpositive_f_rejected(self):
         with pytest.raises(ValueError, match="positive"):
             flow.ProblemSpec(disk_grid(), 1, 0, f="x1", phi="1",
@@ -128,11 +129,12 @@ class TestValidation:
             u0="(x1^2 + x2^2)/2 + 0.1*(1 - x1^2 - x2^2)^2")
         assert 0.0 < residual(bump) < 0.1
 
-    @pytest.mark.parametrize("cfl", [0.0, -0.1, math.nan, math.inf])
+    @pytest.mark.parametrize("cfl", [0.0, -0.1, math.nan, math.inf, 0.4])
     def test_unusable_cfl_rejected(self, cfl):
-        with pytest.raises(ValueError, match="cfl must be finite and "
-                                             "positive"):
-            flow.ProblemSpec(disk_grid(), 1, 0, f="1", phi="1",
+        # the first dt is the cap, so there is no cfl to set, whatever
+        # its value
+        with pytest.raises(TypeError, match="'cfl'"):
+            flow.ProblemSpec(disk_grid(4, 8), 1, 0, f="1", phi="1",
                              u0="(x1^2 + x2^2)/2", cfl=cfl)
 
     @pytest.mark.parametrize("changes, field", [
@@ -208,69 +210,83 @@ class TestFields:
 
 
 class TestDtSelection:
-    """The first dt is the forward-Euler bound; from there dt doubles
-    after each accepted step, up to 0.25 / max(1, max f_u/f)."""
+    """Each dt is min(2 dt_prev, 0.25 / max(1, max f_u/f), t_max - t):
+    the first is the cap, and a step that leaves the cone is retried
+    with dt halved."""
 
-    def test_matches_speed_bound_formula(self):
+    def test_first_dt_is_the_cap(self):
         spec = quadratic_disk_spec()
-        state, _ = flow._initial(spec)
-        # D^2 u = I: for k=1 the quotient slope bound is 1/trace = 1/2;
-        # the polar spacing is pi dr / 4
-        h = math.pi * spec.grid.dr / 4.0
-        want = 0.4 * h**2 / (4.0 * 0.5)
-        assert abs(state.dt - want) <= 1e-12 * want
-
-    def test_update_spacing_values(self):
-        # f = exp(4u) has f_u/f = 4, so the steps, spaced in time, double
-        # from the first dt up to the cap 0.25/4
-        spec = flow.ProblemSpec(disk_grid(8, 16), 1, 0, f="exp(4*u)",
-                                phi="1", u0="(x1^2 + x2^2)/2",
-                                require_nonnegative_initial_speed=False)
-        dt0 = flow._initial(spec)[0].dt
+        cap = flow._dt_cap(flow._log_f_slope(spec, spec.u0_grid))
+        assert cap == 0.25
         result = flow.run(spec, mode="steady", t_max=1.0, tol_steady=0.0)
+        assert result.records[1].t == cap
+
+    def test_dt_doubles_up_to_the_cap(self, monkeypatch):
+        # f = u^4 has f_u/f = 4/u, so the cap grows as u rises from its
+        # least value 0.0032: more than twofold over the first steps,
+        # where doubling bounds dt, then less, where the cap does
+        caps = []
+        dt_cap = flow._dt_cap
+
+        def recording(slope):
+            caps.append(dt_cap(slope))
+            return caps[-1]
+
+        monkeypatch.setattr(flow, "_dt_cap", recording)
+        spec = flow.ProblemSpec(disk_grid(8, 16), 1, 0, f="u^4", phi="1",
+                                u0="(x1^2 + x2^2)/2 + 0.001",
+                                require_nonnegative_initial_speed=False)
+        result = flow.run(spec, mode="steady", t_max=0.05, tol_steady=0.0)
         t = np.array([r.t for r in result.records])
         assert len(t) == result.state.step_count + 1
-        want = np.minimum(dt0 * 2.0 ** np.arange(len(t) - 1), 0.0625)
-        steps = np.diff(t)
-        assert np.allclose(steps[:-1], want[:-1], rtol=1e-9, atol=0.0)
-        # the last step ends the run at t_max
-        assert steps[-1] <= want[-1] * (1.0 + 1e-9)
-        assert t[-1] == 1.0
+        # caps[0] sets the step budget, caps[n] the dt of step n
+        steps, caps = np.diff(t), np.array(caps[1:])
+        prev = np.concatenate(([math.inf], steps[:-1]))
+        want = np.minimum(np.minimum(2.0 * prev, caps), 0.05 - t[:-1])
+        assert np.allclose(steps, want, rtol=1e-12, atol=0.0)
+        assert steps[0] == caps[0]
+        assert np.any(2.0 * prev < caps) and np.any(caps < 2.0 * prev)
+        assert t[-1] == 0.05
 
-    def test_doubling_resolution_quarters_dt(self):
-        dts = []
-        for n_r, n_t in ((8, 16), (16, 32)):
-            spec = quadratic_disk_spec(n_r=n_r, n_t=n_t)
-            dts.append(flow._initial(spec)[0].dt)
-        ratio = dts[0] / dts[1]
-        assert 3.6 <= ratio <= 4.4
+    def test_dt_halves_on_a_cone_exit(self):
+        # J folds in only a u-free phi; a strongly u-damped phi pins the
+        # boundary while the interior rises, and the steps of dt 0.25
+        # and 0.125 leave the cone next to the boundary
+        spec = flow.ProblemSpec(disk_grid(8, 16), 1, 0, f="1",
+                                phi="1 + 10*(0.5 - u)", u0="(x1^2 + x2^2)/2")
+        state, ev = start(spec)
+        slope = flow._log_f_slope(spec, state.u)
+        for dt in (0.25, 0.125):
+            u = state.u.copy()
+            u[spec._interior] += flow._linearized_solve(
+                spec, ev.slopes, slope + 1.0 / dt, ev.ut)
+            u = discretize.apply_neumann(spec.grid, u, spec.phi)
+            assert not flow._evaluate(spec, u).ok_all
+        new, _ = flow._implicit_update(spec, state, ev, slope, 0.25)
+        assert not new.diverged and new.dt == 0.0625
+        # a run takes that step first, then doubles from it
+        result = flow.run(spec, mode="steady", t_max=0.5, tol_steady=0.0)
+        assert [r.t for r in result.records[1:3]] == [0.0625, 0.1875]
 
-    def test_nonfinite_speed_bound_raises(self):
-        spec = quadratic_disk_spec()
-        with np.errstate(invalid="ignore"):
-            ev = flow._evaluate(spec, spec.u0_grid * np.inf)
-            with pytest.raises(flow.DivergenceError):
-                flow._stable_dt(spec, ev)
 
-
-class TestPoleFilter:
-    """No pole filter: the implicit step itself damps the azimuthal
+class TestImplicitDamping:
+    """The linear solve of a step, and the damping of the azimuthal
     modes that an explicit update could not resolve near the pole."""
 
-    def test_linear(self):
+    def test_solve_is_linear(self):
         # the step's linear solve superposes
         spec = quadratic_disk_spec(n_r=16, n_t=32)
         ev = flow._evaluate(spec, spec.u0_grid)
         a, b = np.random.default_rng(0).standard_normal((2,) + ev.ut.shape)
 
         def solve(r):
-            return flow._linearized_solve(spec, ev.hess, 10.0, r)
+            return flow._linearized_solve(spec, ev.slopes, 10.0, r)
 
         lhs = solve(2.5 * a - 0.75 * b)
         rhs = 2.5 * solve(a) - 0.75 * solve(b)
         assert np.max(np.abs(lhs - rhs)) <= 1e-12 * np.max(np.abs(lhs))
 
-    def test_idempotent(self):
+    def test_steady_state_is_a_fixed_point(self):
         # a step of the largest dt maps a steady state to itself: J is
         # exact only for a u-free phi, but u_t = 0 is the fixed point of
         # the step with any J
@@ -287,13 +303,13 @@ class TestPoleFilter:
         assert new.dt == 0.25
         assert np.max(np.abs(new.u - state.u)) <= 1e-10
 
-    def test_resolved_modes_pass_through(self):
+    def test_top_pole_mode_damped_in_one_step(self):
         # the highest azimuthal mode on the innermost ring, which an
         # explicit update of this dt would amplify about 12,000-fold, is
         # damped by one step of the largest dt, in the cone
         spec = quadratic_disk_spec(n_r=16, n_t=32, require=False)
         m = 15
-        state, _ = flow._initial(spec)
+        state, _ = start(spec)
         state.u[0] += 1e-6 * np.cos(m * spec.grid.theta)
         ev = flow._evaluate(spec, state.u)
         assert ev.ok_all
@@ -314,12 +330,14 @@ class TestStep:
 
     def test_uniform_speed_shifts_field(self):
         spec = quadratic_disk_spec()
-        state, ev = flow._initial(spec)
+        state, ev = start(spec)
         slope = flow._log_f_slope(spec, state.u)
-        new, _ = flow._implicit_update(spec, state, ev, slope, state.dt)
+        new, _ = flow._implicit_update(spec, state, ev, slope,
+                                       flow._dt_cap(slope))
         shift = new.u - state.u
         # J annihilates constants, so the interior rises by dt*log2 and
         # the closure follows it exactly
+        assert new.dt == 0.25
         assert np.max(np.abs(shift - new.dt * math.log(2.0))) <= 1e-13
         assert new.step_count == 1
         assert new.t == new.dt
@@ -332,7 +350,7 @@ class TestStep:
                                 f="2*exp(4*(u - (x1^2 + x2^2)/2))", phi="1",
                                 u0="(x1^2 + x2^2)/2 + 0.1",
                                 require_nonnegative_initial_speed=False)
-        state, ev = flow._initial(spec)
+        state, ev = start(spec)
         slope = flow._log_f_slope(spec, state.u)
         dt = flow._dt_cap(slope)
         assert dt == 0.0625
@@ -343,8 +361,9 @@ class TestStep:
     def test_forced_large_dt_diverges(self):
         # Exact quadratic data on the square: D^2 u0 = diag(1, 1e-5) and
         # D^2 u_t = diag(0, -80) at every deep interior node; the
-        # linearization holds only while dt is tiny, so a step from dt =
-        # 1 leaves the cone after every one of its 20 halvings.
+        # linearization holds only while dt is tiny: the exact flow
+        # leaves the cone at t = 1.25e-7, and a step from dt = 1 does so
+        # after every one of its 20 halvings.
         lam2 = 1e-5
 
         def u0(x, y):
@@ -362,18 +381,20 @@ class TestStep:
 
         spec = flow.ProblemSpec(square_grid(9), 2, 0, f=f, phi=phi, u0=u0,
                                 require_nonnegative_initial_speed=False)
-        state, ev = flow._initial(spec)
+        state, ev = start(spec)
         slope = flow._log_f_slope(spec, state.u)
         out, _ = flow._implicit_update(spec, state, ev, slope, 1.0)
         assert out.diverged
-        assert out.t == state.t
+        assert out.t == state.t and out.dt == 2.0 ** -21
         assert np.array_equal(out.u, state.u)
-        # from the first dt, doubling, the guarded step stays admissible
-        dt = state.dt
+        # steps that end before the exact exit stay admissible
         for _ in range(3):
-            state, ev = flow._implicit_update(spec, state, ev, slope, dt)
-            assert not state.diverged
-            dt = 2.0 * state.dt
+            state, ev = flow._implicit_update(spec, state, ev, slope, 1e-8)
+            assert not state.diverged and state.dt == 1e-8
+        # a run starts at the cap, 0.25, and halves it past the exit too
+        result = flow.run(spec, mode="steady", t_max=1.0)
+        assert result.status == "diverged"
+        assert result.state.step_count == 0
 
 
 class TestManufacturedSteady:
@@ -504,52 +525,51 @@ class TestTranslatingRun:
 
         monkeypatch.setattr(discretize, "hessian", counting)
         spec = quadratic_disk_spec(n_r=8, n_t=16)
-        result = flow.run(spec, mode="translating", t_max=2.0,
+        result = flow.run(spec, mode="translating", t_max=4.0,
                           checkpoint_every=10)
-        assert result.state.step_count > 10
+        assert result.state.step_count == 16
         assert len(calls) == result.state.step_count + 2
 
     @pytest.mark.parametrize("changes, field", [
-        ({"cfl": 1e-12}, "cfl"), ({"t_max": 1e20}, "t_max")])
+        ({"f": "exp(4*u)", "t_max": 6.26e6}, "t_max"),
+        ({"t_max": 1e20}, "t_max")])
     def test_step_budget_names_its_argument(self, changes, field):
         # a t_max of more than 1e8 steps of the largest dt is refused
-        # before the first step; a tiny cfl only adds doublings of dt,
-        # about log2(0.05 / dt0) = 36 of them, and the run ends
-        spec = flow.ProblemSpec(disk_grid(4, 8), 1, 0, f="1", phi="1",
-                                u0="(x1^2 + x2^2)/2",
-                                cfl=changes.get("cfl", 0.4))
-        t_max = changes.get("t_max", 0.05)
-        if field == "t_max":
-            with pytest.raises(geometry.ArgumentError) as exc:
-                flow.run(spec, mode="steady", t_max=t_max)
-            assert exc.value.field == field
-            assert "too many steps" in exc.value.reason
-            return
-        dt0 = flow._initial(spec)[0].dt
-        result = flow.run(spec, mode="steady", t_max=t_max)
-        assert result.status == "t_max" and result.state.t == t_max
-        assert result.state.step_count <= math.log2(t_max / dt0) + 2
+        # before the first step; f = exp(4u) caps dt at 0.0625, which
+        # allows a t_max of 6.25e6 at most
+        kwargs = dict(f="1", phi="1", u0="(x1^2 + x2^2)/2",
+                      require_nonnegative_initial_speed=False)
+        kwargs.update(changes)
+        t_max = kwargs.pop("t_max")
+        spec = flow.ProblemSpec(disk_grid(4, 8), 1, 0, **kwargs)
+        with pytest.raises(geometry.ArgumentError) as exc:
+            flow.run(spec, mode="steady", t_max=t_max)
+        assert exc.value.field == field
+        assert "too many steps" in exc.value.reason
+        result = flow.run(spec, mode="steady", t_max=0.25, tol_steady=0.0)
+        assert result.status == "t_max" and result.state.t == 0.25
 
     def test_step_that_cannot_advance_t_diverges(self):
-        # a cfl lowered after validation makes dt underflow to 0, which
-        # would hold t at 0 for ever
+        # a dt below half an ulp of t would hold t where it is for ever
         spec = quadratic_disk_spec(n_r=4, n_t=8)
-        spec.cfl = 5e-324
-        result = flow.run(spec, mode="translating", window=2,
-                          checkpoint_every=1)
-        assert result.status == "diverged"
-        assert result.state.t == 0.0 and result.state.step_count == 0
+        state, ev = start(spec)
+        state.t = 1.0
+        slope = flow._log_f_slope(spec, state.u)
+        out, out_ev = flow._implicit_update(spec, state, ev, slope, 1e-17)
+        assert out.diverged and out_ev is ev
+        assert out.t == 1.0 and out.step_count == 0
+        assert np.array_equal(out.u, state.u)
 
     def test_step_count_guard(self):
-        # the main cost of a run: from the forward-Euler dt of the
-        # 8x16 grid, doubling to the cap, then the steps of the window
+        # the main cost of a run: steps of the cap until osc(u_t) is
+        # below tol_trans, then the steps of the window
         spec = flow.ProblemSpec(
             disk_grid(8, 16), 1, 0, f="1", phi="1",
             u0="(x1^2 + x2^2)/2 + 0.08*(1 - x1^2 - x2^2)^2")
         result = flow.run(spec, mode="translating", t_max=40.0,
                           tol_trans=1e-7, window=5)
         assert result.status == "translating"
-        assert result.state.step_count <= 60
+        assert result.state.step_count <= 20
         assert abs(result.records[-1].mean_ut - math.log(2.0)) <= 1e-6
 
     def test_drift_window_counts_steps(self):
@@ -654,7 +674,7 @@ def test_linearized_solve_inverts_the_derivative_of_rhs(name, k, l):
         / (2.0 * h)
     s = 10.0
     ev = flow._evaluate(spec, u)
-    x = flow._linearized_solve(spec, ev.hess,
+    x = flow._linearized_solve(spec, ev.slopes,
                                flow._log_f_slope(spec, u) + s,
                                s * w[sl] - jw)
     # without the f_u/f term the gap is 0.05

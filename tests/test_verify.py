@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from hqflow import geometry, verify
+from hqflow import geometry, symmfunc, verify
 
 
 @pytest.fixture(scope="module")
@@ -192,3 +192,21 @@ class TestShadowCalc:
         stack = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
         assert calc.sigma(stack, 1).tolist() == [4.0, 7.0]
         assert calc.elementary_all(stack)[:, 3].tolist() == [-6.0, -120.0]
+
+    def test_honest_functions_looked_up_at_call_time(self, monkeypatch):
+        # a wrapper put on symmfunc after verify was imported, as the
+        # bench tracer does, sees the self-test's calls
+        calls = []
+        d_quotient = symmfunc.d_quotient
+
+        def wrapped(*args):
+            calls.append(args)
+            return d_quotient(*args)
+
+        monkeypatch.setattr(symmfunc, "d_quotient", wrapped)
+        calc = verify._ShadowCalc()
+        assert calc.d_quotient is wrapped
+        lam = np.array([3.0, 2.0, 1.0])
+        assert np.array_equal(calc.d_quotient(lam, 2, 1),
+                              d_quotient(lam, 2, 1))
+        assert len(calls) == 1
