@@ -64,7 +64,7 @@ KNOWN_KEYS = frozenset({
     "problem.require_nonnegative_initial_speed",
     "grid.n_r", "grid.n_theta", "grid.n",
     "flow.mode", "flow.t_max", "flow.tol_steady", "flow.tol_trans",
-    "flow.window", "flow.checkpoint_every", "flow.mean_shift",
+    "flow.checkpoint_every", "flow.mean_shift",
     "eigen.eps0", "eigen.n_halvings", "eigen.tol", "eigen.check_translation",
     "converge.u_star", "converge.resolutions",
     "output.dir", "output.formats",
@@ -313,8 +313,7 @@ def _formats(cfg):
 def _run_settings(cfg):
     return _options(cfg, "flow", mode=Config.str_, t_max=Config.float_,
                     tol_steady=Config.float_, tol_trans=Config.float_,
-                    window=Config.int_, checkpoint_every=Config.int_,
-                    mean_shift=Config.bool_)
+                    checkpoint_every=Config.int_, mean_shift=Config.bool_)
 
 
 _FLOW_EXIT = {"steady": 0, "translating": 0, "t_max": 4, "diverged": 3}
@@ -381,7 +380,7 @@ def cmd_eigen(args):
     meta = _meta("eigen", cfg.digest, grid)
 
     oracle_s = None
-    if (spec.k, spec.l) == (1, 0) and not spec.f.depends_on_u:
+    if (spec.k, spec.l) == (1, 0) and not spec.f_depends_on_u:
         oracle_s = elliptic.laplace_speed_oracle(grid, spec.f, spec.phi)
 
     try:

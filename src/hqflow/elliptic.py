@@ -60,12 +60,7 @@ def _require_x_only(spec):
         raise ArgumentError(
             "phi", "must not depend on u: the damped solver needs a "
             "boundary flux phi(x)")
-    f_depends_on_u = spec.f.depends_on_u
-    if f_depends_on_u is None:
-        sl = spec._interior
-        f_u = spec.f.du(spec.grid.x[sl], spec.grid.y[sl], spec.u0_grid[sl])
-        f_depends_on_u = np.max(np.abs(f_u)) > 1e-12
-    if f_depends_on_u:
+    if spec.f_depends_on_u:
         raise ArgumentError(
             "f", "must not depend on u: the damped solver needs a right "
             "side f(x); pass the translating-frame f")
@@ -178,9 +173,7 @@ def _model_bound(spec):
     """A priori window for the speed: 1 + max|log f| + max|u0| +
     max|log quotient(D^2 u0)| on the initial data."""
     ev = flow._evaluate(spec, spec.u0_grid)
-    sl = spec._interior
-    fv = spec.f(spec.grid.x[sl], spec.grid.y[sl], spec.u0_grid[sl])
-    return float(1.0 + np.max(np.abs(np.log(fv)))
+    return float(1.0 + np.max(np.abs(np.log(ev.fval)))
                  + np.max(np.abs(spec.u0_grid))
                  + np.max(np.abs(np.log(ev.q))))
 

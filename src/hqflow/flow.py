@@ -139,6 +139,9 @@ class ProblemSpec:
                 raise ArgumentError(
                     "growth_rate", f"{self.growth_rate:.6g} exceeds the "
                     f"sampled minimum of f_u/f, {np.min(ratio):.6g}")
+        self.f_depends_on_u = self.f.depends_on_u
+        if self.f_depends_on_u is None:
+            self.f_depends_on_u = bool(np.max(np.abs(f_u)) > 1e-12)
         self.phi_depends_on_u = self.phi.depends_on_u
         if self.phi_depends_on_u is None:
             self.phi_depends_on_u = bool(np.max(np.abs(phi_u)) > 1e-12)
@@ -206,13 +209,14 @@ def _to_grid_node(spec, idx):
 
 
 class _FieldEval:
-    __slots__ = ("ok", "ok_all", "q", "ut", "sigma1", "sigma2", "slopes",
-                 "hess")
+    __slots__ = ("ok", "ok_all", "q", "fval", "ut", "sigma1", "sigma2",
+                 "slopes", "hess")
 
-    def __init__(self, ok, q, ut, sigma1, sigma2, slopes, hess):
+    def __init__(self, ok, q, fval, ut, sigma1, sigma2, slopes, hess):
         self.ok = ok
         self.ok_all = bool(ok.all())
         self.q = q
+        self.fval = fval
         self.ut = ut
         self.sigma1 = sigma1
         self.sigma2 = sigma2
@@ -226,7 +230,8 @@ def _evaluate(spec, u):
     the cone test, u_t = log q - log f, and the `slopes` (F11, 2 F12,
     F22) of d log q = F11 dhxx + 2 F12 dhxy + F22 dhyy, with F = I/tr A
     for (1, 0), A^{-1} for (2, 0) and A^{-1} - I/tr A for (2, 1).
-    `hess` keeps the interior Hessian (hxx, hxy, hyy)."""
+    `fval` keeps f and `hess` the Hessian (hxx, hxy, hyy) at the
+    interior nodes."""
     grid = spec.grid
     sl = spec._interior
     hxx, hxy, hyy = discretize.hessian(grid, u)
@@ -252,7 +257,7 @@ def _evaluate(spec, u):
         fval = spec.f(grid.x[sl], grid.y[sl], u[sl])
         ut = np.log(q) - np.log(fval)
     ok = ok & np.isfinite(ut)
-    return _FieldEval(ok, q, ut, trace, det, slopes, (hxx, hxy, hyy))
+    return _FieldEval(ok, q, fval, ut, trace, det, slopes, (hxx, hxy, hyy))
 
 
 def _admissible_evaluate(spec, u, prefix=""):
@@ -282,11 +287,10 @@ def rhs(u, spec, t=0.0):
     return out
 
 
-def _log_f_slope(spec, u):
-    """f_u / f at the interior nodes of u."""
+def _log_f_slope(spec, u, ev):
+    """f_u / f at the interior nodes of u, given its evaluation `ev`."""
     sl = spec._interior
-    x, y, u_i = spec.grid.x[sl], spec.grid.y[sl], u[sl]
-    return spec.f.du(x, y, u_i) / spec.f(x, y, u_i)
+    return spec.f.du(spec.grid.x[sl], spec.grid.y[sl], u[sl]) / ev.fval
 
 
 def _dt_cap(slope):
@@ -448,18 +452,20 @@ class RunResult:
 
 
 def run(spec, mode="steady", t_max=50.0, tol_steady=1e-8, tol_trans=1e-8,
-        window=50, checkpoint_every=1, mean_shift=False):
+        checkpoint_every=1, mean_shift=False):
     """Integrate until the stop rule fires.
 
     The stop rule reads every step.  mode "steady": stop when max|u_t|
-    < tol_steady.  mode "translating": stop when the spatial
-    oscillation of u_t and the drift of its mean over the last `window`
-    steps both fall below tol_trans.  Either way the run ends at t_max
-    with status "t_max", or earlier with "diverged", also once dt no
-    longer advances t.  A MonitorRecord is kept every
-    `checkpoint_every` steps and at the end.  Every run ends: a t_max
-    that would take more than 1e8 steps of the largest dt raises
-    ArgumentError("t_max").
+    < tol_steady.  mode "translating": stop when osc(u_t) < tol_trans.
+    With f(x) and phi(x), u_t solves a linear parabolic equation with a
+    homogeneous oblique condition, so max u_t never rises, min u_t never
+    falls, and |mean u_t - s| <= osc(u_t) for the speed s.  A spec whose
+    f or phi depends on u has no such bound: its translating run raises
+    ArgumentError("mode").  Either way the run ends at t_max with status
+    "t_max", or earlier with "diverged", also once dt no longer advances
+    t.  A MonitorRecord is kept every `checkpoint_every` steps and at the
+    end.  Every run ends: a t_max that would take more than 1e8 steps of
+    the largest dt raises ArgumentError("t_max").
 
     With mean_shift=True, once the oscillation of u_t is tiny the
     remaining spatially constant part is removed in closed form through
@@ -470,16 +476,20 @@ def run(spec, mode="steady", t_max=50.0, tol_steady=1e-8, tol_trans=1e-8,
     if mode not in ("steady", "translating"):
         raise ArgumentError("mode", f"must be steady or translating, got "
                             f"{mode!r}")
-    for name, value in (("window", window),
-                        ("checkpoint_every", checkpoint_every)):
-        if value < 1:
-            raise ArgumentError(name, f"must be at least 1, got {value!r}")
+    if mode == "translating" and (spec.f_depends_on_u
+                                  or spec.phi_depends_on_u):
+        raise ArgumentError(
+            "mode", "must be steady when f or phi depends on u: the "
+            "translating stop rule needs f(x) and phi(x)")
+    if checkpoint_every < 1:
+        raise ArgumentError("checkpoint_every", f"must be at least 1, got "
+                            f"{checkpoint_every!r}")
     if not (math.isfinite(t_max) and t_max > 0.0):
         raise ArgumentError("t_max",
                             f"must be finite and positive, got {t_max!r}")
     state = FlowState(t=0.0, u=spec.u0_grid.copy(), dt=math.inf)
     ev = _evaluate(spec, state.u)
-    slope = _log_f_slope(spec, state.u)
+    slope = _log_f_slope(spec, state.u, ev)
     n_steps = t_max / _dt_cap(slope)
     if n_steps > _MAX_STEPS:
         raise ArgumentError(
@@ -487,14 +497,11 @@ def run(spec, mode="steady", t_max=50.0, tol_steady=1e-8, tol_trans=1e-8,
             f"take {n_steps:.3g} steps of the largest dt, more than the "
             f"budget of {_MAX_STEPS:.0e}")
     records = [_record(spec, state, ev, None)]
-    means = [records[0].mean_ut]
 
     def stopped():
         if mode == "steady":
             return float(np.max(np.abs(ev.ut))) < tol_steady
-        drift_ok = (len(means) == window
-                    and max(means) - min(means) < tol_trans)
-        return _osc(ev.ut) < tol_trans and drift_ok
+        return _osc(ev.ut) < tol_trans
 
     prev_u = state.u
     shifts = 0
@@ -505,16 +512,14 @@ def run(spec, mode="steady", t_max=50.0, tol_steady=1e-8, tol_trans=1e-8,
         if state.diverged:
             status = "diverged"
             break
-        slope = _log_f_slope(spec, state.u)
+        slope = _log_f_slope(spec, state.u, ev)
         if mean_shift and _osc(ev.ut) < _SHIFT_GATE:
             mean_slope = float(np.mean(slope))
             if mean_slope > 1e-12:
                 state.u = state.u + float(np.mean(ev.ut)) / mean_slope
                 ev = _evaluate(spec, state.u)
-                slope = _log_f_slope(spec, state.u)
+                slope = _log_f_slope(spec, state.u, ev)
                 shifts += 1
-        means.append(float(np.mean(ev.ut)))
-        del means[:-window]
         if stopped():
             status = mode
         if state.step_count % checkpoint_every == 0:

@@ -4,6 +4,8 @@ import itertools
 import json
 import math
 import os
+import pathlib
+import re
 import subprocess
 import sys
 import tempfile
@@ -198,6 +200,13 @@ class TestConfigParsing:
         assert cli.main(["flow", "/no/such/file.cfg"]) == 2
         assert "config error" in capsys.readouterr().err
 
+    def test_readme_config_block_names_the_known_keys(self):
+        readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+        section = readme.read_text(encoding="utf-8").split(
+            "## Config format", 1)[1].split("\n## ", 1)[0]
+        keys = re.findall(r"^    ([a-z_]+\.[a-z_0-9]+) = ", section, re.M)
+        assert sorted(keys) == sorted(cli.KNOWN_KEYS)
+
 
 @pytest.fixture(scope="module")
 def flow_run(tmp_path_factory):
@@ -309,22 +318,23 @@ class TestFlowCommand:
         assert "config error at problem.phi: is not finite at the " \
             "boundary values" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", ["flow", "converge"])
-    def test_huge_window_no_traceback(self, tmp_path, command):
-        # a window past the largest container size once overflowed the
-        # drift buffer; it now only keeps the drift test from passing
-        text = FLOW_CFG if command == "flow" else CONV_CFG
-        for grid in ("grid.n_r = 12\ngrid.n_theta = 24",
-                     "grid.n_r = 8\ngrid.n_theta = 16"):
-            text = text.replace(grid, "grid.n_r = 4\ngrid.n_theta = 8")
-        text = text.replace("flow.t_max = 40.0", "flow.t_max = 0.05")
-        text += "flow.window = 99999999999999999999\n"
-        args = [command, write_cfg(tmp_path, text)]
-        if command == "converge":
-            args += ["--levels", "2"]
-        proc = run_module(args, tmp_path, timeout=120)
-        assert proc.returncode == 4
-        assert "Traceback" not in proc.stderr
+    def test_window_is_an_unknown_key(self, tmp_path, capsys):
+        # osc(u_t) < tol_trans alone stops a translating run
+        cfg = write_cfg(tmp_path, FLOW_CFG + "flow.window = 50\n")
+        assert cli.main(["flow", cfg]) == 2
+        assert "config error at flow.window: unknown key" \
+            in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, expr", [
+        ("problem.f", "exp(0.1*u)"), ("problem.phi", "1 - 0.5*u")])
+    def test_u_dependent_data_cannot_translate_exit_2(self, tmp_path, capsys,
+                                                       key, expr):
+        cfg = write_cfg(tmp_path, FLOW_CFG.replace(
+            f'{key} = "1"', f'{key} = "{expr}"')
+            + "problem.require_nonnegative_initial_speed = false\n")
+        assert cli.main(["flow", cfg]) == 2
+        assert "config error at flow.mode: must be steady" \
+            in capsys.readouterr().err
 
     @pytest.mark.parametrize("cfl", ["0", "-0.1", "nan", "5e-324", "0.4"])
     def test_unusable_cfl_exit_2(self, tmp_path, capsys, cfl):
@@ -386,7 +396,7 @@ class TestFlowCommand:
         assert "config error at flow.t_max: must be finite and positive" \
             in proc.stderr
 
-    @pytest.mark.parametrize("key", ["flow.window", "flow.checkpoint_every"])
+    @pytest.mark.parametrize("key", ["flow.checkpoint_every"])
     def test_zero_loop_setting_exit_2(self, tmp_path, capsys, key):
         cfg = write_cfg(tmp_path, FLOW_CFG.replace(
             "flow.checkpoint_every = 50\n", "") + f"{key} = 0\n")

@@ -216,7 +216,8 @@ class TestDtSelection:
 
     def test_first_dt_is_the_cap(self):
         spec = quadratic_disk_spec()
-        cap = flow._dt_cap(flow._log_f_slope(spec, spec.u0_grid))
+        state, ev = start(spec)
+        cap = flow._dt_cap(flow._log_f_slope(spec, state.u, ev))
         assert cap == 0.25
         result = flow.run(spec, mode="steady", t_max=1.0, tol_steady=0.0)
         assert result.records[1].t == cap
@@ -255,7 +256,7 @@ class TestDtSelection:
         spec = flow.ProblemSpec(disk_grid(8, 16), 1, 0, f="1",
                                 phi="1 + 10*(0.5 - u)", u0="(x1^2 + x2^2)/2")
         state, ev = start(spec)
-        slope = flow._log_f_slope(spec, state.u)
+        slope = flow._log_f_slope(spec, state.u, ev)
         for dt in (0.25, 0.125):
             u = state.u.copy()
             u[spec._interior] += flow._linearized_solve(
@@ -298,7 +299,7 @@ class TestImplicitDamping:
         assert result.status == "steady"
         state = result.state
         ev = flow._evaluate(spec, state.u)
-        slope = flow._log_f_slope(spec, state.u)
+        slope = flow._log_f_slope(spec, state.u, ev)
         new, _ = flow._implicit_update(spec, state, ev, slope, 0.25)
         assert new.dt == 0.25
         assert np.max(np.abs(new.u - state.u)) <= 1e-10
@@ -313,7 +314,7 @@ class TestImplicitDamping:
         state.u[0] += 1e-6 * np.cos(m * spec.grid.theta)
         ev = flow._evaluate(spec, state.u)
         assert ev.ok_all
-        slope = flow._log_f_slope(spec, state.u)
+        slope = flow._log_f_slope(spec, state.u, ev)
         new, ev_new = flow._implicit_update(spec, state, ev, slope, 0.25)
         assert not new.diverged and new.dt == 0.25
 
@@ -331,7 +332,7 @@ class TestStep:
     def test_uniform_speed_shifts_field(self):
         spec = quadratic_disk_spec()
         state, ev = start(spec)
-        slope = flow._log_f_slope(spec, state.u)
+        slope = flow._log_f_slope(spec, state.u, ev)
         new, _ = flow._implicit_update(spec, state, ev, slope,
                                        flow._dt_cap(slope))
         shift = new.u - state.u
@@ -351,7 +352,7 @@ class TestStep:
                                 u0="(x1^2 + x2^2)/2 + 0.1",
                                 require_nonnegative_initial_speed=False)
         state, ev = start(spec)
-        slope = flow._log_f_slope(spec, state.u)
+        slope = flow._log_f_slope(spec, state.u, ev)
         dt = flow._dt_cap(slope)
         assert dt == 0.0625
         new, _ = flow._implicit_update(spec, state, ev, slope, dt)
@@ -382,7 +383,7 @@ class TestStep:
         spec = flow.ProblemSpec(square_grid(9), 2, 0, f=f, phi=phi, u0=u0,
                                 require_nonnegative_initial_speed=False)
         state, ev = start(spec)
-        slope = flow._log_f_slope(spec, state.u)
+        slope = flow._log_f_slope(spec, state.u, ev)
         out, _ = flow._implicit_update(spec, state, ev, slope, 1.0)
         assert out.diverged
         assert out.t == state.t and out.dt == 2.0 ** -21
@@ -482,29 +483,28 @@ class TestTranslatingRun:
         assert report["gap_osc_nonincreasing"]["ok"]
         assert report["all_ok"]["ok"], report
 
-    @pytest.mark.parametrize("setting", ["window", "checkpoint_every"])
+    @pytest.mark.parametrize("setting", ["checkpoint_every"])
     def test_loop_settings_below_one_rejected(self, setting):
         spec = quadratic_disk_spec(n_r=8, n_t=16)
         with pytest.raises(ValueError, match=setting):
             flow.run(spec, mode="translating", **{setting: 0})
 
-    def test_window_beyond_any_container_size(self):
-        # the drift test looks back over the stored means, so a window
-        # no run can fill only keeps it from passing
-        spec = quadratic_disk_spec(n_r=4, n_t=8)
-        result = flow.run(spec, mode="translating", t_max=0.05,
-                          window=10**20)
-        assert result.status == "t_max"
-        assert result.mode == "translating"
-
     @pytest.mark.parametrize("kwargs, field", [
-        ({"mode": "drifting"}, "mode"), ({"window": 0}, "window"),
+        ({"mode": "drifting"}, "mode"),
+        ({"mode": "translating", "f": "exp(0.1*u)"}, "mode"),
         ({"checkpoint_every": -1}, "checkpoint_every"),
-        ({"t_max": math.inf}, "t_max")])
+        ({"t_max": math.inf}, "t_max"),
+        ({"mode": "translating", "phi": "1 - 0.5*u"}, "mode")])
     def test_setting_errors_name_their_argument(self, kwargs, field):
-        spec = quadratic_disk_spec(n_r=4, n_t=8)
+        # the translating stop rule needs f and phi free of u
+        data = {"f": "1", "phi": "1"}
+        settings = {}
+        for key, value in kwargs.items():
+            (data if key in data else settings)[key] = value
+        spec = flow.ProblemSpec(disk_grid(4, 8), 1, 0, u0="(x1^2 + x2^2)/2",
+                                **data)
         with pytest.raises(geometry.ArgumentError) as exc:
-            flow.run(spec, **kwargs)
+            flow.run(spec, **settings)
         assert exc.value.field == field
 
     @pytest.mark.parametrize("t_max", [math.inf, math.nan, 0.0, -1.0])
@@ -526,7 +526,7 @@ class TestTranslatingRun:
         monkeypatch.setattr(discretize, "hessian", counting)
         spec = quadratic_disk_spec(n_r=8, n_t=16)
         result = flow.run(spec, mode="translating", t_max=4.0,
-                          checkpoint_every=10)
+                          tol_trans=0.0, checkpoint_every=10)
         assert result.state.step_count == 16
         assert len(calls) == result.state.step_count + 2
 
@@ -554,38 +554,39 @@ class TestTranslatingRun:
         spec = quadratic_disk_spec(n_r=4, n_t=8)
         state, ev = start(spec)
         state.t = 1.0
-        slope = flow._log_f_slope(spec, state.u)
+        slope = flow._log_f_slope(spec, state.u, ev)
         out, out_ev = flow._implicit_update(spec, state, ev, slope, 1e-17)
         assert out.diverged and out_ev is ev
         assert out.t == 1.0 and out.step_count == 0
         assert np.array_equal(out.u, state.u)
 
-    def test_step_count_guard(self):
+    @pytest.mark.parametrize("k, l", [(1, 0), (2, 0), (2, 1)])
+    def test_step_count_guard(self, k, l):
         # the main cost of a run: steps of the cap until osc(u_t) is
-        # below tol_trans, then the steps of the window
+        # below tol_trans, which bounds |mean u_t - speed|; the
+        # translating solution has D^2 u = I
+        speed = math.log(math.comb(2, k) / math.comb(2, l))
         spec = flow.ProblemSpec(
-            disk_grid(8, 16), 1, 0, f="1", phi="1",
-            u0="(x1^2 + x2^2)/2 + 0.08*(1 - x1^2 - x2^2)^2")
+            disk_grid(8, 16), k, l, f="1", phi="1",
+            u0="(x1^2 + x2^2)/2 + 0.08*(1 - x1^2 - x2^2)^2",
+            require_nonnegative_initial_speed=False)
         result = flow.run(spec, mode="translating", t_max=40.0,
-                          tol_trans=1e-7, window=5)
+                          tol_trans=1e-7)
         assert result.status == "translating"
         assert result.state.step_count <= 20
-        assert abs(result.records[-1].mean_ut - math.log(2.0)) <= 1e-6
+        assert abs(result.records[-1].mean_ut - speed) <= 1e-7
 
-    def test_drift_window_counts_steps(self):
-        # the drift test reads the last `window` steps, whatever the
-        # record stride
+    def test_exact_translating_solution_stops_before_step_one(self):
         spec = quadratic_disk_spec(n_r=8, n_t=16)
-        for every in (1, 7, 100):
-            result = flow.run(spec, mode="translating", t_max=40.0,
-                              window=12, checkpoint_every=every)
-            assert result.status == "translating"
-            assert result.state.step_count == 11
+        result = flow.run(spec, mode="translating", t_max=40.0)
+        assert result.status == "translating"
+        assert result.state.step_count == 0
+        assert abs(result.records[-1].mean_ut - math.log(2.0)) <= 1e-12
 
     def test_records_hold_the_run_history(self):
         spec = quadratic_disk_spec(n_r=8, n_t=16)
         result = flow.run(spec, mode="translating", t_max=0.05,
-                          checkpoint_every=10)
+                          tol_trans=0.0, checkpoint_every=10)
         first, *rest = result.records
         assert first.gap_osc is None
         assert rest and all(r.gap_osc >= 0.0 for r in rest)
@@ -597,7 +598,8 @@ class TestTranslatingRun:
 
     def test_t_max_status(self):
         spec = quadratic_disk_spec(n_r=8, n_t=16)
-        result = flow.run(spec, mode="translating", t_max=0.01)
+        result = flow.run(spec, mode="translating", t_max=0.01,
+                          tol_trans=0.0)
         assert result.status == "t_max"
         assert result.state.t >= 0.01 - 1e-12
 
@@ -675,7 +677,7 @@ def test_linearized_solve_inverts_the_derivative_of_rhs(name, k, l):
     s = 10.0
     ev = flow._evaluate(spec, u)
     x = flow._linearized_solve(spec, ev.slopes,
-                               flow._log_f_slope(spec, u) + s,
+                               flow._log_f_slope(spec, u, ev) + s,
                                s * w[sl] - jw)
     # without the f_u/f term the gap is 0.05
     assert np.max(np.abs(x - w[sl])) <= 1e-6
@@ -685,7 +687,7 @@ class TestMonitorCsv:
     def test_round_trip_and_layout(self, tmp_path):
         spec = quadratic_disk_spec(n_r=8, n_t=16)
         result = flow.run(spec, mode="translating", t_max=0.05,
-                          checkpoint_every=10)
+                          tol_trans=0.0, checkpoint_every=10)
         path = tmp_path / "monitors.csv"
         flow.write_monitor_csv(path, result, metadata=["grid=disk 8x16"])
         text = path.read_text()
