@@ -258,7 +258,7 @@ def _meta(command, digest, grid=None):
         "domain": None if dom is None else _domain_label(dom),
         "grid": None if grid is None else
             f"{grid.backend} {grid.shape[0]}x{grid.shape[1]}",
-        "outside_theory": isinstance(dom, geometry.Square),
+        "outside_theory": dom is not None and dom.nonsmooth,
     }
 
 

@@ -3,11 +3,13 @@
 A translating solution of the quotient flow moves at a constant speed s
 with a fixed profile: log(sigma_k/sigma_l)(D^2 u) - log f(x) = s with
 u_nu = phi(x).  The pair (s, u) is found by solving a family of damped
-problems whose right side f e^{eps u} pins the additive constant: each
-one, log q(D^2 u) = log f(x) + eps u, has a unique solution u_eps, the
-steady state of the flow with damping rate eps, found here by Newton's
-method on the interior values (Loeper & Rapetti, C. R. Acad. Sci.
-Paris 340, 2005; Froese & Oberman, SIAM J. Numer. Anal. 49, 2011).  As
+problems log q(D^2 u) = log f(x) + eps u, whose term eps u pins the
+additive constant: each has a unique solution u_eps, the steady state
+of the flow with right side f e^{eps u}, found here by Newton's method
+on the interior values of the residual u_t - eps u, with u_t the right
+side of the caller's problem, so eps u may have any size (Loeper &
+Rapetti, C. R. Acad. Sci. Paris 340, 2005; Froese & Oberman, SIAM J.
+Numer. Anal. 49, 2011).  As
 eps decreases, eps * u_eps at a fixed reference point converges to s
 linearly in eps, so two solves at eps and eps/2 give a Richardson value
 accurate to O(eps^2), and u_eps minus its divergent constant part
@@ -21,7 +23,6 @@ backs uniqueness of profiles up to additive constants.
 """
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -72,61 +73,50 @@ _MAX_NEWTON = 30
 _MAX_HALVINGS = 30
 
 
-def _damped_spec(spec, eps, u_init=None):
-    """The problem with right side f(x) e^{eps u}, starting from u_init
-    (the initial data of `spec` by default).  Raises ConvergenceError
-    when the damped problem rejects its data (the damping at eps, or
-    u_init)."""
-    base_f = spec.f
-
-    def f_damped(x, y, u, _f=base_f, _e=eps):
-        return _f(x, y, u) * np.exp(_e * np.asarray(u, dtype=float))
-
-    u0 = spec.u0_grid if u_init is None else np.asarray(u_init, dtype=float)
-    try:
-        return flow.ProblemSpec(spec.grid, spec.k, spec.l, f=f_damped,
-                                phi=spec.phi, u0=u0, growth_rate=eps,
-                                require_nonnegative_initial_speed=False)
-    except ArgumentError as exc:
-        raise ConvergenceError(f"damped solve at eps = {eps:.6g} cannot "
-                               f"start: {exc}") from exc
-
-
 def solve_regularized(spec, eps, u_init=None, tol=1e-8):
     """Solution of the damped problem log q(D^2 u) = log f(x) + eps u,
     u_nu = phi(x), and the number of Newton steps it took.
 
-    The unknowns are the interior values; the closure of the u-free phi
-    is affine in them, so the Jacobian of the residual G (the u_t of
-    the flow with right side f e^{eps u}) is F11 Lxx + 2 F12 Lxy +
-    F22 Lyy - eps I, with L the closed Hessian of
-    `discretize.hessian_blocks`.  Each Newton step is solved by
+    The problem is solved on `spec` itself: the residual is
+    G = u_t - eps u at the interior nodes, with u_t the right side of
+    the flow of `spec`, so eps u may have any size.  The unknowns are
+    the interior values; the closure of the u-free phi is affine in
+    them, so the Jacobian of G is F11 Lxx + 2 F12 Lxy + F22 Lyy - eps I,
+    with L the closed Hessian of `discretize.hessian_blocks`.  Each Newton step is solved by
     `flow._linearized_solve`, the solver of the flow's time step, with
     the diagonal eps, and halved until the iterate stays in the cone
-    and max|G| decreases.  The damping makes the
-    Jacobian nonsingular for eps > 0.  `u_init` warm starts the solve;
-    it stops at max|G| < tol.  Raises ArgumentError for an eps or a tol
-    that is not positive, and ConvergenceError when the damped problem
-    rejects its data (the damping at eps, or u_init), when no halving of
-    a step decreases max|G|, or after 30 steps.
+    and max|G| decreases.  The damping makes the Jacobian nonsingular
+    for eps > 0.  `u_init` (the initial data of `spec` by default) warm
+    starts the solve after its boundary is closed; it stops at
+    max|G| < tol.  Raises ArgumentError for an eps or a tol that is not
+    positive, and ConvergenceError when the closed u_init leaves the
+    cone, when no halving of a step decreases max|G|, or after 30 steps.
     """
     if not eps > 0.0:
         raise ArgumentError("eps", "must be positive")
     if not tol > 0.0:
         raise ArgumentError("tol", f"must be positive, got {tol!r}")
     _require_x_only(spec)
-    mspec = _damped_spec(spec, eps, u_init)
     grid, sl = spec.grid, spec._interior
-    u = mspec.u0_grid
-    ev = flow._evaluate(mspec, u)
-    res = float(np.max(np.abs(ev.ut)))
+
+    def residual(u):
+        ev = flow._evaluate(spec, u)
+        G = ev.ut - eps * u[sl]
+        return ev, G, float(np.max(np.abs(G)))
+
+    u = discretize.apply_neumann(
+        grid, spec.u0_grid if u_init is None else u_init, spec.phi)
+    ev, G, res = residual(u)
+    if not ev.ok_all:
+        raise ConvergenceError(f"damped solve at eps = {eps:.6g} cannot "
+                               f"start: u_init leaves the cone")
     for steps in range(_MAX_NEWTON + 1):
         if res < tol:
             return u, steps
         if steps == _MAX_NEWTON:
             break
         try:
-            du = flow._linearized_solve(mspec, ev.slopes, eps, ev.ut)
+            du = flow._linearized_solve(spec, ev.slopes, eps, G)
         except np.linalg.LinAlgError as exc:
             raise ConvergenceError(
                 f"damped solve at eps = {eps:.6g}: Newton step {steps + 1} "
@@ -136,10 +126,9 @@ def solve_regularized(spec, eps, u_init=None, tol=1e-8):
             trial = u.copy()
             trial[sl] += lam * du
             trial = discretize.apply_neumann(grid, trial, spec.phi)
-            ev_trial = flow._evaluate(mspec, trial)
-            res_trial = float(np.max(np.abs(ev_trial.ut)))
+            ev_trial, G_trial, res_trial = residual(trial)
             if ev_trial.ok_all and res_trial < res:
-                u, ev, res = trial, ev_trial, res_trial
+                u, ev, G, res = trial, ev_trial, G_trial, res_trial
                 break
             lam *= 0.5
         else:
@@ -152,21 +141,13 @@ def solve_regularized(spec, eps, u_init=None, tol=1e-8):
         f"in {_MAX_NEWTON} Newton steps; max|G| = {res:.3g}")
 
 
-def s_epsilon(grid, u_eps, u_ref, eps, y0, bound=None):
+def s_epsilon(grid, u_eps, u_ref, eps, y0):
     """Speed extracted from one damped solve: eps times the gap between
-    the damped solution and the reference data at the point y0.
-
-    If `bound` is given and the value falls outside (-bound, bound),
-    the model hypotheses are suspect; a warning is issued but the value
-    is still returned.
-    """
-    val = eps * (discretize.interp_at(grid, u_eps, y0)
-                 - discretize.interp_at(grid, u_ref, y0))
-    if bound is not None and not -bound < val < bound:
-        warnings.warn(
-            f"extracted speed {val:.6g} lies outside the model bound "
-            f"(-{bound:.6g}, {bound:.6g})", RuntimeWarning, stacklevel=2)
-    return val
+    the damped solution u_eps and the reference data at the point y0.
+    `solve_regularized` takes the residual u_t - eps u on the caller's
+    problem, so u_eps, and with it eps u, may have any size."""
+    return eps * (discretize.interp_at(grid, u_eps, y0)
+                  - discretize.interp_at(grid, u_ref, y0))
 
 
 def _model_bound(spec):
@@ -212,11 +193,11 @@ def solve_eigenpair(spec, eps0=1.0, n_halvings=6, y0=(0.0, 0.0), tol=1e-8):
         eps_j = eps0 * 2.0 ** (-j)
         u, n_steps = solve_regularized(spec, eps_j, u_init=u_init, tol=tol)
         steps.append(n_steps)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            s_j = s_epsilon(grid, u, spec.u0_grid, eps_j, y0, bound=bound)
-        for w in caught:
-            notes.append(str(w.message))
+        s_j = s_epsilon(grid, u, spec.u0_grid, eps_j, y0)
+        if not -bound < s_j < bound:
+            # the model hypotheses are suspect; the value is still used
+            notes.append(f"extracted speed {s_j:.6g} lies outside the "
+                         f"model bound (-{bound:.6g}, {bound:.6g})")
         trace.append((eps_j, s_j))
         u_init = u + s_j / eps_j
     (_, s_prev), (eps_last, s_last) = trace[-2:]

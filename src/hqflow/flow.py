@@ -471,7 +471,9 @@ def run(spec, mode="steady", t_max=50.0, tol_steady=1e-8, tol_trans=1e-8,
     remaining spatially constant part is removed in closed form through
     the u-slope of log f; this collapses the slow constant mode of
     strongly u-damped problems without touching the shape dynamics (and
-    is off by default since it distorts decay-rate measurements).
+    is off by default since it distorts decay-rate measurements).  A
+    translating run has f(x), whose u-slope is 0, so it refuses
+    mean_shift=True with ArgumentError("mean_shift").
     """
     if mode not in ("steady", "translating"):
         raise ArgumentError("mode", f"must be steady or translating, got "
@@ -481,6 +483,10 @@ def run(spec, mode="steady", t_max=50.0, tol_steady=1e-8, tol_trans=1e-8,
         raise ArgumentError(
             "mode", "must be steady when f or phi depends on u: the "
             "translating stop rule needs f(x) and phi(x)")
+    if mode == "translating" and mean_shift:
+        raise ArgumentError(
+            "mean_shift", "must be false in translating mode: f(x) has "
+            "f_u/f = 0, so no shift can act")
     if checkpoint_every < 1:
         raise ArgumentError("checkpoint_every", f"must be at least 1, got "
                             f"{checkpoint_every!r}")

@@ -336,6 +336,13 @@ class TestFlowCommand:
         assert "config error at flow.mode: must be steady" \
             in capsys.readouterr().err
 
+    def test_mean_shift_cannot_translate_exit_2(self, tmp_path, capsys):
+        # the shift acts through f_u/f, which is 0 for a translating run
+        cfg = write_cfg(tmp_path, FLOW_CFG + "flow.mean_shift = true\n")
+        assert cli.main(["flow", cfg]) == 2
+        assert "config error at flow.mean_shift: must be false" \
+            in capsys.readouterr().err
+
     @pytest.mark.parametrize("cfl", ["0", "-0.1", "nan", "5e-324", "0.4"])
     def test_unusable_cfl_exit_2(self, tmp_path, capsys, cfl):
         # every run's first dt is the cap, so flow.cfl is an unknown key
@@ -474,6 +481,23 @@ class TestEigenCommand:
         tr = d["translation_identity"]
         assert tr["ok"] is True
         assert tr["deviation"] <= tr["tolerance"]
+
+    def test_constant_offset_of_u0_exit_0(self, tmp_path, monkeypatch):
+        # the (2,1) disk of the benchmark with u0 shifted by +1000, which
+        # leaves the problem unchanged, on the default schedule
+        base = EIGEN_CFG.replace("problem.k = 1\nproblem.l = 0",
+                                 "problem.k = 2\nproblem.l = 1").replace(
+            "eigen.n_halvings = 3\n", "")
+        s_hat = []
+        for u0 in ("(x1^2 + x2^2)/2", "(x1^2 + x2^2)/2 + 1000"):
+            cfg = write_cfg(tmp_path, base.replace(
+                'problem.u0 = "(x1^2 + x2^2)/2"', f'problem.u0 = "{u0}"'))
+            monkeypatch.setenv("HQFLOW_OUT", str(tmp_path / "o"))
+            assert cli.main(["eigen", cfg]) == 0
+            d = json.loads((tmp_path / "o" / "summary.json").read_text())
+            assert d["status"] == "converged"
+            s_hat.append(d["s_hat"])
+        assert abs(s_hat[1] - s_hat[0]) <= 1e-10
 
     def test_damped_solve_timeout_exit_3(self, tmp_path, monkeypatch,
                                          capsys):

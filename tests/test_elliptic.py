@@ -7,6 +7,9 @@ import pytest
 
 from hqflow import discretize, elliptic, flow, geometry, symmfunc
 
+# the eigen lane raises no numpy warning on these inputs
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 def disk_grid(n_r=12, n_t=24):
     return geometry.build_grid(geometry.Disk(1.0), n_r=n_r, n_theta=n_t)
@@ -15,6 +18,14 @@ def disk_grid(n_r=12, n_t=24):
 def laplace_spec(n_r=12, n_t=24, f="1"):
     return flow.ProblemSpec(disk_grid(n_r, n_t), 1, 0, f=f, phi="1",
                             u0="(x1^2 + x2^2)/2",
+                            require_nonnegative_initial_speed=False)
+
+
+def damped_flow_spec(grid, k, l, f, eps):
+    """The flow whose steady state is the damped solution at eps: the
+    right side f e^{eps u}, parsed, so its f_u is exact."""
+    return flow.ProblemSpec(grid, k, l, f=f"({f})*exp({eps}*u)", phi="1",
+                            u0="(x1^2 + x2^2)/2", growth_rate=eps,
                             require_nonnegative_initial_speed=False)
 
 
@@ -28,8 +39,8 @@ class TestSolveRegularized:
 
     def test_decay_rate_follows_damping(self):
         # the flow of the damped problem decays at the damping rate
-        spec = laplace_spec(10, 20)
-        slow, fast = (flow.run(elliptic._damped_spec(spec, eps),
+        slow, fast = (flow.run(damped_flow_spec(disk_grid(10, 20), 1, 0,
+                                                "1", eps),
                                mode="steady", t_max=400.0, tol_steady=1e-8)
                       for eps in (1.0, 10.0))
         assert 0.8 <= flow.decay_rate(slow) <= 2.0
@@ -62,8 +73,9 @@ class TestSolveRegularized:
                                 require_nonnegative_initial_speed=False)
         u, steps = elliptic.solve_regularized(spec, 1.0)
         assert 1 <= steps <= 5
-        ref = flow.run(elliptic._damped_spec(spec, 1.0), mode="steady",
-                       t_max=400.0, tol_steady=1e-8, mean_shift=True)
+        ref = flow.run(damped_flow_spec(grid, 2, 1, "1 + 0.2*x1", 1.0),
+                       mode="steady", t_max=400.0, tol_steady=1e-8,
+                       mean_shift=True)
         assert ref.status == "steady"
         assert np.max(np.abs(u - ref.state.u)) <= 1e-6
 
@@ -73,6 +85,22 @@ class TestSolveRegularized:
         again, none = elliptic.solve_regularized(spec, 1.0, u_init=u)
         assert steps >= 1 and none == 0
         assert np.max(np.abs(again - u)) <= 1e-12
+
+    def test_u_init_outside_the_cone_cannot_start(self):
+        spec = laplace_spec(8, 16)
+        concave = -spec.u0_grid
+        with pytest.raises(elliptic.ConvergenceError, match="cannot start"):
+            elliptic.solve_regularized(spec, 1.0, u_init=concave)
+
+    @pytest.mark.parametrize("offset", [1e3, 1e6])
+    def test_constant_offset_of_u_init_is_removed(self, offset):
+        # the residual u_t - eps u is affine in a constant, so a shifted
+        # warm start reaches the same solution however large eps u is
+        spec = laplace_spec(8, 16)
+        u, _ = elliptic.solve_regularized(spec, 1.0)
+        again, _ = elliptic.solve_regularized(
+            spec, 1.0, u_init=spec.u0_grid + offset)
+        assert np.max(np.abs(again - u)) <= 1e-8
 
     @pytest.mark.parametrize("k, l", [(1, 0), (2, 0), (2, 1)])
     def test_closed_form_slopes_match_symmfunc(self, k, l):
@@ -155,15 +183,6 @@ class TestSpeedExtraction:
             got = elliptic.s_epsilon(grid, u + 1.0 / eps, u, eps, (0.3, -0.1))
             assert abs(got - 1.0) <= 1e-12
 
-    def test_out_of_bound_value_warns_but_returns(self):
-        grid = disk_grid(8, 16)
-        ones = np.full(grid.shape, 1.0)
-        zeros = np.zeros(grid.shape)
-        with pytest.warns(RuntimeWarning, match="model bound"):
-            got = elliptic.s_epsilon(grid, ones, zeros, 0.5, (0.0, 0.0),
-                                     bound=0.1)
-        assert abs(got - 0.5) <= 1e-15
-
 
 class TestEigenpair:
     def test_disk_speed_matches_oracle(self):
@@ -205,12 +224,35 @@ class TestEigenpair:
         assert exc.value.field == name
 
     def test_damping_that_overflows_f_fails_the_solve(self):
-        # f e^{eps u} is inf on the initial data, so the damped problem
-        # cannot start; the first solve fails, not the user's f
-        with np.errstate(over="ignore"):
-            with pytest.raises(elliptic.ConvergenceError,
-                               match="cannot start"):
-                elliptic.solve_eigenpair(laplace_spec(6, 12), eps0=1e20)
+        # f e^{eps u} would overflow here; the residual u_t - eps u does
+        # not, but at 1e19 it cannot reach tol, so the first solve fails
+        # in Newton, without blaming the user's f
+        with pytest.raises(elliptic.ConvergenceError,
+                           match="Newton steps") as exc:
+            elliptic.solve_eigenpair(laplace_spec(6, 12), eps0=1e20)
+        assert "eps = 1e+20" in str(exc.value)
+        assert "f must" not in str(exc.value)
+
+    def test_out_of_bound_value_is_noted_but_returned(self, monkeypatch):
+        spec = laplace_spec(8, 16)
+        want = elliptic.solve_eigenpair(spec, n_halvings=2)
+        monkeypatch.setattr(elliptic, "_model_bound", lambda spec: 0.1)
+        pair = elliptic.solve_eigenpair(spec, n_halvings=2)
+        assert want.notes == []
+        assert len(pair.notes) == 3
+        assert all("lies outside the model bound (-0.1, 0.1)" in note
+                   for note in pair.notes)
+        assert pair.s == want.s
+
+    def test_constant_offset_of_u0_keeps_the_speed(self):
+        # the profile is unique up to a constant: u0 + 1000 changes
+        # nothing, although e^{eps u} overflows at eps = 1
+        grid = disk_grid(10, 20)
+        pairs = [elliptic.solve_eigenpair(flow.ProblemSpec(
+            grid, 2, 1, f="1", phi="1", u0=f"(x1^2 + x2^2)/2 + {c}",
+            require_nonnegative_initial_speed=False)) for c in (0, 1000)]
+        assert [p.status for p in pairs] == ["converged"] * 2
+        assert abs(pairs[1].s - pairs[0].s) <= 1e-10
 
     def test_translation_identity(self):
         # scaling f by e shifts the damped solution at eps by -1/eps

@@ -192,8 +192,8 @@ class TestFields:
         assert exprparse.as_field(declared, "phi").depends_on_u is False
 
     def test_respecified_phi_keeps_its_flag(self):
-        # elliptic.solve_regularized and the CLI translation check build
-        # a second ProblemSpec from spec.phi
+        # elliptic.translation_identity builds a second ProblemSpec from
+        # spec.phi
         spec = quadratic_disk_spec(n_r=8, n_t=16)
         again = flow.ProblemSpec(spec.grid, 1, 0, f="1", phi=spec.phi,
                                  u0=spec.u0_grid)
@@ -494,9 +494,11 @@ class TestTranslatingRun:
         ({"mode": "translating", "f": "exp(0.1*u)"}, "mode"),
         ({"checkpoint_every": -1}, "checkpoint_every"),
         ({"t_max": math.inf}, "t_max"),
-        ({"mode": "translating", "phi": "1 - 0.5*u"}, "mode")])
+        ({"mode": "translating", "phi": "1 - 0.5*u"}, "mode"),
+        ({"mode": "translating", "mean_shift": True}, "mean_shift")])
     def test_setting_errors_name_their_argument(self, kwargs, field):
-        # the translating stop rule needs f and phi free of u
+        # the translating stop rule needs f and phi free of u, and the
+        # mean shift acts through f_u/f, which is then 0
         data = {"f": "1", "phi": "1"}
         settings = {}
         for key, value in kwargs.items():
