@@ -25,11 +25,10 @@ are rejected with the offending path.  A key left out takes the
 default of the library function that takes it, which also checks the
 value; `main` reports its ArgumentError at the key of that name in
 ``problem.*``, the command's section, ``flow.*`` or ``grid.*``.
-Every artifact starts with a metadata header recording the config
-digest, the grid, and whether the domain leaves the smooth uniformly
-convex setting the estimates assume (squares do).  Reruns with
-identical inputs produce byte-identical files: nothing time- or
-host-dependent is written.
+Every artifact starts with a metadata header recording the command,
+the config digest, the domain and the grid.  Reruns with identical
+inputs produce byte-identical files: nothing time- or host-dependent is
+written.
 
 Exit codes: 0 success; 1 a measured property failed (verify suite, or
 convergence orders off target); 2 config or argument error; 3 a run
@@ -58,11 +57,11 @@ _MISSING = object()
 
 KNOWN_KEYS = frozenset({
     "problem.k", "problem.l", "problem.domain", "problem.radius",
-    "problem.a", "problem.b", "problem.half_width",
+    "problem.a", "problem.b",
     "problem.f", "problem.phi", "problem.u0", "problem.y0",
     "problem.growth_rate", "problem.damping_rate",
     "problem.require_nonnegative_initial_speed",
-    "grid.n_r", "grid.n_theta", "grid.n",
+    "grid.n_r", "grid.n_theta",
     "flow.mode", "flow.t_max", "flow.tol_steady", "flow.tol_trans",
     "flow.checkpoint_every", "flow.mean_shift",
     "eigen.eps0", "eigen.n_halvings", "eigen.tol", "eigen.check_translation",
@@ -200,7 +199,6 @@ def load_config(path):
 _DOMAINS = {
     "disk": (geometry.Disk, {"radius": 1.0}),
     "ellipse": (geometry.Ellipse, {"a": _MISSING, "b": _MISSING}),
-    "square": (geometry.Square, {"half_width": 1.0}),
 }
 
 
@@ -212,9 +210,6 @@ def build_domain(cfg):
 
 def build_grid(cfg, dom, scale=1):
     """Grid for the configured domain; `scale` refines for ladders."""
-    if isinstance(dom, geometry.Square):
-        n = cfg.int_("grid.n")
-        return geometry.build_grid(dom, n=(n - 1) * scale + 1)
     n_r = cfg.int_("grid.n_r")
     n_t = cfg.int_("grid.n_theta")
     return geometry.build_grid(dom, n_r=n_r * scale, n_theta=n_t * scale)
@@ -245,20 +240,16 @@ def build_spec(cfg, grid):
 def _domain_label(dom):
     if isinstance(dom, geometry.Disk):
         return f"disk radius={dom.radius:g}"
-    if isinstance(dom, geometry.Ellipse):
-        return f"ellipse a={dom.a:g} b={dom.b:g}"
-    return f"square half_width={dom.half_width:g}"
+    return f"ellipse a={dom.a:g} b={dom.b:g}"
 
 
 def _meta(command, digest, grid=None):
-    dom = None if grid is None else grid.domain
     return {
         "command": command,
         "config_sha256": digest,
-        "domain": None if dom is None else _domain_label(dom),
+        "domain": None if grid is None else _domain_label(grid.domain),
         "grid": None if grid is None else
-            f"{grid.backend} {grid.shape[0]}x{grid.shape[1]}",
-        "outside_theory": dom is not None and dom.nonsmooth,
+            f"polar {grid.shape[0]}x{grid.shape[1]}",
     }
 
 
@@ -380,7 +371,10 @@ def cmd_eigen(args):
     meta = _meta("eigen", cfg.digest, grid)
 
     oracle_s = None
-    if (spec.k, spec.l) == (1, 0) and not spec.f_depends_on_u:
+    # the oracle evaluates f and phi at u = 0, so it needs both free of
+    # u; solve_eigenpair then names the one that is not
+    if ((spec.k, spec.l) == (1, 0) and not spec.f_depends_on_u
+            and not spec.phi_depends_on_u):
         oracle_s = elliptic.laplace_speed_oracle(grid, spec.f, spec.phi)
 
     try:
@@ -486,6 +480,9 @@ def cmd_converge(args):
         if min(resolutions) < 1:
             raise ConfigError("converge.resolutions",
                               "every resolution must be a positive integer")
+        if resolutions != sorted(resolutions):
+            raise ConfigError("converge.resolutions",
+                              "resolutions must increase")
         base = resolutions[0]
         scales = [r / base for r in resolutions]
         for r, s in zip(resolutions, scales):
@@ -495,9 +492,6 @@ def cmd_converge(args):
                     f"resolution {r} is not an integer multiple of the "
                     f"coarsest level {base}")
         scales = [int(s) for s in scales]
-        if resolutions != sorted(resolutions):
-            raise ConfigError("converge.resolutions",
-                              "resolutions must increase")
     else:
         scales = [2 ** j for j in range(args.levels)]
 

@@ -1,13 +1,12 @@
-"""Finite-difference gradient and Hessian operators on both grid backends,
+"""Finite-difference gradient and Hessian operators on the polar grids,
 and enforcement of the nonlinear Neumann condition u_nu = phi(x, u).
 
 Interior derivatives are second-order central; the normal derivative at
-the boundary is a one-sided 3-point stencil along the grid line that is
-normal to the boundary by construction (radial lines on the polar
-backend, lattice lines on the square).  On the polar backend the five
-native (r, theta) derivatives are converted to Cartesian components by
-the exact chain rule of the map (r, theta) -> (a r cos, b r sin); the
-pole is crossed with the phantom rule u(-r, theta) = u(r, theta + pi).
+the boundary is built from a one-sided 3-point stencil along the radial
+line.  The five native (r, theta) derivatives are converted to Cartesian
+components by the exact chain rule of the map (r, theta) -> (a r cos,
+b r sin); the pole is crossed with the phantom rule u(-r, theta) =
+u(r, theta + pi).
 
 Hessian values are produced for interior nodes only (the flow never
 needs boundary Hessians; boundary values are slaved to the closure),
@@ -17,12 +16,10 @@ node indices, built apart from the array operators as their reference.
 
 The closure relation (one-sided normal derivative) = phi(x, u_b) reads
 M u_b + (inner-row terms) = phi(x, u_b).  M is the diagonal `slope` on
-the disk and on the square; on the ellipse the normal derivative picks
-up a tangential term that couples neighboring boundary nodes, and M is
-a cyclic tridiagonal matrix.  Square corners enforce the mean of their
-two one-sided face relations, which reach only face nodes, so the faces
-are closed first and the corners from them.  One Newton iteration
-solves the relation on every grid: each step solves the linearization
+the disk; on the ellipse the normal derivative picks up a tangential
+term that couples neighboring boundary nodes, and M is a cyclic
+tridiagonal matrix.  One Newton iteration solves the relation on every
+grid: each step solves the linearization
 (M - diag(d)) u_b = phi - d u_b_old - (inner-row terms), d = phi.du the
 u-derivative of the phi field (`exprparse.as_field`): exact for a
 parsed phi, so a phi affine in u closes in one step.  A phi that
@@ -33,8 +30,8 @@ in u_b; a step whose slope - d is not positive is refused.
 
 With a u-free phi the closure is affine in the interior values, and
 `hessian_blocks` folds its linear part into the Hessian weights: the
-closed Hessian as a block-tridiagonal linear map over the rings (lattice
-rows on the square), the operator of the flow's implicit time step and
+closed Hessian as a block-tridiagonal linear map over the rings, the
+operator of the flow's implicit time step and
 of the eigen lane's Newton step.
 
 The per-grid constants (chain-rule coefficients, boundary geometry,
@@ -125,21 +122,9 @@ def _polar_first(grid, u):
 
 def gradient(grid, u):
     """Cartesian gradient (gx, gy) at every node; one-sided at boundary."""
-    u = np.asarray(u, dtype=float)
-    if grid.backend == "polar":
-        ur, ut = _polar_first(grid, u)
-        _, _, _, _, _, rx, ry, tx, ty = _polar_coeffs(grid)
-        return rx * ur + tx * ut, ry * ur + ty * ut
-    h = grid.h
-    gx = np.empty_like(u)
-    gy = np.empty_like(u)
-    gx[:, 1:-1] = (u[:, 2:] - u[:, :-2]) / (2.0 * h)
-    gx[:, 0] = (-3.0 * u[:, 0] + 4.0 * u[:, 1] - u[:, 2]) / (2.0 * h)
-    gx[:, -1] = (3.0 * u[:, -1] - 4.0 * u[:, -2] + u[:, -3]) / (2.0 * h)
-    gy[1:-1, :] = (u[2:, :] - u[:-2, :]) / (2.0 * h)
-    gy[0, :] = (-3.0 * u[0, :] + 4.0 * u[1, :] - u[2, :]) / (2.0 * h)
-    gy[-1, :] = (3.0 * u[-1, :] - 4.0 * u[-2, :] + u[-3, :]) / (2.0 * h)
-    return gx, gy
+    ur, ut = _polar_first(grid, np.asarray(u, dtype=float))
+    _, _, _, _, _, rx, ry, tx, ty = _polar_coeffs(grid)
+    return rx * ur + tx * ut, ry * ur + ty * ut
 
 
 def hessian(grid, u):
@@ -152,38 +137,29 @@ def hessian(grid, u):
     hxx = np.zeros_like(u)
     hxy = np.zeros_like(u)
     hyy = np.zeros_like(u)
-    if grid.backend == "polar":
-        nr, nt = grid.shape
-        dr, dt = grid.dr, grid.dtheta
-        P = _phantom_pad(u, nt)
-        Pl = np.roll(P, -1, axis=1)
-        Pr = np.roll(P, 1, axis=1)
-        ur = (P[2:nr + 1] - P[:nr - 1]) / (2.0 * dr)
-        ut = (Pl[1:nr] - Pr[1:nr]) / (2.0 * dt)
-        urr = (P[2:nr + 1] - 2.0 * P[1:nr] + P[:nr - 1]) / dr**2
-        urt = (Pl[2:nr + 1] - Pr[2:nr + 1] - Pl[:nr - 1] + Pr[:nr - 1]) \
-            / (4.0 * dr * dt)
-        utt = (Pl[1:nr] - 2.0 * P[1:nr] + Pr[1:nr]) / dt**2
-        (rx, tx, ry, ty, k_rt_x, k_rt_y, k_tt_x, k_tt_y,
-         xx_rr, xx_rt, xx_tt, xy_rr, xy_rt, xy_tt,
-         yy_rr, yy_rt, yy_tt) = _polar_hessian_weights(grid)
-        gx = rx * ur + tx * ut
-        gy = ry * ur + ty * ut
-        # subtract the curvature of the map: M = H_(r,theta) - gx*X - gy*Y
-        # with X, Y the second-derivative tensors of x(r,th), y(r,th)
-        m_rt = urt + k_rt_x * gx - k_rt_y * gy
-        m_tt = utt + k_tt_x * gx + k_tt_y * gy
-        hxx[:-1] = xx_rr * urr + xx_rt * m_rt + xx_tt * m_tt
-        hxy[:-1] = xy_rr * urr + xy_rt * m_rt + xy_tt * m_tt
-        hyy[:-1] = yy_rr * urr + yy_rt * m_rt + yy_tt * m_tt
-        return hxx, hxy, hyy
-    h2 = grid.h ** 2
-    hxx[1:-1, 1:-1] = (u[1:-1, 2:] - 2.0 * u[1:-1, 1:-1]
-                       + u[1:-1, :-2]) / h2
-    hyy[1:-1, 1:-1] = (u[2:, 1:-1] - 2.0 * u[1:-1, 1:-1]
-                       + u[:-2, 1:-1]) / h2
-    hxy[1:-1, 1:-1] = (u[2:, 2:] - u[2:, :-2] - u[:-2, 2:]
-                       + u[:-2, :-2]) / (4.0 * h2)
+    nr, nt = grid.shape
+    dr, dt = grid.dr, grid.dtheta
+    P = _phantom_pad(u, nt)
+    Pl = np.roll(P, -1, axis=1)
+    Pr = np.roll(P, 1, axis=1)
+    ur = (P[2:nr + 1] - P[:nr - 1]) / (2.0 * dr)
+    ut = (Pl[1:nr] - Pr[1:nr]) / (2.0 * dt)
+    urr = (P[2:nr + 1] - 2.0 * P[1:nr] + P[:nr - 1]) / dr**2
+    urt = (Pl[2:nr + 1] - Pr[2:nr + 1] - Pl[:nr - 1] + Pr[:nr - 1]) \
+        / (4.0 * dr * dt)
+    utt = (Pl[1:nr] - 2.0 * P[1:nr] + Pr[1:nr]) / dt**2
+    (rx, tx, ry, ty, k_rt_x, k_rt_y, k_tt_x, k_tt_y,
+     xx_rr, xx_rt, xx_tt, xy_rr, xy_rt, xy_tt,
+     yy_rr, yy_rt, yy_tt) = _polar_hessian_weights(grid)
+    gx = rx * ur + tx * ut
+    gy = ry * ur + ty * ut
+    # subtract the curvature of the map: M = H_(r,theta) - gx*X - gy*Y
+    # with X, Y the second-derivative tensors of x(r,th), y(r,th)
+    m_rt = urt + k_rt_x * gx - k_rt_y * gy
+    m_tt = utt + k_tt_x * gx + k_tt_y * gy
+    hxx[:-1] = xx_rr * urr + xx_rt * m_rt + xx_tt * m_tt
+    hxy[:-1] = xy_rr * urr + xy_rt * m_rt + xy_tt * m_tt
+    hyy[:-1] = yy_rr * urr + yy_rt * m_rt + yy_tt * m_tt
     return hxx, hxy, hyy
 
 
@@ -199,20 +175,18 @@ def difference_operators(grid):
     of the map, not from `gradient` or `hessian`, which they reproduce
     to round-off; they serve as the explicit reference for both.
     """
-    polar = grid.backend == "polar"
     n_t = grid.shape[1]
     J, I = np.indices(grid.shape)
 
     def native(nodes, taps):
         """sum_k w_k u[j + dj_k, i + di_k] at the nodes J[nodes], I[nodes]
-        for taps (dj_k, di_k, w_k); on the polar grids i wraps and row -1
-        is the phantom ring."""
+        for taps (dj_k, di_k, w_k); i wraps and row -1 is the phantom
+        ring."""
         j, i = J[nodes].ravel(), I[nodes].ravel()
         dj, di, w = (np.array(col)[:, None] for col in zip(*taps))
         jj, ii = j + dj, i + di
-        if polar:
-            ii = np.where(jj < 0, ii + n_t // 2, ii) % n_t
-            jj = np.maximum(jj, 0)
+        ii = np.where(jj < 0, ii + n_t // 2, ii) % n_t
+        jj = np.maximum(jj, 0)
         return (np.broadcast_to(j * n_t + i, jj.shape).ravel(),
                 (jj * n_t + ii).ravel(), np.broadcast_to(w, jj.shape).ravel())
 
@@ -222,25 +196,6 @@ def difference_operators(grid):
                 np.concatenate([cols for _, (_, cols, _) in terms]),
                 np.concatenate([np.broadcast_to(c, grid.shape).ravel()[rows]
                                 * vals for c, (rows, _, vals) in terms]))
-
-    if not polar:
-        h, every = grid.h, slice(None)
-        c, q = 1.0 / (2.0 * h), 1.0 / (4.0 * h**2)
-        # central inside, forward on the first and backward on the last
-        # line of nodes
-        first = [(slice(0, 1), [(0, -3 * c), (1, 4 * c), (2, -c)]),
-                 (slice(1, -1), [(1, c), (-1, -c)]),
-                 (slice(-1, None), [(0, 3 * c), (-1, -4 * c), (-2, c)])]
-        second = [(-1, 1 / h**2), (0, -2 / h**2), (1, 1 / h**2)]
-        inner = (slice(1, -1), slice(1, -1))
-        return (
-            comb(*[(1.0, native((every, sl), [(0, s, w) for s, w in taps]))
-                   for sl, taps in first]),
-            comb(*[(1.0, native((sl, every), [(s, 0, w) for s, w in taps]))
-                   for sl, taps in first]),
-            native(inner, [(0, s, w) for s, w in second]),
-            native(inner, [(1, 1, q), (1, -1, -q), (-1, 1, -q), (-1, -1, q)]),
-            native(inner, [(s, 0, w) for s, w in second]))
 
     dr, dt = grid.dr, grid.dtheta
     a, b = grid.domain.a, grid.domain.b
@@ -305,43 +260,12 @@ def _polar_closure(grid):
     return _read_only(3.0 * w, -4.0 * w, w, A, inverse)
 
 
-@functools.lru_cache(maxsize=8)
-def _square_closure_nodes(n):
-    """Index tuples of the Neumann closure on an n x n lattice.
-
-    Returns (face, face1, face2) for the non-corner boundary nodes and
-    their first and second inward neighbors along the normal line, and
-    (corners, cx1, cx2, cy1, cy2) for the four corners and their first
-    and second inward neighbors along the row (x) and the column (y).
-    """
-    i = np.arange(1, n - 1)
-    faces = []
-    for d in (0, 1, 2):
-        near, far = np.full_like(i, d), np.full_like(i, n - 1 - d)
-        # for each i: the nodes on the left, right, bottom and top faces
-        faces.append((np.stack((i, i, near, far), axis=1).ravel(),
-                      np.stack((near, far, i, i), axis=1).ravel()))
-    corners = ((0, 0, n - 1, n - 1), (0, n - 1, 0, n - 1))
-    cx1 = ((0, 0, n - 1, n - 1), (1, n - 2, 1, n - 2))
-    cx2 = ((0, 0, n - 1, n - 1), (2, n - 3, 2, n - 3))
-    cy1 = ((1, 1, n - 2, n - 2), (0, n - 1, 0, n - 1))
-    cy2 = ((2, 2, n - 3, n - 3), (0, n - 1, 0, n - 1))
-    return tuple(_read_only(*pair) for pair in faces), \
-        (corners, cx1, cx2, cy1, cy2)
-
-
 @_per_grid
 def _boundary_nodes(grid):
-    """Index of the closed nodes in u, their coordinates, and the
-    diagonal of the closure matrix M there: the outer ring on the polar
-    grids, the face nodes followed by the corners on the square."""
-    if grid.backend == "polar":
-        return (-1,) + _read_only(grid.x[-1], grid.y[-1],
-                                  _polar_closure(grid)[0])
-    (face, _, _), (corners, _, _, _, _) = _square_closure_nodes(grid.shape[0])
-    both = tuple(np.concatenate(ij) for ij in zip(face, corners))
-    return (both,) + _read_only(grid.x[both], grid.y[both],
-                                3.0 / (2.0 * grid.h))
+    """Index of the closed nodes in u (the outer ring), their
+    coordinates, and the diagonal of the closure matrix M there."""
+    return (-1,) + _read_only(grid.x[-1], grid.y[-1],
+                              _polar_closure(grid)[0])
 
 
 def _close_linear(grid, u, g, d=None):
@@ -349,49 +273,32 @@ def _close_linear(grid, u, g, d=None):
     with phi replaced by g + d * u_b, both in `_boundary_nodes` order.
     d = None stands for d = 0 and uses the cached inverse on the
     ellipse."""
-    if grid.backend == "polar":
-        slope, c1, c2, A, inverse = _polar_closure(grid)
-        rhs = g - (c1 * u[-2] + c2 * u[-3])
-        if A is None:
-            u[-1] = rhs / (slope if d is None else slope - d)
-        elif d is None:
-            u[-1] = inverse @ rhs
-        else:
-            u[-1] = np.linalg.solve(A - np.diag(d), rhs)
-        return
-    h = grid.h
-    slope = 3.0 / (2.0 * h)
-    (face, f1, f2), (corners, cx1, cx2, cy1, cy2) = \
-        _square_closure_nodes(grid.shape[0])
-    m = face[0].size
-    sf, sc = (slope, slope) if d is None else (slope - d[:m], slope - d[m:])
-    u[face] = (g[:m] - (-4.0 * u[f1] + u[f2]) / (2.0 * h)) / sf
-    u[corners] = (g[m:] - 0.5 * (-4.0 * (u[cx1] + u[cy1])
-                                 + (u[cx2] + u[cy2])) / (2.0 * h)) / sc
+    slope, c1, c2, A, inverse = _polar_closure(grid)
+    rhs = g - (c1 * u[-2] + c2 * u[-3])
+    if A is None:
+        u[-1] = rhs / (slope if d is None else slope - d)
+    elif d is None:
+        u[-1] = inverse @ rhs
+    else:
+        u[-1] = np.linalg.solve(A - np.diag(d), rhs)
 
 
 def _closure_part(grid):
     """The linear part of the closure with a u-free phi: the flat indices
-    of the nodes it writes and of the interior nodes it reads, and the
-    matrix C with u[written] = C u[read] + (the part from phi).  Column
-    e of C is the closure of the unit field at read node e with g = 0."""
-    nodes = _boundary_nodes(grid)[0]
-    if grid.backend == "polar":
-        nr, nt = grid.shape
-        written = np.arange((nr - 1) * nt, nr * nt)
-        read = np.arange((nr - 3) * nt, (nr - 1) * nt)
-    else:
-        (_, f1, f2), _ = _square_closure_nodes(grid.shape[0])
-        written = np.ravel_multi_index(nodes, grid.shape)
-        read = np.unique(np.ravel_multi_index(
-            tuple(np.concatenate(ij) for ij in zip(f1, f2)), grid.shape))
+    of the nodes it writes (the outer ring) and of the interior nodes it
+    reads (the two rings inside it), and the matrix C with u[written] =
+    C u[read] + (the part from phi).  Column e of C is the closure of the
+    unit field at read node e with g = 0."""
+    nr, nt = grid.shape
+    written = np.arange((nr - 1) * nt, nr * nt)
+    read = np.arange((nr - 3) * nt, (nr - 1) * nt)
     zero = np.zeros(written.size)
     C = np.empty((written.size, read.size))
     for col, e in enumerate(read):
         u = np.zeros(grid.shape)
         u.flat[e] = 1.0
         _close_linear(grid, u, zero)
-        C[:, col] = u[nodes].ravel()
+        C[:, col] = u[-1]
     return written, read, C
 
 
@@ -403,10 +310,9 @@ def hessian_blocks(grid):
     interior values, with the Neumann closure of a u-free phi folded in:
     the map v -> hessian(apply_neumann(v)) - hessian(apply_neumann(0)).
 
-    Returns (xx, xy, yy), each of shape (n_p, 3, m, m) for the n_p block
-    rows of m interior nodes (rings on the polar grids, lattice rows on
-    the square): block [p, k] multiplies block row p - 1 + k of the
-    interior values, so h[p] = sum_k xx[p, k] @ v[p - 1 + k].  The
+    Returns (xx, xy, yy), each of shape (n_p, 3, m, m) for the n_p
+    interior rings of m nodes: block [p, k] multiplies ring p - 1 + k of
+    the interior values, so h[p] = sum_k xx[p, k] @ v[p - 1 + k].  The
     weights are the COO triplets of `difference_operators`; a triplet
     that reads a closed node is spread over the interior nodes the
     closure reads.  The pole phantom and the coupled ellipse closure
@@ -415,8 +321,8 @@ def hessian_blocks(grid):
     written, read, C = _closure_part(grid)
     # block row P and column T of each node in the layout of the interior
     # values u[interior], -1 off the interior
-    P, T = np.indices(grid.shape) - (grid.backend == "cartesian")
-    P, T = (np.where(grid.boundary_mask, -1, A).ravel() for A in (P, T))
+    P, T = (np.where(grid.boundary_mask, -1, A).ravel()
+            for A in np.indices(grid.shape))
     n_p, m = P.max() + 1, T.max() + 1
     row_of = np.full(grid.x.size, -1)
     row_of[written] = np.arange(written.size)
@@ -448,8 +354,7 @@ def apply_neumann(grid, u, phi):
     `phi` is made a field by `exprparse.as_field` and called as
     phi(x, y, u) with arrays of boundary data.  The one-sided discrete
     normal derivative at each boundary node is driven to phi within
-    1e-13 (1 + max|phi|); square corners satisfy the mean of their two
-    face relations.  The relation is solved by Newton on the boundary
+    1e-13 (1 + max|phi|).  The relation is solved by Newton on the boundary
     values of all nodes at once, with the slope phi.du.  A phi whose
     `depends_on_u` attribute is False makes it affine: one step solves
     it, with phi evaluated once.  Raises ValueError when phi is not
@@ -489,64 +394,40 @@ def apply_neumann(grid, u, phi):
 def interp_at(grid, u, point):
     """Bilinear interpolation of grid values at a physical point.
 
-    On the polar backend the interpolation runs in (r, theta)
-    coordinates, crossing the pole through the phantom ring so points
-    near the center are handled like any others.  The point must lie in
-    the closed domain (queries are clamped to it).
+    The interpolation runs in (r, theta) coordinates, crossing the pole
+    through the phantom ring so points near the center are handled like
+    any others.  The point must lie in the closed domain (queries are
+    clamped to it).
     """
     u = np.asarray(u, dtype=float)
     px, py = float(point[0]), float(point[1])
-    if grid.backend == "polar":
-        a, b = grid.domain.a, grid.domain.b
-        rr = math.hypot(px / a, py / b)
-        th = math.atan2(py / b, px / a) % (2.0 * math.pi)
-        rr = min(rr, 1.0)
-        nr, nt = grid.shape
-        dr, dt = grid.dr, grid.dtheta
-        P = _phantom_pad(u, nt)
-        # padded row p sits at signed r = (p - 1/2) dr
-        p = int(math.floor(rr / dr + 0.5))
-        p = min(max(p, 0), nr - 1)
-        fr = rr / dr + 0.5 - p
-        q = int(math.floor(th / dt))
-        q = min(max(q, 0), nt - 1)
-        ft = th / dt - q
-        q1 = (q + 1) % nt
-        return float((1 - fr) * ((1 - ft) * P[p, q] + ft * P[p, q1])
-                     + fr * ((1 - ft) * P[p + 1, q] + ft * P[p + 1, q1]))
-    n = grid.shape[0]
-    h = grid.h
-    L = grid.domain.half_width
-    sx = min(max((px + L) / h, 0.0), n - 1.0)
-    sy = min(max((py + L) / h, 0.0), n - 1.0)
-    j = min(int(math.floor(sx)), n - 2)
-    i = min(int(math.floor(sy)), n - 2)
-    fx, fy = sx - j, sy - i
-    return float((1 - fy) * ((1 - fx) * u[i, j] + fx * u[i, j + 1])
-                 + fy * ((1 - fx) * u[i + 1, j] + fx * u[i + 1, j + 1]))
+    a, b = grid.domain.a, grid.domain.b
+    rr = math.hypot(px / a, py / b)
+    th = math.atan2(py / b, px / a) % (2.0 * math.pi)
+    rr = min(rr, 1.0)
+    nr, nt = grid.shape
+    dr, dt = grid.dr, grid.dtheta
+    P = _phantom_pad(u, nt)
+    # padded row p sits at signed r = (p - 1/2) dr
+    p = int(math.floor(rr / dr + 0.5))
+    p = min(max(p, 0), nr - 1)
+    fr = rr / dr + 0.5 - p
+    q = int(math.floor(th / dt))
+    q = min(max(q, 0), nt - 1)
+    ft = th / dt - q
+    q1 = (q + 1) % nt
+    return float((1 - fr) * ((1 - ft) * P[p, q] + ft * P[p, q1])
+                 + fr * ((1 - ft) * P[p + 1, q] + ft * P[p + 1, q1]))
 
 
 def neumann_residual(grid, u, phi):
     """Residual (u_nu - phi) at boundary nodes, full grid shape, zeros
-    elsewhere; corners use their averaged relation."""
+    elsewhere."""
     u = np.asarray(u, dtype=float)
     out = np.zeros_like(u)
-    if grid.backend == "polar":
-        dr = grid.dr
-        sq, ct = _polar_boundary_geometry(grid)
-        ub = u[-1]
-        ur = (3.0 * ub - 4.0 * u[-2] + u[-3]) / (2.0 * dr)
-        ut = (np.roll(ub, -1) - np.roll(ub, 1)) / (2.0 * grid.dtheta)
-        out[-1] = sq * ur + ct * ut - phi(grid.x[-1], grid.y[-1], ub)
-        return out
-    h = grid.h
-    (face, _, _), (corners, cx1, cx2, cy1, cy2) = \
-        _square_closure_nodes(grid.shape[0])
-    gx, gy = gradient(grid, u)
-    un = gx * grid.normal_x + gy * grid.normal_y
-    out[face] = un[face] - phi(grid.x[face], grid.y[face], u[face])
-    uc = u[corners]
-    dn = (3.0 * uc - 0.5 * 4.0 * (u[cx1] + u[cy1])
-          + 0.5 * (u[cx2] + u[cy2])) / (2.0 * h)
-    out[corners] = dn - phi(grid.x[corners], grid.y[corners], uc)
+    sq, ct = _polar_boundary_geometry(grid)
+    ub = u[-1]
+    ur = (3.0 * ub - 4.0 * u[-2] + u[-3]) / (2.0 * grid.dr)
+    ut = (np.roll(ub, -1) - np.roll(ub, 1)) / (2.0 * grid.dtheta)
+    out[-1] = sq * ur + ct * ut - phi(grid.x[-1], grid.y[-1], ub)
     return out

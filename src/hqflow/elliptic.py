@@ -97,7 +97,7 @@ def solve_regularized(spec, eps, u_init=None, tol=1e-8):
     if not tol > 0.0:
         raise ArgumentError("tol", f"must be positive, got {tol!r}")
     _require_x_only(spec)
-    grid, sl = spec.grid, spec._interior
+    grid, sl = spec.grid, flow._INTERIOR
 
     def residual(u):
         ev = flow._evaluate(spec, u)

@@ -6,7 +6,7 @@ The right side is evaluated in closed form from sigma_1 = trace and
 sigma_2 = det of the 2x2 discrete Hessian, guarded so the Hessian stays
 in the Garding cone Gamma_k.  `run` advances by linearly-implicit Euler
 steps (Hairer & Wanner, Solving ODEs II, IV.7): each step solves
-(I/dt - J) du = u_t on the interior nodes, where J = F11 Lxx + 2 F12 Lxy
+(I/dt - J) du = u_t on the interior rings, where J = F11 Lxx + 2 F12 Lxy
 + F22 Lyy - diag(f_u/f) is the derivative of u_t, F the closed-form
 derivative of log q at the current Hessian and L the closed Hessian of
 `discretize.hessian_blocks`.  The boundary is then closed exactly by
@@ -58,12 +58,9 @@ _DT_CAP = 0.25
 # A run refuses, before its first step, a t_max that would take more
 # steps than this at the largest dt.
 _MAX_STEPS = 1e8
-
-
-def _interior_slice(grid):
-    if grid.backend == "polar":
-        return (slice(0, -1), slice(None))
-    return (slice(1, -1), slice(1, -1))
+# The interior nodes: every ring inside the outer one, which holds the
+# boundary.  An index into u[_INTERIOR] is also the index of its node.
+_INTERIOR = (slice(0, -1), slice(None))
 
 
 def _osc(a):
@@ -99,7 +96,6 @@ class ProblemSpec:
         self.damping_rate = None if damping_rate is None else float(damping_rate)
         self.require_nonnegative_initial_speed = bool(
             require_nonnegative_initial_speed)
-        self._interior = _interior_slice(grid)
         self._validate()
 
     def _validate(self):
@@ -120,7 +116,7 @@ class ProblemSpec:
             u0c = discretize.apply_neumann(grid, raw, self.phi)
             ub = u0c[bm]
             phi_u = self.phi.du(xb, yb, ub)
-        sl = self._interior
+        sl = _INTERIOR
         x_i, y_i, u_i = grid.x[sl], grid.y[sl], u0c[sl]
         with _blame("f"):
             fval = self.f(x_i, y_i, u_i)
@@ -171,7 +167,7 @@ class ProblemSpec:
                 j = np.unravel_index(int(np.argmin(gap)), gap.shape)
                 raise ArgumentError(
                     "u0", f"has the quotient {ev.q[j]:.6g} below f = "
-                    f"{fval[j]:.6g} at node {_to_grid_node(self, j)}; the "
+                    f"{fval[j]:.6g} at node {tuple(map(int, j))}; the "
                     f"initial speed would be negative")
         self.u0_grid = u0c
         self.ut0_max_abs = float(np.max(np.abs(ev.ut)))
@@ -201,13 +197,6 @@ def _blame(field):
             from exc
 
 
-def _to_grid_node(spec, idx):
-    """Interior-array index -> full-grid node index."""
-    if spec.grid.backend == "polar":
-        return (int(idx[0]), int(idx[1]))
-    return (int(idx[0]) + 1, int(idx[1]) + 1)
-
-
 class _FieldEval:
     __slots__ = ("ok", "ok_all", "q", "fval", "ut", "sigma1", "sigma2",
                  "slopes", "hess")
@@ -233,7 +222,7 @@ def _evaluate(spec, u):
     `fval` keeps f and `hess` the Hessian (hxx, hxy, hyy) at the
     interior nodes."""
     grid = spec.grid
-    sl = spec._interior
+    sl = _INTERIOR
     hxx, hxy, hyy = discretize.hessian(grid, u)
     hxx, hxy, hyy = hxx[sl], hxy[sl], hyy[sl]
     trace = hxx + hyy
@@ -267,7 +256,7 @@ def _admissible_evaluate(spec, u, prefix=""):
     if ev.ok_all:
         return ev
     idx = np.unravel_index(int(np.argmax(~ev.ok)), ev.ok.shape)
-    node = _to_grid_node(spec, idx)
+    node = tuple(map(int, idx))
     sigma1 = float(ev.sigma1[idx])
     if sigma1 <= 1e-12 * (1.0 + abs(sigma1)):
         m, value = 1, sigma1
@@ -283,13 +272,13 @@ def rhs(u, spec, t=0.0):
     """u_t on interior nodes (boundary entries are zero)."""
     ev = _admissible_evaluate(spec, np.asarray(u, dtype=float))
     out = np.zeros(spec.grid.shape)
-    out[spec._interior] = ev.ut
+    out[_INTERIOR] = ev.ut
     return out
 
 
 def _log_f_slope(spec, u, ev):
     """f_u / f at the interior nodes of u, given its evaluation `ev`."""
-    sl = spec._interior
+    sl = _INTERIOR
     return spec.f.du(spec.grid.x[sl], spec.grid.y[sl], u[sl]) / ev.fval
 
 
@@ -329,9 +318,8 @@ def _linearized_solve(spec, slopes, diag, rhs):
     `discretize.hessian_blocks`; `diag` is a scalar or one value per
     interior node.  A Newton step of the damped problem passes its
     damping eps and its residual; a time step passes f_u/f + 1/dt and
-    u_t.  The blocks are solved by block elimination over the rings
-    (lattice rows on the square); a singular block raises
-    np.linalg.LinAlgError."""
+    u_t.  The blocks are solved by block elimination over the rings; a
+    singular block raises np.linalg.LinAlgError."""
     blocks = discretize.hessian_blocks(spec.grid)
     diag = np.broadcast_to(diag, slopes[0].shape)
     i = np.arange(diag.shape[1])
@@ -405,7 +393,7 @@ def _implicit_update(spec, state, ev, slope, dt):
             du = None
         if du is not None:
             u_new = state.u.copy()
-            u_new[spec._interior] += du
+            u_new[_INTERIOR] += du
             u_new = discretize.apply_neumann(spec.grid, u_new, spec.phi)
             ev_new = _evaluate(spec, u_new)
             if ev_new.ok_all:

@@ -1,15 +1,10 @@
-"""Convex planar domains (disk, ellipse, square), their distance functions,
-outward normals, boundary quadrature, and structured grids.
+"""Smooth, strictly convex planar domains (disk and ellipse), their
+distance functions, outward normals, boundary quadrature, and grids.
 
-Two grid backends: a polar map for disk and ellipse (boundary-conforming,
-so the Neumann condition sits exactly on the outermost ring) and a uniform
-Cartesian lattice for the square.  The square has corners, which the
-smooth strict-convexity theory does not cover; it is provided for
-manufactured-solution order studies only and carries nonsmooth=True so
-run metadata can flag it.
-
-Polar grids place radial nodes at r_j = (j + 1/2) dr with no node at the
-pole; values across the pole follow the phantom rule
+Every grid is the polar map (r, theta) -> (a r cos theta, b r sin theta),
+boundary-conforming, so the Neumann condition sits exactly on the
+outermost ring.  Radial nodes sit at r_j = (j + 1/2) dr with no node at
+the pole; values across the pole follow the phantom rule
 u(-r, theta) = u(r, theta + pi), which needs an even angular count.
 
 Domains and grids are immutable after construction.
@@ -21,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "Disk", "Ellipse", "Square", "Grid", "ArgumentError",
+    "Disk", "Ellipse", "Grid", "ArgumentError",
     "distance", "normal", "boundary_integral", "build_grid", "export_csv",
     "area_weights", "mesh_size",
 ]
@@ -55,7 +50,6 @@ def _check_sizes(dom, *fields):
 @dataclass(frozen=True)
 class Disk:
     radius: float
-    nonsmooth = False
 
     def __post_init__(self):
         _check_sizes(self, "radius")
@@ -75,19 +69,9 @@ class Disk:
 class Ellipse:
     a: float
     b: float
-    nonsmooth = False
 
     def __post_init__(self):
         _check_sizes(self, "a", "b")
-
-
-@dataclass(frozen=True)
-class Square:
-    half_width: float
-    nonsmooth = True
-
-    def __post_init__(self):
-        _check_sizes(self, "half_width")
 
 
 def _ellipse_nearest(a, b, p, q):
@@ -129,8 +113,6 @@ def distance(dom, x):
         raise ValueError("point has non-finite coordinates")
     if isinstance(dom, Disk):
         return dom.radius - math.hypot(p, q)
-    if isinstance(dom, Square):
-        return dom.half_width - max(abs(p), abs(q))
     nx, ny = _ellipse_nearest(dom.a, dom.b, p, q)
     d = math.hypot(nx - p, ny - q)
     inside = (p / dom.a) ** 2 + (q / dom.b) ** 2 <= 1.0
@@ -146,16 +128,6 @@ def normal(dom, x):
     if isinstance(dom, Disk):
         r = math.hypot(p, q)
         return np.array([p / r, q / r])
-    if isinstance(dom, Square):
-        L = dom.half_width
-        on_x = abs(abs(p) - L) <= _BOUNDARY_TOL * scale
-        on_y = abs(abs(q) - L) <= _BOUNDARY_TOL * scale
-        if on_x and on_y:
-            s = math.sqrt(0.5)
-            return np.array([math.copysign(s, p), math.copysign(s, q)])
-        if on_x:
-            return np.array([math.copysign(1.0, p), 0.0])
-        return np.array([0.0, math.copysign(1.0, q)])
     g = np.array([p / dom.a ** 2, q / dom.b ** 2])
     return g / math.hypot(*g)
 
@@ -164,22 +136,8 @@ def boundary_integral(dom, g, panels=4096):
     """Arc-length quadrature of g over the boundary.
 
     `g` is called with coordinate arrays (x, y).  Periodic trapezoid
-    rule on disk and ellipse, per-face trapezoid on the square; order
-    is >= 2 in the panel count either way.
+    rule in the parameter angle, of order >= 2 in the panel count.
     """
-    if isinstance(dom, Square):
-        L = dom.half_width
-        m = max(1, panels // 4)
-        s = np.linspace(-L, L, m + 1)
-        w = np.full(m + 1, 2.0 * L / m)
-        w[0] *= 0.5
-        w[-1] *= 0.5
-        ones = np.full(m + 1, L)
-        total = 0.0
-        for xs, ys in (((s, -ones)), ((ones, s)), ((s[::-1], ones)),
-                       ((-ones, s[::-1]))):
-            total += float(np.sum(np.asarray(g(xs, ys), dtype=float) * w))
-        return total
     a, b = dom.a, dom.b
     th = np.arange(panels) * (2.0 * math.pi / panels)
     xs, ys = a * np.cos(th), b * np.sin(th)
@@ -190,28 +148,20 @@ def boundary_integral(dom, g, panels=4096):
 
 @dataclass(frozen=True, eq=False)
 class Grid:
-    """Structured grid over a domain; arrays are indexed [row, col].
+    """Polar grid over a domain; arrays are indexed [ring, angle].
 
-    Polar backend: rows are rings (radial index), columns are angles;
-    map (r, theta) -> (a r cos theta, b r sin theta) with unit r on the
-    outermost ring.  Cartesian backend: rows are y, columns are x.
-    Boundary nodes carry outward unit normals and arc-length weights
-    (zero elsewhere).
+    The map (r, theta) -> (a r cos theta, b r sin theta) has unit r on
+    the outermost ring, which holds the boundary nodes.
     """
     domain: object
-    backend: str
     shape: tuple
     x: np.ndarray
     y: np.ndarray
     boundary_mask: np.ndarray
-    normal_x: np.ndarray
-    normal_y: np.ndarray
-    bweight: np.ndarray
-    r: np.ndarray = None
-    theta: np.ndarray = None
-    dr: float = None
-    dtheta: float = None
-    h: float = None
+    r: np.ndarray
+    theta: np.ndarray
+    dr: float
+    dtheta: float
 
     @property
     def interior_mask(self):
@@ -238,60 +188,19 @@ def _build_polar(dom, n_r, n_theta):
     y = b * R * np.sin(T)
     boundary = np.zeros((n_r, n_theta), dtype=bool)
     boundary[-1, :] = True
-    nx = np.zeros_like(x)
-    ny = np.zeros_like(x)
-    gx = np.cos(theta) / a
-    gy = np.sin(theta) / b
-    norm = np.hypot(gx, gy)
-    nx[-1, :] = gx / norm
-    ny[-1, :] = gy / norm
-    w = np.zeros_like(x)
-    w[-1, :] = np.sqrt((a * np.sin(theta)) ** 2
-                       + (b * np.cos(theta)) ** 2) * dtheta
-    return Grid(domain=dom, backend="polar", shape=(n_r, n_theta),
-                x=x, y=y, boundary_mask=boundary, normal_x=nx, normal_y=ny,
-                bweight=w, r=r, theta=theta, dr=dr, dtheta=dtheta)
+    return Grid(domain=dom, shape=(n_r, n_theta), x=x, y=y,
+                boundary_mask=boundary, r=r, theta=theta, dr=dr,
+                dtheta=dtheta)
 
 
-def _build_cartesian(dom, n):
-    if n < 8:
-        raise ArgumentError("n", f"must satisfy n >= 8, got {n}")
-    L = dom.half_width
-    h = 2.0 * L / (n - 1)
-    s = -L + h * np.arange(n)
-    Y, X = np.meshgrid(s, s, indexing="ij")
-    boundary = np.zeros((n, n), dtype=bool)
-    boundary[0, :] = boundary[-1, :] = True
-    boundary[:, 0] = boundary[:, -1] = True
-    nx = np.zeros_like(X)
-    ny = np.zeros_like(X)
-    nx[:, 0] = -1.0
-    nx[:, -1] = 1.0
-    ny[0, :] += -1.0
-    ny[-1, :] += 1.0
-    # corners get the diagonal direction, normalized
-    nrm = np.hypot(nx, ny)
-    np.divide(nx, nrm, out=nx, where=nrm > 0)
-    np.divide(ny, nrm, out=ny, where=nrm > 0)
-    w = np.zeros_like(X)
-    w[boundary] = h
-    return Grid(domain=dom, backend="cartesian", shape=(n, n),
-                x=X, y=Y, boundary_mask=boundary, normal_x=nx, normal_y=ny,
-                bweight=w, h=h)
-
-
-def build_grid(dom, n_r=None, n_theta=None, n=None):
-    """Grid over `dom`: polar needs n_r and n_theta, cartesian needs n."""
-    if isinstance(dom, (Disk, Ellipse)):
-        if n_r is None or n_theta is None:
-            raise ArgumentError("n_r" if n_r is None else "n_theta",
-                                "is required on a disk or an ellipse")
-        return _build_polar(dom, int(n_r), int(n_theta))
-    if isinstance(dom, Square):
-        if n is None:
-            raise ArgumentError("n", "is required on a square")
-        return _build_cartesian(dom, int(n))
-    raise ValueError(f"unknown domain {dom!r}")
+def build_grid(dom, n_r=None, n_theta=None):
+    """Polar grid over `dom` with n_r rings of n_theta nodes."""
+    if not isinstance(dom, (Disk, Ellipse)):
+        raise ValueError(f"unknown domain {dom!r}")
+    if n_r is None or n_theta is None:
+        raise ArgumentError("n_r" if n_r is None else "n_theta",
+                            "is required on a disk or an ellipse")
+    return _build_polar(dom, int(n_r), int(n_theta))
 
 
 def area_weights(grid):
@@ -300,29 +209,18 @@ def area_weights(grid):
     Polar grids use the exact cell integrals of the radial measure
     a*b*r dr dtheta (the outermost cell is truncated at the boundary),
     so constants integrate exactly and smooth integrands at second
-    order.  Cartesian grids use the 2-D trapezoid weights.
+    order.
     """
-    if grid.backend == "polar":
-        ab = grid.domain.a * grid.domain.b
-        dr, dt = grid.dr, grid.dtheta
-        n_r = grid.shape[0]
-        cell = grid.r * dr
-        cell[-1] = 0.5 * (1.0 - (1.0 - 0.5 * dr) ** 2)
-        return np.broadcast_to((ab * dt * cell)[:, None], grid.shape).copy()
-    h = grid.h
-    w = np.full(grid.shape, h * h)
-    w[0, :] *= 0.5
-    w[-1, :] *= 0.5
-    w[:, 0] *= 0.5
-    w[:, -1] *= 0.5
-    return w
+    ab = grid.domain.a * grid.domain.b
+    dr, dt = grid.dr, grid.dtheta
+    cell = grid.r * dr
+    cell[-1] = 0.5 * (1.0 - (1.0 - 0.5 * dr) ** 2)
+    return np.broadcast_to((ab * dt * cell)[:, None], grid.shape).copy()
 
 
 def mesh_size(grid):
     """Coarsest physical node spacing, the `h` of O(h^2) error bounds."""
-    if grid.backend == "polar":
-        return max(grid.domain.a, grid.domain.b) * max(grid.dr, grid.dtheta)
-    return grid.h
+    return max(grid.domain.a, grid.domain.b) * max(grid.dr, grid.dtheta)
 
 
 def export_csv(grid, u, path, metadata=()):

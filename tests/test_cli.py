@@ -237,15 +237,19 @@ class TestFlowCommand:
                                                    "summary.json"}
 
     def test_metadata_header_first(self, flow_run):
+        # every domain is smooth and strictly convex, so no header flags
+        # one that leaves the theory
         _, out, _ = flow_run
         for name in ("monitors.csv", "final.csv"):
-            head = (out / name).read_text().splitlines()[:5]
-            assert head[0] == "# command=flow"
+            head = [line for line in (out / name).read_text().splitlines()
+                    if line.startswith("#")]
+            assert head == ["# command=flow", head[1],
+                            "# domain=disk radius=1", "# grid=polar 12x24"]
             assert head[1].startswith("# config_sha256=")
-            assert "# outside_theory=false" in head
         summary = json.loads((out / "summary.json").read_text())
         assert list(summary)[0] == "meta"
         assert len(summary["meta"]["config_sha256"]) == 64
+        assert "outside_theory" not in summary["meta"]
 
     def test_summary_contents(self, flow_run):
         _, out, _ = flow_run
@@ -416,8 +420,7 @@ class TestFlowCommand:
         ("disk", "problem.radius", "1e-200"),
         ("disk", "problem.radius", "1e-160"),
         ("ellipse", "problem.a", "nan"), ("ellipse", "problem.b", "inf"),
-        ("ellipse", "problem.b", "1e200"),
-        ("square", "problem.half_width", "inf")])
+        ("ellipse", "problem.b", "1e200")])
     def test_unusable_domain_size_exit_2(self, tmp_path, domain, key, value):
         # 1e-200 squares to 0 and 1e200 to inf, 1e-160 squares to a
         # subnormal whose inverse is inf, and the polar metric divides
@@ -427,15 +430,28 @@ class TestFlowCommand:
         sizes[key] = value
         text = FLOW_CFG.replace("problem.domain = disk",
                                 f"problem.domain = {domain}")
-        if domain == "square":
-            text = text.replace("grid.n_r = 12\ngrid.n_theta = 24",
-                                "grid.n = 9")
         text += "".join(f"{k} = {v}\n" for k, v in sizes.items())
         proc = run_module(["flow", write_cfg(tmp_path, text)], tmp_path,
                           timeout=120)
         assert proc.returncode == 2
         assert f"config error at {key}:" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    def test_square_is_not_a_domain_exit_2(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, FLOW_CFG.replace(
+            "problem.domain = disk", "problem.domain = square"))
+        assert cli.main(["flow", cfg]) == 2
+        assert "config error at problem.domain: expected one of disk, " \
+            "ellipse" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", [
+        ("grid.n", "9"), ("problem.half_width", "1.0")])
+    def test_square_keys_are_unknown_exit_2(self, tmp_path, capsys, key,
+                                            value):
+        cfg = write_cfg(tmp_path, FLOW_CFG + f"{key} = {value}\n")
+        assert cli.main(["flow", cfg]) == 2
+        assert f"config error at {key}: unknown key" \
+            in capsys.readouterr().err
 
     def test_odd_n_theta_reported_at_its_key(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, FLOW_CFG.replace(
@@ -567,6 +583,24 @@ class TestEigenCommand:
         assert cli.main(["eigen", cfg]) == 2
         assert "problem.f" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("k, l", [(1, 0), (2, 0), (2, 1)])
+    def test_u_dependent_phi_exit_2(self, tmp_path, capsys, monkeypatch,
+                                    k, l):
+        # the Laplace oracle of (1, 0) evaluates phi at u = 0, where this
+        # phi has no value; the damped solver names phi first
+        text = EIGEN_CFG.replace("grid.n_r = 10\ngrid.n_theta = 20",
+                                 "grid.n_r = 8\ngrid.n_theta = 16")
+        for key, value in (("k", k), ("l", l),
+                           ("phi", '"1 - log(u/1.5)"'),
+                           ("u0", '"(x1^2 + x2^2)/2 + 1"')):
+            text = re.sub(rf"^problem\.{key} = .*$", f"problem.{key} = "
+                          f"{value}", text, flags=re.M)
+        cfg = write_cfg(tmp_path, text)
+        monkeypatch.setenv("HQFLOW_OUT", str(tmp_path / "o"))
+        assert cli.main(["eigen", cfg]) == 2
+        assert "config error at problem.phi: must not depend on u" \
+            in capsys.readouterr().err
+
     def test_slowly_u_dependent_f_exit_2(self, tmp_path, capsys,
                                          monkeypatch):
         cfg = write_cfg(tmp_path, EIGEN_CFG.replace(
@@ -664,6 +698,14 @@ class TestConvergeCommand:
                         CONV_CFG + "converge.resolutions = 8, 16, 32\n")
         assert cli.main(["converge", cfg, "--levels", "2"]) == 2
         assert "converge.resolutions" in capsys.readouterr().err
+
+    def test_decreasing_resolutions_exit_2(self, tmp_path, capsys):
+        # 8 is the coarsest level here, and 16 a multiple of it
+        cfg = write_cfg(tmp_path,
+                        CONV_CFG + "converge.resolutions = 16, 8\n")
+        assert cli.main(["converge", cfg, "--levels", "2"]) == 2
+        assert "config error at converge.resolutions: resolutions must " \
+            "increase" in capsys.readouterr().err
 
     def test_single_level_exit_2(self, tmp_path):
         cfg = write_cfg(tmp_path, CONV_CFG)

@@ -13,10 +13,6 @@ def disk_grid(n_r=12, n_t=24):
     return geometry.build_grid(geometry.Disk(1.0), n_r=n_r, n_theta=n_t)
 
 
-def square_grid(n=17):
-    return geometry.build_grid(geometry.Square(1.0), n=n)
-
-
 def quadratic_disk_spec(k=1, l=0, n_r=12, n_t=24, require=True):
     """u0 = r^2/2 on the unit disk has u_nu = 1 and D^2 u0 = I."""
     return flow.ProblemSpec(disk_grid(n_r, n_t), k, l, f="1", phi="1",
@@ -259,7 +255,7 @@ class TestDtSelection:
         slope = flow._log_f_slope(spec, state.u, ev)
         for dt in (0.25, 0.125):
             u = state.u.copy()
-            u[spec._interior] += flow._linearized_solve(
+            u[flow._INTERIOR] += flow._linearized_solve(
                 spec, ev.slopes, slope + 1.0 / dt, ev.ut)
             u = discretize.apply_neumann(spec.grid, u, spec.phi)
             assert not flow._evaluate(spec, u).ok_all
@@ -292,7 +288,7 @@ class TestImplicitDamping:
         # exact only for a u-free phi, but u_t = 0 is the fixed point of
         # the step with any J
         ustar, f, phi = TestManufacturedSteady.fields()
-        spec = flow.ProblemSpec(square_grid(9), 1, 0, f=f, phi=phi,
+        spec = flow.ProblemSpec(disk_grid(8, 16), 1, 0, f=f, phi=phi,
                                 u0=ustar, growth_rate=1.0,
                                 require_nonnegative_initial_speed=False)
         result = flow.run(spec, mode="steady", t_max=40.0, tol_steady=1e-10)
@@ -360,27 +356,15 @@ class TestStep:
         assert np.max(np.abs(shift - 0.1 / (1.0 + 4.0 * dt))) <= 1e-12
 
     def test_forced_large_dt_diverges(self):
-        # Exact quadratic data on the square: D^2 u0 = diag(1, 1e-5) and
-        # D^2 u_t = diag(0, -80) at every deep interior node; the
-        # linearization holds only while dt is tiny: the exact flow
-        # leaves the cone at t = 1.25e-7, and a step from dt = 1 does so
-        # after every one of its 20 halvings.
-        lam2 = 1e-5
-
-        def u0(x, y):
-            return 0.5 * (x * x + lam2 * y * y)
-
-        def phi(x, y, u):
-            on_x = np.abs(np.abs(x) - 1.0) < 1e-12
-            on_y = np.abs(np.abs(y) - 1.0) < 1e-12
-            gx = np.where(on_x, np.sign(x) * x, 0.0)
-            gy = np.where(on_y, np.sign(y) * lam2 * y, 0.0)
-            return np.where(on_x & on_y, 0.5 * (gx + gy), gx + gy)
-
-        def f(x, y, u):
-            return lam2 * np.exp(40.0 * y * y)
-
-        spec = flow.ProblemSpec(square_grid(9), 2, 0, f=f, phi=phi, u0=u0,
+        # Quadratic data on the disk: D^2 u0 = diag(1, 1e-5), phi = x.grad
+        # u0 its normal derivative, and f makes u_t = -40 x2^2, so D^2 u_t
+        # = diag(0, -80); the linearization holds only while dt is tiny:
+        # the exact flow leaves the cone at t = 1.25e-7, and a step from
+        # dt = 1 does so after every one of its 20 halvings.
+        spec = flow.ProblemSpec(disk_grid(8, 16), 2, 0,
+                                f="1e-5*exp(40*x2^2)",
+                                phi="x1^2 + 1e-5*x2^2",
+                                u0="(x1^2 + 1e-5*x2^2)/2",
                                 require_nonnegative_initial_speed=False)
         state, ev = start(spec)
         slope = flow._log_f_slope(spec, state.u, ev)
@@ -399,68 +383,47 @@ class TestStep:
 
 
 class TestManufacturedSteady:
-    """f and phi built so u* = (x^2+y^2)/2 + 0.05 cos(pi x)cos(pi y) is
-    a steady point of the k=1 flow on the square, with unit u-damping
-    in both f and phi."""
+    """f and phi built so u* = |x|^2/2 + 0.1 exp(x1/2) is a steady point
+    of the k=1 flow on the unit disk, with unit u-damping in both f and
+    phi (the fields of test_cli's CONV_CFG)."""
 
     @staticmethod
     def fields():
-        def ustar(x, y):
-            return 0.5 * (x * x + y * y) + 0.05 * np.cos(np.pi * x) * np.cos(np.pi * y)
-
-        def ustar_x(x, y):
-            return x - 0.05 * np.pi * np.sin(np.pi * x) * np.cos(np.pi * y)
-
-        def ustar_y(x, y):
-            return y - 0.05 * np.pi * np.cos(np.pi * x) * np.sin(np.pi * y)
-
-        def lap(x, y):
-            return 2.0 - 0.1 * np.pi**2 * np.cos(np.pi * x) * np.cos(np.pi * y)
-
-        def f(x, y, u):
-            return lap(x, y) * np.exp(u - ustar(x, y))
-
-        def phi(x, y, u):
-            on_x = np.abs(np.abs(x) - 1.0) < 1e-12
-            on_y = np.abs(np.abs(y) - 1.0) < 1e-12
-            gx = np.where(on_x, np.sign(x) * ustar_x(x, y), 0.0)
-            gy = np.where(on_y, np.sign(y) * ustar_y(x, y), 0.0)
-            g = np.where(on_x & on_y, 0.5 * (gx + gy), gx + gy)
-            return g + ustar(x, y) - u
-
+        ustar = "((x1^2 + x2^2)/2 + 0.1*exp(x1/2))"
+        # sigma_1(D^2 u*) = 2 + 0.025 exp(x1/2), and x.grad u* on the disk
+        f = f"(2 + 0.025*exp(x1/2)) * exp(u - {ustar})"
+        phi = f"1 + 0.05*x1*exp(x1/2) + {ustar} - u"
         return ustar, f, phi
 
     def test_residual_small_at_exact_profile(self):
         ustar, f, phi = self.fields()
         errs = []
-        for n in (17, 33):
-            grid = square_grid(n)
+        for n_r, n_t in ((8, 16), (16, 32)):
+            grid = disk_grid(n_r, n_t)
             spec = flow.ProblemSpec(grid, 1, 0, f=f, phi=phi, u0=ustar,
                                     growth_rate=1.0,
                                     require_nonnegative_initial_speed=False)
             ut = flow.rhs(spec.u0_grid, spec)
-            # away from the boundary strip the residual is second order
-            deep = np.abs(ut[2:-2, 2:-2])
-            assert np.max(deep) <= 10.0 * grid.h**2
+            # away from the pole the residual is second order
+            deep = np.abs(ut[grid.interior_mask & (grid.r[:, None] >= 0.3)])
+            assert np.max(deep) <= 0.05 * geometry.mesh_size(grid) ** 2
             errs.append(float(np.max(np.abs(ut))))
-        # the one-sided closure leaves a first-order strip at worst
+        # the innermost ring sees the m=1 mode at first order only
         assert errs[1] <= 0.7 * errs[0]
 
     def test_flow_settles_to_profile(self):
         ustar, f, phi = self.fields()
-        grid = square_grid(17)
-
-        def u_init(x, y):
-            return ustar(x, y) + 0.1 * (1 - x * x) ** 2 * (1 - y * y) ** 2
-
-        spec = flow.ProblemSpec(grid, 1, 0, f=f, phi=phi, u0=u_init,
+        grid = disk_grid(8, 16)
+        spec = flow.ProblemSpec(grid, 1, 0, f=f, phi=phi,
+                                u0=f"{ustar} + 0.1*(1 - x1^2 - x2^2)^2",
                                 growth_rate=1.0, damping_rate=-1.0,
                                 require_nonnegative_initial_speed=False)
         result = flow.run(spec, mode="steady", t_max=40.0)
         assert result.status == "steady"
         assert result.records[-1].max_abs_ut < 1e-8
-        err = np.max(np.abs(result.state.u - ustar(grid.x, grid.y)))
-        assert err <= 10.0 * grid.h**2
+        exact = exprparse.as_field(ustar, "u0")(grid.x, grid.y)
+        err = np.max(np.abs(result.state.u - exact))
+        assert err <= 0.01 * geometry.mesh_size(grid) ** 2
         rate = flow.decay_rate(result)
         assert rate >= 0.8
         report = flow.monitor_report(result, spec)
@@ -640,7 +603,6 @@ LINEARIZED_GRIDS = {
                                         n_theta=16),
     "ellipse": lambda: geometry.build_grid(geometry.Ellipse(1.25, 0.8),
                                            n_r=8, n_theta=16),
-    "square": lambda: square_grid(9),
 }
 
 
@@ -655,16 +617,13 @@ def test_linearized_solve_inverts_the_derivative_of_rhs(name, k, l):
     grid = LINEARIZED_GRIDS[name]()
     # phi is the normal derivative of the quadratic part of u0 (see
     # test_discretize's TestHessianBlocks)
-    if name == "square":
-        a, b, phi = 1.0, 1.0, "1"
-    else:
-        a, b = grid.domain.a, grid.domain.b
-        phi = f"sqrt((x1/{a * a})^2 + (x2/{b * b})^2)"
+    a, b = grid.domain.a, grid.domain.b
     spec = flow.ProblemSpec(
-        grid, k, l, f="exp(0.5*u)*(1 + 0.1*x1)", phi=phi,
+        grid, k, l, f="exp(0.5*u)*(1 + 0.1*x1)",
+        phi=f"sqrt((x1/{a * a})^2 + (x2/{b * b})^2)",
         u0=f"(x1^2/{a * a} + x2^2/{b * b})/2 + 0.05*x1*x2 + 0.02*x1^3",
         require_nonnegative_initial_speed=False)
-    sl = spec._interior
+    sl = flow._INTERIOR
     u = spec.u0_grid
     rng = np.random.default_rng(3)
     v = np.zeros(grid.shape)
