@@ -58,14 +58,14 @@ _MISSING = object()
 KNOWN_KEYS = frozenset({
     "problem.k", "problem.l", "problem.domain", "problem.radius",
     "problem.a", "problem.b",
-    "problem.f", "problem.phi", "problem.u0", "problem.y0",
+    "problem.f", "problem.phi", "problem.u0",
     "problem.growth_rate", "problem.damping_rate",
     "problem.require_nonnegative_initial_speed",
     "grid.n_r", "grid.n_theta",
     "flow.mode", "flow.t_max", "flow.tol_steady", "flow.tol_trans",
     "flow.checkpoint_every", "flow.mean_shift",
     "eigen.eps0", "eigen.n_halvings", "eigen.tol", "eigen.check_translation",
-    "converge.u_star", "converge.resolutions",
+    "converge.u_star",
     "output.dir", "output.formats",
 })
 
@@ -114,13 +114,6 @@ def _unquote(raw):
     return raw
 
 
-def _point(raw):
-    vals = tuple(float(p) for p in raw.split(","))
-    if len(vals) != 2 or not all(math.isfinite(v) for v in vals):
-        raise ValueError(raw)
-    return vals
-
-
 class Config:
     """Typed access to flat config pairs with pathed diagnostics."""
 
@@ -160,15 +153,6 @@ class Config:
             raise ConfigError(
                 path, f"expected one of {', '.join(choices)}; got {raw!r}")
         return raw
-
-    def point(self, path):
-        return self._get(path, _MISSING, _point,
-                         "two finite comma-separated numbers")
-
-    def int_list(self, path, default=_MISSING):
-        return self._get(path, default,
-                         lambda raw: [int(p) for p in raw.split(",")],
-                         "comma-separated integers")
 
     def expr(self, path, slot):
         try:
@@ -363,8 +347,7 @@ def cmd_eigen(args):
     grid = build_grid(cfg, dom)
     spec = build_spec(cfg, grid)
     solve = _options(cfg, "eigen", eps0=Config.float_, tol=Config.float_)
-    schedule = dict(solve, **_options(cfg, "eigen", n_halvings=Config.int_),
-                    **_options(cfg, "problem", y0=Config.point))
+    schedule = dict(solve, **_options(cfg, "eigen", n_halvings=Config.int_))
     check_translation = cfg.bool_("eigen.check_translation", False)
     formats = _formats(cfg)
     out = _out_dir(cfg)
@@ -373,8 +356,8 @@ def cmd_eigen(args):
     oracle_s = None
     # the oracle evaluates f and phi at u = 0, so it needs both free of
     # u; solve_eigenpair then names the one that is not
-    if ((spec.k, spec.l) == (1, 0) and not spec.f_depends_on_u
-            and not spec.phi_depends_on_u):
+    if ((spec.k, spec.l) == (1, 0) and not spec.f.depends_on_u
+            and not spec.phi.depends_on_u):
         oracle_s = elliptic.laplace_speed_oracle(grid, spec.f, spec.phi)
 
     try:
@@ -462,44 +445,16 @@ def cmd_converge(args):
         raise ConfigError("--levels", "need at least 2 grid levels")
     dom = build_domain(cfg)
     u_star = cfg.expr("converge.u_star", "u0")
-    resolutions = cfg.int_list("converge.resolutions", None)
     settings = _run_settings(cfg)
     settings["mode"] = "steady"
     formats = _formats(cfg)
     out = _out_dir(cfg)
 
-    if resolutions is not None:
-        if len(resolutions) != args.levels:
-            raise ConfigError(
-                "converge.resolutions",
-                f"{args.levels} levels requested but "
-                f"{len(resolutions)} resolutions listed")
-        if len(set(resolutions)) != len(resolutions):
-            raise ConfigError("converge.resolutions",
-                              "identical grid levels requested")
-        if min(resolutions) < 1:
-            raise ConfigError("converge.resolutions",
-                              "every resolution must be a positive integer")
-        if resolutions != sorted(resolutions):
-            raise ConfigError("converge.resolutions",
-                              "resolutions must increase")
-        base = resolutions[0]
-        scales = [r / base for r in resolutions]
-        for r, s in zip(resolutions, scales):
-            if s != int(s):
-                raise ConfigError(
-                    "converge.resolutions",
-                    f"resolution {r} is not an integer multiple of the "
-                    f"coarsest level {base}")
-        scales = [int(s) for s in scales]
-    else:
-        scales = [2 ** j for j in range(args.levels)]
-
     levels = []
     floors = []
     meta = None
-    for scale in scales:
-        grid = build_grid(cfg, dom, scale=scale)
+    for j in range(args.levels):
+        grid = build_grid(cfg, dom, scale=2 ** j)
         if meta is None:
             meta = _meta("converge", cfg.digest, grid)
         spec = build_spec(cfg, grid)
@@ -586,7 +541,10 @@ def main(argv=None):
     handlers = {"flow": cmd_flow, "eigen": cmd_eigen,
                 "verify": cmd_verify, "converge": cmd_converge}
     try:
-        return handlers[args.command](args)
+        # a non-finite value is caught where it matters and reported by
+        # its exit code, so numpy's own warnings would only repeat it
+        with np.errstate(all="ignore"):
+            return handlers[args.command](args)
     except ConfigError as exc:
         print(exc, file=sys.stderr)
         return 2

@@ -21,12 +21,11 @@ term that couples neighboring boundary nodes, and M is a cyclic
 tridiagonal matrix.  One Newton iteration solves the relation on every
 grid: each step solves the linearization
 (M - diag(d)) u_b = phi - d u_b_old - (inner-row terms), d = phi.du the
-u-derivative of the phi field (`exprparse.as_field`): exact for a
-parsed phi, so a phi affine in u closes in one step.  A phi that
-declares it does not depend on u (`phi.depends_on_u is False`) makes
-the relation affine in u_b, and one step with d = 0 solves it with one
-evaluation of phi.  For phi_u <= 0 the relation is strictly increasing
-in u_b; a step whose slope - d is not positive is refused.
+exact u-derivative of the phi field (`exprparse.as_field`), so a phi
+affine in u closes in one step.  A phi free of u (`phi.depends_on_u`
+False) makes the relation affine in u_b, and one step with d = 0 solves
+it with one evaluation of phi.  For phi_u <= 0 the relation is strictly
+increasing in u_b; a step whose slope - d is not positive is refused.
 
 With a u-free phi the closure is affine in the interior values, and
 `hessian_blocks` folds its linear part into the Hessian weights: the
@@ -262,10 +261,9 @@ def _polar_closure(grid):
 
 @_per_grid
 def _boundary_nodes(grid):
-    """Index of the closed nodes in u (the outer ring), their
-    coordinates, and the diagonal of the closure matrix M there."""
-    return (-1,) + _read_only(grid.x[-1], grid.y[-1],
-                              _polar_closure(grid)[0])
+    """Coordinates of the closed nodes (the outer ring, u[-1]) and the
+    diagonal of the closure matrix M there."""
+    return _read_only(grid.x[-1], grid.y[-1], _polar_closure(grid)[0])
 
 
 def _close_linear(grid, u, g, d=None):
@@ -355,20 +353,20 @@ def apply_neumann(grid, u, phi):
     phi(x, y, u) with arrays of boundary data.  The one-sided discrete
     normal derivative at each boundary node is driven to phi within
     1e-13 (1 + max|phi|).  The relation is solved by Newton on the boundary
-    values of all nodes at once, with the slope phi.du.  A phi whose
-    `depends_on_u` attribute is False makes it affine: one step solves
-    it, with phi evaluated once.  Raises ValueError when phi is not
-    finite at an iterate, when the relation is not increasing in u
-    (phi_u >= the stencil slope), or after 50 steps.
+    values of all nodes at once, with the slope phi.du.  A phi free of u
+    makes it affine: one step solves it, with phi evaluated once.
+    Raises ValueError when phi is not finite at an iterate, when the
+    relation is not increasing in u (phi_u >= the stencil slope), or
+    after 50 steps.
     """
     u = np.array(u, dtype=float)
     phi = exprparse.as_field(phi, "phi")
-    nodes, x, y, slope = _boundary_nodes(grid)
-    p = phi(x, y, u[nodes])
-    if phi.depends_on_u is False:
+    x, y, slope = _boundary_nodes(grid)
+    p = phi(x, y, u[-1])
+    if not phi.depends_on_u:
         _close_linear(grid, u, p)
         return u
-    v = np.array(u[nodes])
+    v = np.array(u[-1])
     for _ in range(_MAX_NEWTON):
         if not np.all(np.isfinite(p)):
             raise ValueError("phi is not finite at the boundary values")
@@ -378,7 +376,7 @@ def apply_neumann(grid, u, phi):
                 "boundary relation is not increasing in u and need not "
                 "have a sign change; is phi increasing in u?")
         _close_linear(grid, u, p - d * v, d)
-        v_new = np.array(u[nodes])
+        v_new = np.array(u[-1])
         p_new = phi(x, y, v_new)
         # the step made the normal derivative p + d (v_new - v), so this
         # is the relation residual at v_new

@@ -9,11 +9,11 @@ of the flow with right side f e^{eps u}, found here by Newton's method
 on the interior values of the residual u_t - eps u, with u_t the right
 side of the caller's problem, so eps u may have any size (Loeper &
 Rapetti, C. R. Acad. Sci. Paris 340, 2005; Froese & Oberman, SIAM J.
-Numer. Anal. 49, 2011).  As
-eps decreases, eps * u_eps at a fixed reference point converges to s
-linearly in eps, so two solves at eps and eps/2 give a Richardson value
-accurate to O(eps^2), and u_eps minus its divergent constant part
-converges to the profile.
+Numer. Anal. 49, 2011).  As eps decreases, eps * u_eps at the centre of
+the domain, the origin, converges to s linearly in eps, so two solves
+at eps and eps/2 give a Richardson value accurate to O(eps^2), and
+u_eps minus its divergent constant part converges to the profile,
+pinned to the initial data at the origin.
 
 The module also carries the closed-form speed for k=1, l=0 (where the
 operator is the Laplacian and the divergence theorem gives the speed as
@@ -37,6 +37,10 @@ __all__ = [
     "eigen_summary",
 ]
 
+# The reference point of the speed and the pin of the profile: the
+# centre of every disk and ellipse.
+_PIN = (0.0, 0.0)
+
 
 class ConvergenceError(RuntimeError):
     """A damped solve did not reach its steady state."""
@@ -57,11 +61,11 @@ class EigenPair:
 
 
 def _require_x_only(spec):
-    if spec.phi_depends_on_u:
+    if spec.phi.depends_on_u:
         raise ArgumentError(
             "phi", "must not depend on u: the damped solver needs a "
             "boundary flux phi(x)")
-    if spec.f_depends_on_u:
+    if spec.f.depends_on_u:
         raise ArgumentError(
             "f", "must not depend on u: the damped solver needs a right "
             "side f(x); pass the translating-frame f")
@@ -159,20 +163,19 @@ def _model_bound(spec):
                  + np.max(np.abs(np.log(ev.q))))
 
 
-def solve_eigenpair(spec, eps0=1.0, n_halvings=6, y0=(0.0, 0.0), tol=1e-8):
+def solve_eigenpair(spec, eps0=1.0, n_halvings=6, tol=1e-8):
     """Speed and profile via a halving schedule of damped solves.
 
     Runs solve_regularized at eps0, eps0/2, ..., eps0/2^n_halvings,
     warm starting each solve from the previous one shifted by its own
     extracted constant.  The returned speed is the Richardson value
     2 s_J - s_{J-1}; the profile is the last solve minus its constant
-    part, pinned to the initial data at y0.  A trace that stops
+    part, pinned to the initial data at the origin.  A trace that stops
     contracting, or a profile residual above 10 h^2 (1 + |s|), flags
     the pair as a convergence failure.  Each level's Newton step count
     is kept in `newton_iterations`.  Raises ArgumentError for an eps0
     that is not finite and positive, fewer than one halving (the
-    Richardson value needs two levels), a y0 outside the domain, or a
-    tol that is not positive.
+    Richardson value needs two levels), or a tol that is not positive.
     """
     if not (math.isfinite(eps0) and eps0 > 0.0):
         raise ArgumentError("eps0",
@@ -181,8 +184,6 @@ def solve_eigenpair(spec, eps0=1.0, n_halvings=6, y0=(0.0, 0.0), tol=1e-8):
         raise ArgumentError("n_halvings",
                             f"must be at least 1, got {n_halvings!r}")
     grid = spec.grid
-    if geometry.distance(grid.domain, y0) < -1e-12:
-        raise ArgumentError("y0", f"must lie in the closed domain, got {y0}")
     bound = _model_bound(spec)
     notes = []
     trace = []
@@ -193,7 +194,7 @@ def solve_eigenpair(spec, eps0=1.0, n_halvings=6, y0=(0.0, 0.0), tol=1e-8):
         eps_j = eps0 * 2.0 ** (-j)
         u, n_steps = solve_regularized(spec, eps_j, u_init=u_init, tol=tol)
         steps.append(n_steps)
-        s_j = s_epsilon(grid, u, spec.u0_grid, eps_j, y0)
+        s_j = s_epsilon(grid, u, spec.u0_grid, eps_j, _PIN)
         if not -bound < s_j < bound:
             # the model hypotheses are suspect; the value is still used
             notes.append(f"extracted speed {s_j:.6g} lies outside the "
@@ -203,8 +204,8 @@ def solve_eigenpair(spec, eps0=1.0, n_halvings=6, y0=(0.0, 0.0), tol=1e-8):
     (_, s_prev), (eps_last, s_last) = trace[-2:]
     s_hat = 2.0 * s_last - s_prev
     u_ell = u - s_last / eps_last
-    u_ell += (discretize.interp_at(grid, spec.u0_grid, y0)
-              - discretize.interp_at(grid, u_ell, y0))
+    u_ell += (discretize.interp_at(grid, spec.u0_grid, _PIN)
+              - discretize.interp_at(grid, u_ell, _PIN))
     ev = flow._evaluate(spec, u_ell)
     residual = float(np.max(np.abs(ev.ut - s_hat)))
     status = "converged"
@@ -225,7 +226,7 @@ def solve_eigenpair(spec, eps0=1.0, n_halvings=6, y0=(0.0, 0.0), tol=1e-8):
         status = "convergence-failure"
         notes.append(f"profile residual {residual:.3g} exceeds "
                      f"{resid_bound:.3g}")
-    return EigenPair(s=s_hat, u_ell=u_ell, y0=tuple(y0),
+    return EigenPair(s=s_hat, u_ell=u_ell, y0=_PIN,
                      epsilon_trace=trace, residual=residual,
                      status=status, notes=notes, newton_iterations=steps)
 
@@ -267,7 +268,8 @@ def translation_identity(spec, eps0=1.0, tol=1e-8):
     right sides f and e f; returns the deviation, its tolerance
     100 tol / eps0 and whether it is met."""
     sspec = flow.ProblemSpec(spec.grid, spec.k, spec.l,
-                             f=lambda x, y, u: math.e * spec.f(x, y, u),
+                             f=exprparse.BinOp("*", exprparse.Num(math.e),
+                                               spec.f.expr),
                              phi=spec.phi, u0=spec.u0_grid,
                              require_nonnegative_initial_speed=False)
     base, shifted = (solve_regularized(s, eps0, tol=tol)[0]

@@ -12,7 +12,7 @@ Grammar (EBNF)::
 
 "^" is exponentiation and right-associative.  Unary minus binds looser
 than "^", so "-2^2" evaluates to -4.  Recognized names: the variables
-x1, x2, u, t; the constants pi and e (folded to literals at parse time);
+x1, x2, u; the constants pi and e (folded to literals at parse time);
 the functions sin, cos, exp, log, sqrt, abs, tanh.  Whitespace is
 ignored.  Parse errors carry a 1-based byte offset into the source.
 
@@ -27,13 +27,11 @@ part of the grammar.  The derivative of sqrt at 0 divides by zero and
 raises EvalError, like every other domain error.
 
 `as_field` is the one place that turns an expression string, a parsed
-expression, a callable or (for u0) a grid array into a field: a
-vectorized callable fn(x, y, u) carrying `depends_on_u` (True or False
-when known, None for an opaque callable unless it declares the flag).
-Fields of the f and phi slots also carry `du(x, y, u)`, their
-derivative in u: exact for a parsed expression, built once when the
-field is made; one central difference of step 1e-6 (1 + |u|) for an
-opaque callable.
+expression or (for u0) a grid array into a field: a vectorized
+callable fn(x, y, u) carrying `depends_on_u`, True or False.  A field
+made from an expression keeps its AST as `expr`; fields of the f and
+phi slots also carry `du(x, y, u)`, their exact derivative in u, built
+once when the field is made.
 """
 
 import math
@@ -49,7 +47,7 @@ __all__ = [
     "VARIABLES", "FUNCTIONS", "SLOT_VARS",
 ]
 
-VARIABLES = ("x1", "x2", "u", "t")
+VARIABLES = ("x1", "x2", "u")
 
 FUNCTIONS = {
     "sin": np.sin,
@@ -417,9 +415,9 @@ def diff_u(ast):
 
 
 def as_field(obj, slot):
-    """Normalize an expression string / parsed expression / callable /
-    grid array (u0 only) to a field for `slot` ("u0", "f" or "phi"),
-    which picks the allowed variables.
+    """Normalize an expression string / parsed expression / grid array
+    (u0 only) to a field for `slot` ("u0", "f" or "phi"), which picks the
+    allowed variables.
 
     The field is a vectorized callable fn(x, y, u) carrying
     `depends_on_u`, and for f and phi also `du(x, y, u)`.  A field this
@@ -432,7 +430,7 @@ def as_field(obj, slot):
         if slot != "u0":
             raise TypeError(
                 f"a grid array is accepted only for u0, not for {slot!r}; "
-                f"pass an expression or a callable of (x, y, u)")
+                f"pass an expression of (x1, x2, u)")
 
         def fn(x, y, u=None, _v=obj.astype(float, copy=True)):
             return np.broadcast_to(_v, np.shape(x))
@@ -444,22 +442,6 @@ def as_field(obj, slot):
         fn = _bind(obj)
         if slot != "u0":
             fn.du = _bind(diff_u(obj))
-    elif callable(obj):
-        n_args = 2 if slot == "u0" else 3
-
-        def fn(x, y, u=None):
-            args = (x, y, u)[:n_args]
-            val = obj(*(np.asarray(a, dtype=float) for a in args))
-            return np.broadcast_to(np.asarray(val, dtype=float), np.shape(x))
-
-        if slot != "u0":
-            def du(x, y, u):
-                u = np.asarray(u, dtype=float)
-                h = 1e-6 * (1.0 + np.abs(u))
-                return (fn(x, y, u + h) - fn(x, y, u - h)) / (2 * h)
-
-            fn.du = du
-        fn.depends_on_u = getattr(obj, "depends_on_u", None)
     else:
         raise TypeError(f"cannot use {obj!r} as a field for slot {slot!r}")
     fn.field_slot = slot
@@ -468,7 +450,7 @@ def as_field(obj, slot):
 
 def _bind(ast):
     """`ast` as a vectorized callable of (x, y, u), broadcast to x, with
-    its `depends_on_u`."""
+    its `depends_on_u` and `expr`."""
     uses_u = "u" in free_vars(ast)
 
     def fn(x, y, u=None):
@@ -480,6 +462,7 @@ def _bind(ast):
         return np.broadcast_to(np.asarray(val, dtype=float), np.shape(x))
 
     fn.depends_on_u = uses_u
+    fn.expr = ast
     return fn
 
 

@@ -135,13 +135,7 @@ class ProblemSpec:
                 raise ArgumentError(
                     "growth_rate", f"{self.growth_rate:.6g} exceeds the "
                     f"sampled minimum of f_u/f, {np.min(ratio):.6g}")
-        self.f_depends_on_u = self.f.depends_on_u
-        if self.f_depends_on_u is None:
-            self.f_depends_on_u = bool(np.max(np.abs(f_u)) > 1e-12)
-        self.phi_depends_on_u = self.phi.depends_on_u
-        if self.phi_depends_on_u is None:
-            self.phi_depends_on_u = bool(np.max(np.abs(phi_u)) > 1e-12)
-        if self.phi_depends_on_u:
+        if self.phi.depends_on_u:
             worst = float(np.max(phi_u))
             if worst >= 0.0:
                 raise ArgumentError(
@@ -174,7 +168,7 @@ class ProblemSpec:
         self.monitor_tol = 1e-6 * (1.0 + self.ut0_max_abs)
         self.amplitude_bound = None
         self.quotient_floor = None
-        if self.growth_rate is not None and self.phi_depends_on_u:
+        if self.growth_rate is not None and self.phi.depends_on_u:
             phi0 = self.phi(xb, yb, np.zeros_like(ub))
             m0 = (float(np.max(np.abs(phi0))) / abs(self.damping_rate)
                   + float(np.max(np.abs(u0c)))
@@ -268,7 +262,7 @@ def _admissible_evaluate(spec, u, prefix=""):
     raise err
 
 
-def rhs(u, spec, t=0.0):
+def rhs(u, spec):
     """u_t on interior nodes (boundary entries are zero)."""
     ev = _admissible_evaluate(spec, np.asarray(u, dtype=float))
     out = np.zeros(spec.grid.shape)
@@ -466,8 +460,8 @@ def run(spec, mode="steady", t_max=50.0, tol_steady=1e-8, tol_trans=1e-8,
     if mode not in ("steady", "translating"):
         raise ArgumentError("mode", f"must be steady or translating, got "
                             f"{mode!r}")
-    if mode == "translating" and (spec.f_depends_on_u
-                                  or spec.phi_depends_on_u):
+    if mode == "translating" and (spec.f.depends_on_u
+                                  or spec.phi.depends_on_u):
         raise ArgumentError(
             "mode", "must be steady when f or phi depends on u: the "
             "translating stop rule needs f(x) and phi(x)")

@@ -1,5 +1,5 @@
-"""Smooth, strictly convex planar domains (disk and ellipse), their
-distance functions, outward normals, boundary quadrature, and grids.
+"""Smooth, strictly convex planar domains (disk and ellipse), boundary
+quadrature, and grids.
 
 Every grid is the polar map (r, theta) -> (a r cos theta, b r sin theta),
 boundary-conforming, so the Neumann condition sits exactly on the
@@ -17,11 +17,9 @@ import numpy as np
 
 __all__ = [
     "Disk", "Ellipse", "Grid", "ArgumentError",
-    "distance", "normal", "boundary_integral", "build_grid", "export_csv",
+    "boundary_integral", "build_grid", "export_csv",
     "area_weights", "mesh_size",
 ]
-
-_BOUNDARY_TOL = 1e-10
 
 
 class ArgumentError(ValueError):
@@ -72,64 +70,6 @@ class Ellipse:
 
     def __post_init__(self):
         _check_sizes(self, "a", "b")
-
-
-def _ellipse_nearest(a, b, p, q):
-    """Nearest point of the ellipse boundary to (p, q).
-
-    Newton iteration on the parameter angle, polished from the best
-    candidates of a coarse scan; the scan keeps the iteration off wrong
-    stationary points (e.g. the far vertex when projecting the center).
-    """
-    thetas = np.linspace(0.0, 2.0 * math.pi, 65)[:-1]
-    d2 = (a * np.cos(thetas) - p) ** 2 + (b * np.sin(thetas) - q) ** 2
-    best = None
-    for idx in np.argsort(d2)[:3]:
-        th = float(thetas[idx])
-        for _ in range(40):
-            ct, st = math.cos(th), math.sin(th)
-            # g = d(d^2/2)/dtheta, zero at the foot of the perpendicular
-            g = (a * ct - p) * (-a * st) + (b * st - q) * (b * ct)
-            gp = (a * st) ** 2 - (a * ct - p) * a * ct \
-                + (b * ct) ** 2 + (b * st - q) * (-b * st)
-            if gp <= 0.0:
-                break
-            step = g / gp
-            th -= step
-            if abs(step) < 1e-15:
-                break
-        ct, st = math.cos(th), math.sin(th)
-        cand = (a * ct, b * st)
-        dist2 = (cand[0] - p) ** 2 + (cand[1] - q) ** 2
-        if best is None or dist2 < best[0]:
-            best = (dist2, cand)
-    return best[1]
-
-
-def distance(dom, x):
-    """Signed distance to the boundary: positive inside, zero on it."""
-    p, q = float(x[0]), float(x[1])
-    if not (math.isfinite(p) and math.isfinite(q)):
-        raise ValueError("point has non-finite coordinates")
-    if isinstance(dom, Disk):
-        return dom.radius - math.hypot(p, q)
-    nx, ny = _ellipse_nearest(dom.a, dom.b, p, q)
-    d = math.hypot(nx - p, ny - q)
-    inside = (p / dom.a) ** 2 + (q / dom.b) ** 2 <= 1.0
-    return d if inside else -d
-
-
-def normal(dom, x):
-    """Outward unit normal at a boundary point (within 1e-10 of it)."""
-    p, q = float(x[0]), float(x[1])
-    scale = 1.0 + max(abs(p), abs(q))
-    if abs(distance(dom, x)) > _BOUNDARY_TOL * scale:
-        raise ValueError(f"point {(p, q)} is not on the boundary")
-    if isinstance(dom, Disk):
-        r = math.hypot(p, q)
-        return np.array([p / r, q / r])
-    g = np.array([p / dom.a ** 2, q / dom.b ** 2])
-    return g / math.hypot(*g)
 
 
 def boundary_integral(dom, g, panels=4096):

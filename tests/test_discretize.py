@@ -88,7 +88,8 @@ class TestNeumannClosure:
     def test_disk_quadratic_boundary_recovered_exactly(self):
         g = geometry.build_grid(geometry.Disk(1.0), n_r=16, n_theta=32)
         ustar = 0.5 * (g.x**2 + g.y**2)
-        phi = lambda x, y, v: np.ones_like(x)
+        # 0*u keeps phi on the Newton path, with the slope exactly 0
+        phi = exprparse.as_field("1 + 0*u", "phi")
         u = ustar.copy()
         u[-1] = -7.0
         out = discretize.apply_neumann(g, u, phi)
@@ -96,12 +97,11 @@ class TestNeumannClosure:
 
     def test_ellipse_residual_and_convergence(self):
         dom = geometry.Ellipse(1.4, 0.8)
-
-        def phi(x, y, v):
-            s = np.exp(x / 2 + y / 3)
-            nx, ny = x / 1.4**2, y / 0.8**2
-            nn = np.sqrt(nx**2 + ny**2)
-            return s * (nx / 2 + ny / 3) / nn
+        # the normal derivative of exp(x1/2 + x2/3); 0*u keeps phi on the
+        # Newton path
+        phi = exprparse.as_field(
+            "exp(x1/2 + x2/3) * (x1/1.4^2/2 + x2/0.8^2/3)"
+            " / sqrt((x1/1.4^2)^2 + (x2/0.8^2)^2) + 0*u", "phi")
 
         errs = []
         for nr, nt in ((16, 32), (32, 64), (64, 128)):
@@ -125,7 +125,7 @@ class TestNeumannClosure:
         g = geometry.build_grid(geometry.Disk(1.0), n_r=16, n_theta=32)
         u = np.zeros(g.shape)
         with pytest.raises(ValueError, match="sign change"):
-            discretize.apply_neumann(g, u, lambda x, y, v: 100.0 * v)
+            discretize.apply_neumann(g, u, "100*u")
 
     @pytest.mark.parametrize("n_theta", [128, 256])
     def test_ellipse_coupling_stronger_than_slope(self, n_theta):
@@ -154,12 +154,12 @@ class TestNeumannClosure:
 
     def test_newton_that_does_not_converge_is_rejected(self):
         # phi_u runs from -1e4 at u = 0 to about 0 far away, so Newton
-        # from u_b = 50 jumps between about +-1300 without settling
+        # from u_b = 50 jumps about without settling
         g = geometry.build_grid(geometry.Disk(1.0), n_r=16, n_theta=32)
         u = np.full(g.shape, 50.0)
-        with pytest.raises(ValueError, match="did not converge"):
-            discretize.apply_neumann(
-                g, u, lambda x, y, v: -1e4 * np.arctan(v))
+        with pytest.raises(ValueError, match="did not converge in 50 Newton "
+                                             "steps"):
+            discretize.apply_neumann(g, u, "-1e4*tanh(u)")
 
 
 CLOSURE_GRIDS = {
@@ -178,8 +178,8 @@ def _closure_input(g):
 
 @pytest.mark.parametrize("name", sorted(CLOSURE_GRIDS))
 class TestAffineClosure:
-    """The one-step closure for a phi that declares no u-dependence,
-    against the Newton iteration on the same formula."""
+    """The one-step closure for a phi free of u, against the Newton
+    iteration on the same formula."""
 
     def test_matches_newton_path(self, name):
         g = CLOSURE_GRIDS[name]()
@@ -187,7 +187,11 @@ class TestAffineClosure:
         assert direct_phi.depends_on_u is False
         u = _closure_input(g)
         direct = discretize.apply_neumann(g, u, direct_phi)
-        newton = discretize.apply_neumann(g, u, lambda x, y, v: 1 + x / 3)
+        # 0*u makes the same phi depend on u by name, with the slope
+        # exactly 0
+        newton_phi = exprparse.as_field("1 + x1/3 + 0*u", "phi")
+        assert newton_phi.depends_on_u is True
+        newton = discretize.apply_neumann(g, u, newton_phi)
         assert np.max(np.abs(direct - newton)) <= 1e-12
         assert np.max(np.abs(
             discretize.neumann_residual(g, direct, direct_phi))) <= 1e-12
@@ -200,38 +204,38 @@ class TestAffineClosure:
         once = discretize.apply_neumann(g, _closure_input(g), phi)
         assert np.array_equal(discretize.apply_neumann(g, once, phi), once)
 
-    def test_dispatch_on_depends_on_u(self, name):
-        # only a phi that declares depends_on_u = False is evaluated once;
-        # u-dependent and opaque ones are iterated to 1e-12
+    def test_dispatch_on_depends_on_u(self, name, monkeypatch):
+        # only a phi free of u is evaluated once; a u-dependent one is
+        # iterated to 1e-12
         g = CLOSURE_GRIDS[name]()
         u = _closure_input(g)
         affine = exprparse.as_field("1 + x1/3", "phi")
         calls = []
+        evaluate = exprparse.eval
 
-        def counted(x, y, v):
-            calls.append(1)
-            return affine(x, y, v)
+        def counted(node, env):
+            if node is affine.expr:
+                calls.append(1)
+            return evaluate(node, env)
 
-        counted.depends_on_u = False
-        discretize.apply_neumann(g, u, counted)
+        monkeypatch.setattr(exprparse, "eval", counted)
+        discretize.apply_neumann(g, u, affine)
         assert len(calls) == 1
-        for phi in (exprparse.as_field("1 + x1/3 - u", "phi"),
-                    exprparse.as_field(lambda x, y, v: 1 + x / 3 - v,
-                                       "phi")):
-            assert phi.depends_on_u is not False
-            out = discretize.apply_neumann(g, u, phi)
-            assert np.max(np.abs(
-                discretize.neumann_residual(g, out, phi))) <= 1e-12
+        phi = exprparse.as_field("1 + x1/3 - u", "phi")
+        assert phi.depends_on_u is True
+        out = discretize.apply_neumann(g, u, phi)
+        assert np.max(np.abs(
+            discretize.neumann_residual(g, out, phi))) <= 1e-12
 
     def test_phi_not_finite_is_rejected(self, name):
-        # sqrt(u) has no value at u_b = -2, so there is nothing to solve
+        # exp(-1000 u) overflows at u_b = -2, so there is nothing to solve
         g = CLOSURE_GRIDS[name]()
         u = _closure_input(g)
         u[g.boundary_mask] = -2.0
-        with np.errstate(invalid="ignore"), \
-                pytest.raises(ValueError, match="not finite"):
-            discretize.apply_neumann(
-                g, u, lambda x, y, v: 1 - v + np.sqrt(v))
+        with np.errstate(over="ignore"), \
+                pytest.raises(ValueError, match="phi is not finite at the "
+                                                "boundary values"):
+            discretize.apply_neumann(g, u, "1 - u + exp(-1000*u)")
 
 
 PROPERTY_GRIDS = {
@@ -247,16 +251,15 @@ PROPERTY_GRIDS = {
        c=st.floats(0.0, 4.0, exclude_min=True),
        seed=st.integers(0, 2**32 - 1),
        scale=st.floats(0.0, 5.0))
-# phi_u = -1e-13 is lost in the finite difference of phi, so one Newton
-# step leaves a residual that a stop bound scaled by |u_b| accepted
+# a slope phi_u = -1e-13 next to boundary values of size 4: the stop
+# bound scales with phi, not with u_b
 @example(name="disk", g=(0.0, 0.0, 1.0), c=1e-13, seed=3, scale=4.0)
 def test_closure_properties(name, g, c, seed, scale):
     """For phi = g(x) - c u, the closure solves the relation, is
     idempotent, and leaves the interior alone."""
     grid = PROPERTY_GRIDS[name]
-
-    def phi(x, y, v):
-        return g[0] + g[1] * x + g[2] * y - c * v
+    phi = exprparse.as_field(
+        f"{g[0]!r} + {g[1]!r}*x1 + {g[2]!r}*x2 - {c!r}*u", "phi")
 
     u = scale * np.random.default_rng(seed).standard_normal(grid.shape)
     once = discretize.apply_neumann(grid, u, phi)

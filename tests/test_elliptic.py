@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from hqflow import discretize, elliptic, flow, geometry, symmfunc
+from hqflow import discretize, elliptic, exprparse, flow, geometry, symmfunc
 
 # the eigen lane raises no numpy warning on these inputs
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -160,8 +160,8 @@ class TestSolveRegularized:
 
 
     @pytest.mark.parametrize("f", [
-        "exp(0.1*u)", lambda x, y, u: np.exp(0.1 * u)],
-        ids=["parsed", "opaque"])
+        "exp(0.1*u)", exprparse.parse("exp(0.1*u)", slot="f")],
+        ids=["parsed", "ast"])
     def test_u_dependent_f_named(self, f):
         spec = flow.ProblemSpec(disk_grid(8, 16), 1, 0, f=f, phi="1",
                                 u0="(x1^2 + x2^2)/2",
@@ -221,7 +221,7 @@ class TestEigenpair:
 
     @pytest.mark.parametrize("kwargs, name", [
         ({"n_halvings": 0}, "n_halvings"), ({"eps0": -1.0}, "eps0"),
-        ({"tol": 0.0}, "tol"), ({"y0": (1.0, 2.0)}, "y0")])
+        ({"tol": 0.0}, "tol")])
     def test_schedule_errors_name_their_argument(self, kwargs, name):
         with pytest.raises(geometry.ArgumentError) as exc:
             elliptic.solve_eigenpair(laplace_spec(6, 12), **kwargs)

@@ -57,6 +57,11 @@ class TestErrors:
         with pytest.raises(ep.ParseError, match="unknown identifier"):
             ep.parse("x3 + 1")
 
+    def test_time_is_not_a_variable(self):
+        # no configuration slot admits t
+        with pytest.raises(ep.ParseError, match="unknown identifier 't'"):
+            ep.parse("t + 1")
+
     def test_unknown_function(self):
         with pytest.raises(ep.ParseError, match="unknown function"):
             ep.parse("cot(x1)")
@@ -130,7 +135,7 @@ class TestDiffU:
         assert ep.eval(ep.diff_u(ep.parse("1 + u^2")), {"u": 1.0}) == 2.0
 
     def test_u_free_is_zero(self):
-        ast = ep.parse("sin(x1)*exp(x2) - t/3 + x1^x2 + abs(log(x2))")
+        ast = ep.parse("sin(x1)*exp(x2) - x2/3 + x1^x2 + abs(log(x2))")
         assert ep.diff_u(ast) == ep.Num(0)
 
     # each operator and function of the grammar, alone and under the
@@ -230,18 +235,18 @@ def _finite(ast, env):
 
 
 @settings(max_examples=300, deadline=None)
-@given(ast=_u_ast, x=st.tuples(*[st.floats(-2.0, 2.0)] * 3),
+@given(ast=_u_ast, x=st.tuples(*[st.floats(-2.0, 2.0)] * 2),
        u=st.floats(-3.0, 3.0))
 # the values underflow to 0 across the stencil while the exact slope is
 # the subnormal -5e-324
 @example(ast=ep.Neg(ep.BinOp("*", ep.Var("u"), ep.Num(5e-324))),
-         x=(0.0, 0.0, 0.0), u=0.0)
+         x=(0.0, 0.0), u=0.0)
 def test_diff_u_matches_central_differences(ast, x, u):
     """Where the expression is smooth and well conditioned near the
     point (its exact slope barely moves across the stencil, and central
     differences of steps h and h/4 agree), the exact slope agrees with
     them."""
-    env = dict(zip(("x1", "x2", "t"), x), u=u)
+    env = dict(zip(("x1", "x2"), x), u=u)
     h = 1e-4 * (1.0 + abs(u))
     vals = [_finite(ast, dict(env, u=u + k * h / 4)) for k in range(-4, 5)]
     d_ast = ep.diff_u(ast)

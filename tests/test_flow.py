@@ -171,21 +171,26 @@ class TestFields:
             phi = exprparse.as_field(expr, "phi")
             assert phi.depends_on_u is depends
             assert exprparse.as_field(phi, "phi") is phi
-        opaque = exprparse.as_field(lambda x, y, u: np.ones_like(x), "phi")
-        assert opaque.depends_on_u is None
-        assert exprparse.as_field(opaque, "phi") is opaque
+        # a parsed expression is taken as it is, and kept as `expr`
+        ast = exprparse.parse("1 - u", slot="phi")
+        parsed = exprparse.as_field(ast, "phi")
+        assert parsed.expr is ast and parsed.depends_on_u is True
+        assert exprparse.as_field(parsed, "phi") is parsed
+
+    @pytest.mark.parametrize("slot", ["u0", "f", "phi"])
+    def test_callable_is_not_a_field(self, slot):
+        with pytest.raises(TypeError, match="cannot use"):
+            exprparse.as_field(lambda x, y, u: np.ones_like(x), slot)
 
     def test_fields_carry_their_u_derivative(self):
         x = np.array([0.5, -0.25])
         u = np.array([0.3, 1.7])
         parsed = exprparse.as_field("x1*u^2", "f")
         assert np.array_equal(parsed.du(x, x, u), 2.0 * x * u)
-        opaque = exprparse.as_field(lambda x, y, u: x * u**2, "f")
-        assert np.allclose(opaque.du(x, x, u), 2.0 * x * u, rtol=1e-8)
-        # a flag the callable declares is kept
-        declared = lambda x, y, u: 1.0 + 0.0 * x  # noqa: E731
-        declared.depends_on_u = False
-        assert exprparse.as_field(declared, "phi").depends_on_u is False
+        # a field free of u has the slope exactly 0
+        free = exprparse.as_field("1 + x1", "phi")
+        assert free.depends_on_u is False
+        assert np.array_equal(free.du(x, x, u), np.zeros(2))
 
     def test_respecified_phi_keeps_its_flag(self):
         # elliptic.translation_identity builds a second ProblemSpec from

@@ -9,78 +9,6 @@ from hqflow import geometry as geo
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
-class TestDistance:
-    def test_disk_center_and_boundary(self):
-        dom = geo.Disk(1.0)
-        assert geo.distance(dom, (0.0, 0.0)) == 1.0
-        assert geo.distance(dom, (1.0, 0.0)) == 0.0
-
-    def test_ellipse_center(self):
-        dom = geo.Ellipse(2.0, 1.0)
-        assert geo.distance(dom, (0.0, 0.0)) == pytest.approx(1.0, abs=1e-12)
-
-    def test_ellipse_vertices(self):
-        dom = geo.Ellipse(2.0, 1.0)
-        assert geo.distance(dom, (2.0, 0.0)) == pytest.approx(0.0, abs=1e-12)
-        assert geo.distance(dom, (0.0, -1.0)) == pytest.approx(0.0, abs=1e-12)
-        assert geo.distance(dom, (1.0, 0.0)) < 1.0
-
-    def test_lipschitz_along_rays(self):
-        rng = np.random.default_rng(5)
-        doms = [geo.Disk(1.5), geo.Ellipse(2.0, 0.7)]
-        for dom in doms:
-            for _ in range(40):
-                x = rng.uniform(-1.0, 1.0, 2)
-                phi = rng.uniform(0.0, 2.0 * math.pi)
-                step = 1e-4 * np.array([math.cos(phi), math.sin(phi)])
-                slope = abs(geo.distance(dom, x + step)
-                            - geo.distance(dom, x)) / 1e-4
-                assert slope <= 1.0 + 1e-8
-
-    def test_non_finite_rejected(self):
-        with pytest.raises(ValueError, match="non-finite"):
-            geo.distance(geo.Disk(1.0), (math.nan, 0.0))
-
-
-class TestNormal:
-    def test_disk(self):
-        nu = geo.normal(geo.Disk(1.0), (1.0, 0.0))
-        assert nu == pytest.approx([1.0, 0.0])
-
-    def test_ellipse_vertex(self):
-        nu = geo.normal(geo.Ellipse(2.0, 1.0), (2.0, 0.0))
-        assert nu == pytest.approx([1.0, 0.0])
-
-    def test_unit_length_and_outward(self):
-        rng = np.random.default_rng(8)
-        dom = geo.Ellipse(1.7, 0.9)
-        for _ in range(50):
-            th = rng.uniform(0.0, 2.0 * math.pi)
-            x = (dom.a * math.cos(th), dom.b * math.sin(th))
-            nu = geo.normal(dom, x)
-            assert abs(math.hypot(*nu) - 1.0) <= 1e-12
-            x_int = rng.uniform(-0.3, 0.3, 2)
-            assert nu @ (np.asarray(x) - x_int) > 0.0
-
-    def test_off_boundary_rejected(self):
-        with pytest.raises(ValueError, match="not on the boundary"):
-            geo.normal(geo.Disk(1.0), (0.5, 0.0))
-
-    def test_matches_distance_gradient(self):
-        # nu = -grad(distance) by central differences across the boundary
-        for dom, x in [(geo.Disk(1.3), (1.3, 0.0)),
-                       (geo.Ellipse(2.0, 1.0), (2.0 / math.sqrt(2),
-                                                1.0 / math.sqrt(2)))]:
-            nu = geo.normal(dom, x)
-            h = 1e-6
-            fd = np.array([
-                -(geo.distance(dom, (x[0] + h, x[1]))
-                  - geo.distance(dom, (x[0] - h, x[1]))) / (2 * h),
-                -(geo.distance(dom, (x[0], x[1] + h))
-                  - geo.distance(dom, (x[0], x[1] - h))) / (2 * h)])
-            assert nu == pytest.approx(fd, abs=1e-5)
-
-
 class TestBoundaryIntegral:
     def test_disk_circumference(self):
         val = geo.boundary_integral(geo.Disk(1.0), lambda x, y: 1.0 + 0 * x)
