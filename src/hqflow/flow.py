@@ -96,7 +96,9 @@ class ProblemSpec:
         self.damping_rate = None if damping_rate is None else float(damping_rate)
         self.require_nonnegative_initial_speed = bool(
             require_nonnegative_initial_speed)
-        self._validate()
+        # numpy stays quiet on the data; the checks below name what fails
+        with np.errstate(all="ignore"):
+            self._validate()
 
     def _validate(self):
         grid = self.grid

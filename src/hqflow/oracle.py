@@ -12,9 +12,13 @@ keep those inside the Garding cone; the box is biased toward
 admissibility while still producing sign-mixed spectra, which the cone
 lemmas need.  Acceptance rates at k = n/2 run roughly 40-80% for the
 plain cone test, 10-40% with a negative-entry filter, and a few percent
-with the pinch filter; samplers give up after 1e6 rejections.
+with the pinch filter; samplers give up after 1e6 rejections.  Each
+chunk of candidates is drawn whole; the arrowhead sampler eigensolves
+it in slices and stops once it has kept enough, so only the matrices it
+tested count as rejections.
 """
 
+import functools
 import itertools
 import math
 
@@ -30,6 +34,8 @@ __all__ = [
 _MAX_N = 12
 _MAX_REJECT = 10**6
 _BOX_LO, _BOX_HI = -1.0, 3.0
+# Fewest arrowhead matrices eigensolved at once.
+_SLICE_MIN = 64
 
 
 def sigma_brute(lam, m):
@@ -46,6 +52,15 @@ def sigma_brute(lam, m):
     return total
 
 
+@functools.lru_cache(maxsize=None)
+def _subsets(n, m):
+    """The (C(n, m), m) index array of itertools.combinations(range(n), m),
+    built once per (n, m) and read-only."""
+    idx = np.array(list(itertools.combinations(range(n), m)))
+    idx.setflags(write=False)
+    return idx
+
+
 def sigma_brute_rows(rows, m):
     """sigma_m of each row of a 2-D array; the same enumeration as
     sigma_brute, vectorized across samples only."""
@@ -57,8 +72,7 @@ def sigma_brute_rows(rows, m):
         raise ValueError(f"order m={m} out of range for n={n}")
     if m == 0:
         return np.ones(rows.shape[0])
-    idx = np.array(list(itertools.combinations(range(n), m)))
-    return rows[:, idx].prod(axis=2).sum(axis=1)
+    return rows[:, _subsets(n, m)].prod(axis=2).sum(axis=1)
 
 
 def in_gamma_brute(lam, k):
@@ -209,7 +223,9 @@ def sample_arrowhead_batch(n, k, rng, count, chunk=512):
 
     The lower-right diagonal is uniform in [0, 3], the (1,1) entry in
     [-1, -0.05] and the wings in [-1, 1]; acceptance tests numpy's
-    eigenvalues with brute-force sigma values.
+    eigenvalues with brute-force sigma values.  Each chunk is tested in
+    slices of at least twice the shortfall, which keeps the matrices a
+    whole-chunk test keeps, since eigvalsh works matrix by matrix.
     """
     if n > _MAX_N:
         raise ValueError(f"sampling limited to n <= {_MAX_N}, got {n}")
@@ -226,11 +242,17 @@ def sample_arrowhead_batch(n, k, rng, count, chunk=512):
         wings = rng.uniform(-1.0, 1.0, (chunk, n - 1))
         A[:, 0, 1:] = wings
         A[:, 1:, 0] = wings
-        kept = A[_rows_in_gamma(np.linalg.eigvalsh(A), k)]
-        rejected += chunk - kept.shape[0]
-        if rejected > _MAX_REJECT:
-            raise ValueError("sampling constraint too tight: "
-                             f"arrowhead n={n} k={k}")
-        accepted.append(kept)
-        have += kept.shape[0]
+        # the chunk is drawn whole, so the stream does not depend on
+        # how much of it is tested
+        start = 0
+        while start < chunk and have < count:
+            part = A[start:start + max(_SLICE_MIN, 2 * (count - have))]
+            start += part.shape[0]
+            kept = part[_rows_in_gamma(np.linalg.eigvalsh(part), k)]
+            rejected += part.shape[0] - kept.shape[0]
+            if rejected > _MAX_REJECT:
+                raise ValueError("sampling constraint too tight: "
+                                 f"arrowhead n={n} k={k}")
+            accepted.append(kept)
+            have += kept.shape[0]
     return np.concatenate(accepted)[:count]

@@ -23,9 +23,10 @@ the margins do not depend on the batching.  A trial whose sample leaves
 the cone where the calculus needs it scores nan.
 
 `run_suite` returns per-property results keyed by name; `self_test`
-reruns the suite against a sigma with a deliberate sign fault and
-demands at least one failure, guarding the harness against vacuous
-passes.  Identical seed and trial counts reproduce identical results.
+runs the properties one at a time against a sigma with a deliberate
+sign fault and stops at the first one that flags it, guarding the
+harness against vacuous passes.  Identical seed and trial counts
+reproduce identical results.
 """
 
 import functools
@@ -619,8 +620,13 @@ class _ShadowCalc:
 def self_test(seed=0, trials=200):
     """True when the suite catches a corrupted sigma implementation.
 
-    Runs every property against _ShadowCalc; at least one must fail,
-    otherwise the harness itself is vacuous.
+    Runs the properties against _ShadowCalc in registry order, each
+    with the generator of a full run, and stops at the first one that
+    fails; when none fails, the harness itself is vacuous.
     """
-    results = run_suite(trials=trials, seed=seed, calc=_ShadowCalc())
-    return any(not r.ok for r in results.values())
+    calc = _ShadowCalc()
+    for name in PROPERTIES:
+        if not run_suite(trials=trials, seed=seed, names=[name],
+                         calc=calc)[name].ok:
+            return True
+    return False

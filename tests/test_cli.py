@@ -18,10 +18,6 @@ from hypothesis import given, settings, strategies as st
 import hqflow
 from hqflow import cli, elliptic, flow
 
-# the command line raises no numpy warning: main runs each command with
-# numpy's floating-point warnings off
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 FLOW_CFG = """\
 # unit-disk baseline
 problem.k = 1

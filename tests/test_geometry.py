@@ -5,9 +5,6 @@ import pytest
 
 from hqflow import geometry as geo
 
-# the geometry raises no numpy warning on these inputs
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 
 class TestBoundaryIntegral:
     def test_disk_circumference(self):

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,14 @@ class TestSigmaBrute:
     def test_size_guard(self):
         with pytest.raises(ValueError, match="n <= 12"):
             oracle.sigma_brute(np.ones(13), 2)
+
+    def test_subset_table_is_the_enumeration_order(self):
+        for n, m in [(1, 1), (4, 2), (6, 3), (8, 8)]:
+            idx = oracle._subsets(n, m)
+            assert idx.tolist() == [list(c) for c in
+                                    itertools.combinations(range(n), m)]
+            assert not idx.flags.writeable
+            assert oracle._subsets(n, m) is idx
 
     def test_rows_variant_matches_scalar(self):
         rng = np.random.default_rng(3)
@@ -146,6 +156,54 @@ class TestSampling:
             assert np.count_nonzero(block - np.diag(np.diag(block))) == 0
             lam, _ = sf.eigen_sym(A)
             assert sf.in_gamma_k(lam, 2)
+
+
+def _arrowheads_whole_chunks(n, k, rng, count, chunk):
+    """The arrowhead sampler as it once ran: every drawn chunk is
+    eigensolved and tested whole."""
+    accepted = [np.empty((0, n, n))]
+    have = 0
+    idx = np.arange(1, n)
+    while have < count:
+        A = np.zeros((chunk, n, n))
+        A[:, idx, idx] = rng.uniform(0.0, 3.0, (chunk, n - 1))
+        A[:, 0, 0] = -rng.uniform(0.05, 1.0, chunk)
+        wings = rng.uniform(-1.0, 1.0, (chunk, n - 1))
+        A[:, 0, 1:] = wings
+        A[:, 1:, 0] = wings
+        kept = A[oracle._rows_in_gamma(np.linalg.eigvalsh(A), k)]
+        accepted.append(kept)
+        have += kept.shape[0]
+    return np.concatenate(accepted)[:count]
+
+
+class TestArrowheadSlices:
+    @pytest.mark.parametrize("n,k,count,chunk", [
+        (2, 1, 1, 512), (4, 2, 40, 512), (5, 4, 7, 512), (8, 5, 30, 512),
+        (3, 2, 700, 512),               # needs more than one chunk
+        (6, 4, 50, 128),                # several chunks, sliced 100 + 28
+        (4, 3, 90, 40),                 # chunks smaller than a slice
+    ])
+    def test_matches_whole_chunk_testing(self, n, k, count, chunk):
+        seed = 1000 * n + 10 * k + count
+        rng_got = np.random.default_rng(seed)
+        rng_want = np.random.default_rng(seed)
+        got = oracle.sample_arrowhead_batch(n, k, rng_got, count, chunk=chunk)
+        want = _arrowheads_whole_chunks(n, k, rng_want, count, chunk)
+        assert got.shape == (count, n, n)
+        assert got.tobytes() == want.tobytes()
+        assert rng_got.random() == rng_want.random()
+
+    def test_eigensolves_only_the_matrices_it_tests(self, monkeypatch):
+        sizes = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counted(a):
+            sizes.append(a.shape[0])
+            return eigvalsh(a)
+        monkeypatch.setattr(oracle.np.linalg, "eigvalsh", counted)
+        oracle.sample_arrowhead_batch(4, 2, np.random.default_rng(3), 1)
+        assert sizes == [oracle._SLICE_MIN]
 
 
 def _filters_one_by_one(rows, min_negative, pinch):

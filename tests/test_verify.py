@@ -136,6 +136,30 @@ class TestSelfTest:
         res = verify.run_suite(trials=40, seed=7)
         assert all(r.ok for r in res.values())
 
+    @staticmethod
+    def _count_runs(monkeypatch):
+        ran = []
+        for name, (func, default_trials) in list(verify.PROPERTIES.items()):
+            def counted(rng, trials, calc, func=func, name=name):
+                ran.append(name)
+                return func(rng, trials, calc)
+            monkeypatch.setitem(verify.PROPERTIES, name,
+                                (counted, default_trials))
+        return ran
+
+    def test_stops_at_the_first_property_that_flags_the_fault(
+            self, monkeypatch):
+        ran = self._count_runs(monkeypatch)
+        assert verify.self_test(seed=1) is True
+        assert ran == ["deletion_identity"]
+
+    def test_honest_shadow_runs_every_property_and_fails(self, monkeypatch):
+        ran = self._count_runs(monkeypatch)
+        monkeypatch.setattr(verify._ShadowCalc, "_corrupt",
+                            staticmethod(lambda lam: lam))
+        assert verify.self_test(seed=7, trials=40) is False
+        assert ran == list(verify.PROPERTIES)
+
 
 class TestInteriorSampling:
     def test_margin_filter_keeps_cone_interior(self):
