@@ -39,7 +39,6 @@ read-only in a small cache keyed on the grid object.
 """
 
 import functools
-import math
 
 import numpy as np
 
@@ -47,7 +46,7 @@ from . import exprparse
 
 __all__ = [
     "gradient", "hessian", "difference_operators", "hessian_blocks",
-    "apply_neumann", "neumann_residual", "interp_at",
+    "apply_neumann", "neumann_residual",
 ]
 
 
@@ -301,7 +300,7 @@ def _closure_part(grid):
 
 
 # One entry: the blocks outweigh the other per-grid constants many times
-# over, and a damped-solve schedule runs on one grid.
+# over, and the damped solves of an eigen run share one grid.
 @functools.lru_cache(maxsize=1)
 def hessian_blocks(grid):
     """The discrete Hessian at interior nodes as a linear map of the
@@ -387,35 +386,6 @@ def apply_neumann(grid, u, phi):
             return u
     raise ValueError(f"Neumann closure did not converge in {_MAX_NEWTON} "
                      f"Newton steps; relation residual {res:.3g}")
-
-
-def interp_at(grid, u, point):
-    """Bilinear interpolation of grid values at a physical point.
-
-    The interpolation runs in (r, theta) coordinates, crossing the pole
-    through the phantom ring so points near the center are handled like
-    any others.  The point must lie in the closed domain (queries are
-    clamped to it).
-    """
-    u = np.asarray(u, dtype=float)
-    px, py = float(point[0]), float(point[1])
-    a, b = grid.domain.a, grid.domain.b
-    rr = math.hypot(px / a, py / b)
-    th = math.atan2(py / b, px / a) % (2.0 * math.pi)
-    rr = min(rr, 1.0)
-    nr, nt = grid.shape
-    dr, dt = grid.dr, grid.dtheta
-    P = _phantom_pad(u, nt)
-    # padded row p sits at signed r = (p - 1/2) dr
-    p = int(math.floor(rr / dr + 0.5))
-    p = min(max(p, 0), nr - 1)
-    fr = rr / dr + 0.5 - p
-    q = int(math.floor(th / dt))
-    q = min(max(q, 0), nt - 1)
-    ft = th / dt - q
-    q1 = (q + 1) % nt
-    return float((1 - fr) * ((1 - ft) * P[p, q] + ft * P[p, q1])
-                 + fr * ((1 - ft) * P[p + 1, q] + ft * P[p + 1, q1]))
 
 
 def neumann_residual(grid, u, phi):

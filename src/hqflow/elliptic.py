@@ -2,18 +2,18 @@
 
 A translating solution of the quotient flow moves at a constant speed s
 with a fixed profile: log(sigma_k/sigma_l)(D^2 u) - log f(x) = s with
-u_nu = phi(x).  The pair (s, u) is found by solving a family of damped
-problems log q(D^2 u) = log f(x) + eps u, whose term eps u pins the
-additive constant: each has a unique solution u_eps, the steady state
-of the flow with right side f e^{eps u}, found here by Newton's method
-on the interior values of the residual u_t - eps u, with u_t the right
-side of the caller's problem, so eps u may have any size (Loeper &
-Rapetti, C. R. Acad. Sci. Paris 340, 2005; Froese & Oberman, SIAM J.
-Numer. Anal. 49, 2011).  As eps decreases, eps * u_eps at the centre of
-the domain, the origin, converges to s linearly in eps, so two solves
-at eps and eps/2 give a Richardson value accurate to O(eps^2), and
-u_eps minus its divergent constant part converges to the profile,
-pinned to the initial data at the origin.
+u_nu = phi(x).  The pair (s, u) is found from a damped problem
+log q(D^2 u) = log f(x) + eps u, whose term eps u pins the additive
+constant: it has a unique solution u_eps, the steady state of the flow
+with right side f e^{eps u}, found here by Newton's method on the
+interior values of the residual u_t - eps u, with u_t the right side of
+the caller's problem (Loeper & Rapetti, C. R. Acad. Sci. Paris 340,
+2005; Froese & Oberman, SIAM J. Numer. Anal. 49, 2011).  As eps
+decreases, u_eps = s/eps + profile + O(eps).  The solver carries the
+large constant part of u_eps as a Python float apart from the grid
+array, so the Hessian never differences s/eps and one solve at a small
+eps gives the speed eps u_eps(0) to O(eps), and the profile, pinned to
+the initial data at the centre of the domain, the origin.
 
 The module also carries the closed-form speed for k=1, l=0 (where the
 operator is the Laplacian and the divergence theorem gives the speed as
@@ -31,7 +31,7 @@ from . import discretize, exprparse, flow, geometry
 from .geometry import ArgumentError
 
 __all__ = [
-    "EigenPair", "ConvergenceError", "solve_regularized", "s_epsilon",
+    "EigenPair", "ConvergenceError", "solve_regularized",
     "solve_eigenpair", "laplace_speed_oracle", "check_translating_profile",
     "translation_identity", "check_uniqueness_up_to_constant",
     "eigen_summary",
@@ -42,22 +42,27 @@ __all__ = [
 _PIN = (0.0, 0.0)
 
 
+def _at_origin(u):
+    """u at the origin: the innermost ring sits at r = dr/2, so the
+    origin is the midpoint of its nodes at theta_0 and theta_0 + pi."""
+    return float(0.5 * u[0, u.shape[1] // 2] + 0.5 * u[0, 0])
+
+
 class ConvergenceError(RuntimeError):
     """A damped solve did not reach its steady state."""
 
 
 @dataclass
 class EigenPair:
-    """Speed and profile of a translating solution, with the damping
-    trace that produced them."""
+    """Speed and profile of a translating solution, with the Newton
+    steps of the damped solve that produced them."""
     s: float
     u_ell: np.ndarray
     y0: tuple
-    epsilon_trace: list
     residual: float
     status: str
     notes: list = field(default_factory=list)
-    newton_iterations: list = field(default_factory=list)
+    newton_iterations: int = 0
 
 
 def _require_x_only(spec):
@@ -71,52 +76,71 @@ def _require_x_only(spec):
             "side f(x); pass the translating-frame f")
 
 
-# Newton converges in 2-5 steps from the warm starts of the schedule;
-# a solve that needs more steps, or more halvings of one step, fails.
+# Newton converges in 2-6 steps from the closed u0; a solve that needs
+# more steps, or more halvings of one step, fails.
 _MAX_NEWTON = 30
 _MAX_HALVINGS = 30
+# max|G| is known to no better than this many ulps of the sum of the
+# magnitudes of its terms.
+_ROUNDOFF_ULPS = 64
+# The damping of the eigen solve.  Its speed is off by about -0.33 eps;
+# at eps = 1e-12 the block elimination of J - eps I breaks down.
+_EIGEN_EPS = 1e-8
 
 
-def solve_regularized(spec, eps, u_init=None, tol=1e-8):
-    """Solution of the damped problem log q(D^2 u) = log f(x) + eps u,
-    u_nu = phi(x), and the number of Newton steps it took.
+def solve_regularized(spec, eps, tol=1e-8):
+    """Solution u = w + c of the damped problem log q(D^2 u) =
+    log f(x) + eps u, u_nu = phi(x): the grid array w, the float c, and
+    the number of Newton steps it took.
 
-    The problem is solved on `spec` itself: the residual is
-    G = u_t - eps u at the interior nodes, with u_t the right side of
-    the flow of `spec`, so eps u may have any size.  The unknowns are
-    the interior values; the closure of the u-free phi is affine in
-    them, so the Jacobian of G is F11 Lxx + 2 F12 Lxy + F22 Lyy - eps I,
-    with L the closed Hessian of `discretize.hessian_blocks`.  Each Newton step is solved by
+    The problem is solved on `spec` itself.  The constant part of u,
+    about s/eps at small eps, is carried in c, so the Hessian never
+    differences it.  The closure of the u-free phi commutes with adding
+    constants, so u_t(w + c) = u_t(w), and the residual at the interior
+    nodes is G = u_t(w) - eps w - eps c, with u_t the right side of the
+    flow of `spec`.  The solve starts from the closed u0 with c its
+    value at the origin.  The unknowns are the interior values; the
+    closure is affine in them, so the Jacobian of G is F11 Lxx +
+    2 F12 Lxy + F22 Lyy - eps I, with L the closed Hessian of
+    `discretize.hessian_blocks`.  Each Newton step is solved by
     `flow._linearized_solve`, the solver of the flow's time step, with
     the diagonal eps, and halved until the iterate stays in the cone
-    and max|G| decreases.  The damping makes the Jacobian nonsingular
-    for eps > 0.  `u_init` (the initial data of `spec` by default) warm
-    starts the solve after its boundary is closed; it stops at
-    max|G| < tol.  Raises ArgumentError for an eps or a tol that is not
-    positive, and ConvergenceError when the closed u_init leaves the
-    cone, when no halving of a step decreases max|G|, or after 30 steps.
+    and max|G| decreases; the mean of the step goes into c and the rest
+    into w.  The damping makes the Jacobian nonsingular for eps > 0.
+    The solve stops at max|G| < tol.  Raises ArgumentError for an eps
+    that is not finite and positive or a tol that is not positive, and
+    ConvergenceError when tol lies below the round-off of G, when no
+    halving of a step decreases max|G|, or after 30 steps.
     """
-    if not eps > 0.0:
-        raise ArgumentError("eps", "must be positive")
+    if not (math.isfinite(eps) and eps > 0.0):
+        raise ArgumentError("eps",
+                            f"must be finite and positive, got {eps!r}")
     if not tol > 0.0:
         raise ArgumentError("tol", f"must be positive, got {tol!r}")
     _require_x_only(spec)
     grid, sl = spec.grid, flow._INTERIOR
 
-    def residual(u):
-        ev = flow._evaluate(spec, u)
-        G = ev.ut - eps * u[sl]
+    def residual(w, c):
+        ev = flow._evaluate(spec, w)
+        G = ev.ut - eps * w[sl] - eps * c
         return ev, G, float(np.max(np.abs(G)))
 
-    u = discretize.apply_neumann(
-        grid, spec.u0_grid if u_init is None else u_init, spec.phi)
-    ev, G, res = residual(u)
-    if not ev.ok_all:
-        raise ConvergenceError(f"damped solve at eps = {eps:.6g} cannot "
-                               f"start: u_init leaves the cone")
+    c = _at_origin(spec.u0_grid)
+    w = spec.u0_grid - c
+    ev, G, res = residual(w, c)
     for steps in range(_MAX_NEWTON + 1):
         if res < tol:
-            return u, steps
+            return w, c, steps
+        # G is affine in c, and a Newton step moves eps c to about the
+        # mean of u_t - eps w, so eps c is counted at that value
+        floor = _ROUNDOFF_ULPS * np.finfo(float).eps * float(
+            np.max(np.abs(np.log(ev.q))) + np.max(np.abs(np.log(ev.fval)))
+            + eps * np.max(np.abs(w)) + abs(np.mean(G) + eps * c))
+        if tol < floor:
+            raise ConvergenceError(
+                f"damped solve at eps = {eps:.6g}: tol {tol:.3g} lies "
+                f"below the round-off floor {floor:.3g} of max|G| = "
+                f"{res:.3g}")
         if steps == _MAX_NEWTON:
             break
         try:
@@ -127,12 +151,15 @@ def solve_regularized(spec, eps, u_init=None, tol=1e-8):
                 f"has a singular Jacobian ({exc})") from exc
         lam = 1.0
         for _ in range(_MAX_HALVINGS):
-            trial = u.copy()
-            trial[sl] += lam * du
+            step = lam * du
+            dc = float(np.mean(step))
+            trial = w.copy()
+            trial[sl] += step - dc
             trial = discretize.apply_neumann(grid, trial, spec.phi)
-            ev_trial, G_trial, res_trial = residual(trial)
+            ev_trial, G_trial, res_trial = residual(trial, c + dc)
             if ev_trial.ok_all and res_trial < res:
-                u, ev, G, res = trial, ev_trial, G_trial, res_trial
+                w, c = trial, c + dc
+                ev, G, res = ev_trial, G_trial, res_trial
                 break
             lam *= 0.5
         else:
@@ -145,89 +172,29 @@ def solve_regularized(spec, eps, u_init=None, tol=1e-8):
         f"in {_MAX_NEWTON} Newton steps; max|G| = {res:.3g}")
 
 
-def s_epsilon(grid, u_eps, u_ref, eps, y0):
-    """Speed extracted from one damped solve: eps times the gap between
-    the damped solution u_eps and the reference data at the point y0.
-    `solve_regularized` takes the residual u_t - eps u on the caller's
-    problem, so u_eps, and with it eps u, may have any size."""
-    return eps * (discretize.interp_at(grid, u_eps, y0)
-                  - discretize.interp_at(grid, u_ref, y0))
+def solve_eigenpair(spec, tol=1e-8):
+    """Speed and profile from one damped solve at eps = 1e-8.
 
-
-def _model_bound(spec):
-    """A priori window for the speed: 1 + max|log f| + max|u0| +
-    max|log quotient(D^2 u0)| on the initial data."""
-    ev = flow._evaluate(spec, spec.u0_grid)
-    return float(1.0 + np.max(np.abs(np.log(ev.fval)))
-                 + np.max(np.abs(spec.u0_grid))
-                 + np.max(np.abs(np.log(ev.q))))
-
-
-def solve_eigenpair(spec, eps0=1.0, n_halvings=6, tol=1e-8):
-    """Speed and profile via a halving schedule of damped solves.
-
-    Runs solve_regularized at eps0, eps0/2, ..., eps0/2^n_halvings,
-    warm starting each solve from the previous one shifted by its own
-    extracted constant.  The returned speed is the Richardson value
-    2 s_J - s_{J-1}; the profile is the last solve minus its constant
-    part, pinned to the initial data at the origin.  A trace that stops
-    contracting, or a profile residual above 10 h^2 (1 + |s|), flags
-    the pair as a convergence failure.  Each level's Newton step count
-    is kept in `newton_iterations`.  Raises ArgumentError for an eps0
-    that is not finite and positive, fewer than one halving (the
-    Richardson value needs two levels), or a tol that is not positive.
+    solve_regularized from the closed u0 gives u = w + c.  The speed is
+    s = eps u(0) = eps (c + w(0)); the profile is w pinned to the
+    initial data at the origin.  A profile residual max|u_t - s| above
+    10 h^2 (1 + |s|) flags the pair as a convergence failure.  Raises
+    ArgumentError for a tol that is not positive, and ConvergenceError
+    when the damped solve fails.
     """
-    if not (math.isfinite(eps0) and eps0 > 0.0):
-        raise ArgumentError("eps0",
-                            f"must be finite and positive, got {eps0!r}")
-    if n_halvings < 1:
-        raise ArgumentError("n_halvings",
-                            f"must be at least 1, got {n_halvings!r}")
-    grid = spec.grid
-    bound = _model_bound(spec)
-    notes = []
-    trace = []
-    steps = []
-    u = None
-    u_init = None
-    for j in range(n_halvings + 1):
-        eps_j = eps0 * 2.0 ** (-j)
-        u, n_steps = solve_regularized(spec, eps_j, u_init=u_init, tol=tol)
-        steps.append(n_steps)
-        s_j = s_epsilon(grid, u, spec.u0_grid, eps_j, _PIN)
-        if not -bound < s_j < bound:
-            # the model hypotheses are suspect; the value is still used
-            notes.append(f"extracted speed {s_j:.6g} lies outside the "
-                         f"model bound (-{bound:.6g}, {bound:.6g})")
-        trace.append((eps_j, s_j))
-        u_init = u + s_j / eps_j
-    (_, s_prev), (eps_last, s_last) = trace[-2:]
-    s_hat = 2.0 * s_last - s_prev
-    u_ell = u - s_last / eps_last
-    u_ell += (discretize.interp_at(grid, spec.u0_grid, _PIN)
-              - discretize.interp_at(grid, u_ell, _PIN))
+    w, c, steps = solve_regularized(spec, _EIGEN_EPS, tol=tol)
+    w_pin = _at_origin(w)
+    s = _EIGEN_EPS * (c + w_pin)
+    u_ell = w + (_at_origin(spec.u0_grid) - w_pin)
     ev = flow._evaluate(spec, u_ell)
-    residual = float(np.max(np.abs(ev.ut - s_hat)))
-    status = "converged"
-    tiny = 1e-10 * (1.0 + abs(s_hat))
-    ds = np.diff([s for _, s in trace])
-    tail = ds[-3:]
-    for a, b in zip(tail[:-1], tail[1:]):
-        if abs(b) > 0.8 * abs(a) + tiny:
-            status = "convergence-failure"
-            notes.append("the damping trace is not contracting")
-            break
-        if abs(a) > 10 * tiny and abs(b) > 10 * tiny and (a > 0) != (b > 0):
-            status = "convergence-failure"
-            notes.append("the damping trace changes direction")
-            break
-    resid_bound = 10.0 * geometry.mesh_size(grid) ** 2 * (1.0 + abs(s_hat))
+    residual = float(np.max(np.abs(ev.ut - s)))
+    status, notes = "converged", []
+    resid_bound = 10.0 * geometry.mesh_size(spec.grid) ** 2 * (1.0 + abs(s))
     if residual > resid_bound:
         status = "convergence-failure"
         notes.append(f"profile residual {residual:.3g} exceeds "
                      f"{resid_bound:.3g}")
-    return EigenPair(s=s_hat, u_ell=u_ell, y0=_PIN,
-                     epsilon_trace=trace, residual=residual,
+    return EigenPair(s=s, u_ell=u_ell, y0=_PIN, residual=residual,
                      status=status, notes=notes, newton_iterations=steps)
 
 
@@ -266,14 +233,18 @@ def check_translating_profile(spec, pair, t_max=1.0):
 def translation_identity(spec, eps0=1.0, tol=1e-8):
     """Check u[e f] = u[f] - 1/eps0 for the damped solves at eps0 of the
     right sides f and e f; returns the deviation, its tolerance
-    100 tol / eps0 and whether it is met."""
+    100 tol / eps0 and whether it is met.  Raises ArgumentError for an
+    eps0 that is not finite and positive."""
+    if not (math.isfinite(eps0) and eps0 > 0.0):
+        raise ArgumentError("eps0",
+                            f"must be finite and positive, got {eps0!r}")
     sspec = flow.ProblemSpec(spec.grid, spec.k, spec.l,
                              f=exprparse.BinOp("*", exprparse.Num(math.e),
                                                spec.f.expr),
                              phi=spec.phi, u0=spec.u0_grid,
                              require_nonnegative_initial_speed=False)
-    base, shifted = (solve_regularized(s, eps0, tol=tol)[0]
-                     for s in (spec, sspec))
+    base, shifted = (w + c for w, c, _ in (
+        solve_regularized(s, eps0, tol=tol) for s in (spec, sspec)))
     dev = float(np.max(np.abs(shifted - (base - 1.0 / eps0))))
     tol_id = 100.0 * tol / eps0
     return {"deviation": dev, "tolerance": tol_id, "ok": dev <= tol_id}
@@ -290,8 +261,7 @@ def eigen_summary(pair, oracle_s=None):
     """JSON-ready summary of an eigenpair solve."""
     return {
         "s_hat": pair.s,
-        "epsilon_trace": [[e, s] for e, s in pair.epsilon_trace],
-        "newton_iterations": list(pair.newton_iterations),
+        "newton_iterations": pair.newton_iterations,
         "residual": pair.residual,
         "oracle_s": oracle_s,
         "status": pair.status,

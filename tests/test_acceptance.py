@@ -279,7 +279,7 @@ def test_criterion_09_profile_unique_up_to_constant(laplace_eigen):
         grid, 1, 0, f="1", phi="1",
         u0="(x1^2 + x2^2)/2 + 0.15*(1 - x1^2 - x2^2)^2",
         require_nonnegative_initial_speed=False)
-    pair = elliptic.solve_eigenpair(spec, n_halvings=6)
+    pair = elliptic.solve_eigenpair(spec)
     assert pair.status == "converged", pair.notes
     osc = elliptic.check_uniqueness_up_to_constant(u_a, pair.u_ell)
     bound = 10.0 * geometry.mesh_size(grid) ** 2

@@ -1,4 +1,5 @@
 import contextlib
+import importlib.util
 import io
 import itertools
 import json
@@ -11,12 +12,11 @@ import sys
 import tempfile
 from unittest import mock
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import hqflow
-from hqflow import cli, elliptic, flow
+from hqflow import cli, flow
 
 FLOW_CFG = """\
 # unit-disk baseline
@@ -44,7 +44,6 @@ problem.u0 = "(x1^2 + x2^2)/2"
 problem.require_nonnegative_initial_speed = false
 grid.n_r = 10
 grid.n_theta = 20
-eigen.n_halvings = 3
 """
 
 CONV_CFG = """\
@@ -97,8 +96,9 @@ flow.t_max = 0.05
 """
 
 
-# The same translating solution for the eigen schedule, and the steady
-# solution |x|^2/2 of f = 2 for a converge ladder of 4x8 and 8x16.
+# The same translating solution for the eigen solve and its translation
+# identity, which reads eigen.eps0, and the steady solution |x|^2/2 of
+# f = 2 for a converge ladder of 4x8 and 8x16.
 EIGEN_FUZZ_CFG = """\
 problem.k = 1
 problem.l = 0
@@ -109,8 +109,8 @@ problem.u0 = "(x1^2 + x2^2)/2"
 problem.require_nonnegative_initial_speed = false
 grid.n_r = 4
 grid.n_theta = 8
-eigen.n_halvings = 1
 eigen.tol = 1e-6
+eigen.check_translation = true
 """
 
 CONV_FUZZ_CFG = """\
@@ -488,8 +488,35 @@ class TestEigenCommand:
         assert d["status"] == "converged"
         assert abs(d["oracle_s"] - math.log(2.0)) <= 1e-12
         assert abs(d["s_hat"] - d["oracle_s"]) <= 2e-2
-        assert len(d["epsilon_trace"]) == 4
+        assert "epsilon_trace" not in d
+        assert 1 <= d["newton_iterations"] <= 5
         assert (tmp_path / "o" / "profile.csv").exists()
+
+    def test_bench_config_with_retired_key_exit_0(self, tmp_path,
+                                                  monkeypatch):
+        # the benchmark's eigen config still sets eigen.n_halvings, which
+        # nothing reads: it loads, and changes no artifact
+        spec = importlib.util.spec_from_file_location(
+            "bench_workloads", pathlib.Path(__file__).resolve().parents[1]
+            / "hqbench" / "workloads.py")
+        bench = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(bench)
+        text = next(iter(bench.Eigen(1, tmp_path / "bench",
+                                     grid=(8, 16)).configs.values()))
+        assert "eigen.n_halvings = 6\n" in text
+        runs = []
+        for name, cfg_text in (("with", text), ("without", text.replace(
+                "eigen.n_halvings = 6\n", ""))):
+            out = tmp_path / name
+            cfg = tmp_path / f"{name}.cfg"
+            cfg.write_text(cfg_text)
+            monkeypatch.setenv("HQFLOW_OUT", str(out))
+            assert cli.main(["eigen", str(cfg)]) == 0
+            d = json.loads((out / "summary.json").read_text())
+            rows = [ln for ln in (out / "profile.csv").read_text()
+                    .splitlines() if not ln.startswith("#")]
+            runs.append((d["s_hat"], rows))
+        assert runs[0] == runs[1]
 
     def test_translation_identity_reported(self, tmp_path, monkeypatch):
         cfg = write_cfg(tmp_path, EIGEN_CFG
@@ -503,10 +530,9 @@ class TestEigenCommand:
 
     def test_constant_offset_of_u0_exit_0(self, tmp_path, monkeypatch):
         # the (2,1) disk of the benchmark with u0 shifted by +1000, which
-        # leaves the problem unchanged, on the default schedule
+        # leaves the problem unchanged
         base = EIGEN_CFG.replace("problem.k = 1\nproblem.l = 0",
-                                 "problem.k = 2\nproblem.l = 1").replace(
-            "eigen.n_halvings = 3\n", "")
+                                 "problem.k = 2\nproblem.l = 1")
         s_hat = []
         for u0 in ("(x1^2 + x2^2)/2", "(x1^2 + x2^2)/2 + 1000"):
             cfg = write_cfg(tmp_path, base.replace(
@@ -520,11 +546,14 @@ class TestEigenCommand:
 
     def test_damped_solve_timeout_exit_3(self, tmp_path, monkeypatch,
                                          capsys):
-        # Newton stops decreasing max|G| at round-off, far above 1e-300
+        # the round-off of max|G| lies far above 1e-300, so the solve
+        # fails before its first Newton step
         cfg = write_cfg(tmp_path, EIGEN_CFG + "eigen.tol = 1e-300\n")
         monkeypatch.setenv("HQFLOW_OUT", str(tmp_path / "o"))
         assert cli.main(["eigen", cfg]) == 3
-        assert "eigen solve failed" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "eigen solve failed" in err
+        assert "tol 1e-300 lies below the round-off floor" in err
         d = json.loads((tmp_path / "o" / "summary.json").read_text())
         assert d["status"] == "diverged"
 
@@ -537,27 +566,25 @@ class TestEigenCommand:
         assert "config error at eigen.t_max: unknown key" \
             in capsys.readouterr().err
 
-    def test_noncontracting_trace_exit_5(self, tmp_path, monkeypatch):
-        cfg = write_cfg(tmp_path, EIGEN_CFG)
+    def test_identity_damping_past_round_off_exit_3(self, tmp_path,
+                                                    monkeypatch, capsys):
+        # at eps0 = 1e20 the identity's damped solve cannot reach tol: a
+        # documented failure, not a traceback
+        cfg = write_cfg(tmp_path, EIGEN_CFG + "eigen.check_translation = "
+                        "true\neigen.eps0 = 1e20\n")
         monkeypatch.setenv("HQFLOW_OUT", str(tmp_path / "o"))
+        assert cli.main(["eigen", cfg]) == 3
+        assert "round-off floor" in capsys.readouterr().err
+        d = json.loads((tmp_path / "o" / "summary.json").read_text())
+        assert d["status"] == "diverged"
 
-        def fake(spec, **kwargs):
-            return elliptic.EigenPair(
-                s=0.5, u_ell=np.array(spec.u0_grid), y0=(0.0, 0.0),
-                epsilon_trace=[(1.0, 0.5)], residual=0.0,
-                status="convergence-failure",
-                notes=["the damping trace is not contracting"])
-
-        monkeypatch.setattr(cli.elliptic, "solve_eigenpair", fake)
-        assert cli.main(["eigen", cfg]) == 5
-
+    # eigen.eps0 is the damping of the translation identity alone
     @pytest.mark.parametrize("key, value", [
-        ("eigen.n_halvings", "0"), ("eigen.n_halvings", "-1"),
         ("eigen.eps0", "0"), ("eigen.eps0", "-1"), ("eigen.eps0", "nan"),
         ("eigen.eps0", "inf")])
     def test_unusable_schedule_exit_2(self, tmp_path, key, value):
-        cfg = write_cfg(tmp_path, EIGEN_CFG.replace(
-            "eigen.n_halvings = 3\n", "") + f"{key} = {value}\n")
+        cfg = write_cfg(tmp_path, EIGEN_CFG + "eigen.check_translation = "
+                        f"true\n{key} = {value}\n")
         proc = run_module(["eigen", cfg], tmp_path, timeout=120)
         assert proc.returncode == 2
         assert f"config error at {key}" in proc.stderr
@@ -776,7 +803,7 @@ def assert_documented_exit(args, base, key, value):
         with open(cfg, "w") as fh:
             fh.write(fuzz_config({key: value}, base))
         code = cli.main([args[0], cfg, *args[1:]])
-    assert code in (0, 1, 2, 3, 4, 5)
+    assert code in (0, 1, 2, 3, 4)
     if code == 2:
         assert f"config error at {key}:" in err.getvalue()
 

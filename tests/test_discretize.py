@@ -460,48 +460,3 @@ class TestExactClosure:
         out = discretize.apply_neumann(g, u, phi)
         assert np.max(np.abs(
             discretize.neumann_residual(g, out, phi))) <= 1e-12
-
-
-class TestInterpolation:
-    def test_polar_linear_exact_on_grid_rays(self):
-        # along a fixed grid angle the field is linear in r, so radial
-        # interpolation recovers it exactly
-        rng = np.random.default_rng(11)
-        g = geometry.build_grid(geometry.Ellipse(1.3, 0.8),
-                                n_r=12, n_theta=24)
-        u = 3.0 + 2.0 * g.x - 1.0 * g.y
-        for _ in range(30):
-            t = g.theta[rng.integers(0, g.shape[1])]
-            rad = rng.uniform(0.0, 1.0)
-            p = (1.3 * rad * np.cos(t), 0.8 * rad * np.sin(t))
-            want = 3.0 + 2.0 * p[0] - 1.0 * p[1]
-            assert abs(discretize.interp_at(g, u, p) - want) <= 1e-12
-
-    def test_polar_generic_points_second_order(self):
-        rng = np.random.default_rng(3)
-        pts = [(rad * np.cos(t), rad * np.sin(t))
-               for rad, t in zip(rng.uniform(0.0, 0.95, 30),
-                                 rng.uniform(0.0, 2 * np.pi, 30))]
-
-        def worst(n_r, n_t):
-            g = geometry.build_grid(geometry.Disk(1.0), n_r=n_r, n_theta=n_t)
-            u = np.sin(g.x + 0.4) * np.cos(g.y)
-            return max(abs(discretize.interp_at(g, u, p)
-                           - np.sin(p[0] + 0.4) * np.cos(p[1])) for p in pts)
-
-        e1, e2 = worst(10, 20), worst(20, 40)
-        order = np.log2(e1 / e2)
-        assert 1.6 <= order <= 2.4
-
-    def test_node_recovery(self):
-        g = geometry.build_grid(geometry.Disk(1.0), n_r=8, n_theta=16)
-        u = np.cos(g.x) * np.sin(g.y + 0.3)
-        for i, j in ((0, 0), (3, 5), (7, 15), (7, 0)):
-            got = discretize.interp_at(g, u, (g.x[i, j], g.y[i, j]))
-            assert abs(got - u[i, j]) <= 1e-12
-
-    def test_center_crosses_pole(self):
-        g = geometry.build_grid(geometry.Disk(1.0), n_r=16, n_theta=32)
-        u = g.x**2 + g.y**2
-        got = discretize.interp_at(g, u, (0.0, 0.0))
-        assert abs(got) <= g.dr**2

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from hqflow import discretize, elliptic, exprparse, flow, geometry, symmfunc
+from hqflow import elliptic, exprparse, flow, geometry, symmfunc
 
 
 def disk_grid(n_r=12, n_t=24):
@@ -29,7 +29,8 @@ def damped_flow_spec(grid, k, l, f, eps):
 class TestSolveRegularized:
     def test_disk_unit_damping_balances_log_laplacian(self):
         spec = laplace_spec()
-        u, _ = elliptic.solve_regularized(spec, 1.0)
+        w, c, _ = elliptic.solve_regularized(spec, 1.0)
+        u = w + c
         ev = flow._evaluate(spec, u)
         gap = np.log(ev.q) - u[flow._INTERIOR]
         assert np.max(np.abs(gap)) <= 1e-6
@@ -54,10 +55,10 @@ class TestSolveRegularized:
             grid = disk_grid(n_r, n_t)
             spec = flow.ProblemSpec(grid, 1, 0, f=f, phi=phi, u0=ustar,
                                     require_nonnegative_initial_speed=False)
-            u, _ = elliptic.solve_regularized(spec, 1.0)
+            w, c, _ = elliptic.solve_regularized(spec, 1.0)
             want = (0.5 * (grid.x**2 + grid.y**2)
                     + 0.1 * np.exp(grid.x / 2))
-            errs.append(float(np.max(np.abs(u - want))))
+            errs.append(float(np.max(np.abs(w + c - want))))
         order = math.log2(errs[0] / errs[1])
         assert 1.5 <= order <= 2.6
 
@@ -68,36 +69,43 @@ class TestSolveRegularized:
         spec = flow.ProblemSpec(grid, 2, 1, f="1 + 0.2*x1", phi="1",
                                 u0="(x1^2 + x2^2)/2",
                                 require_nonnegative_initial_speed=False)
-        u, steps = elliptic.solve_regularized(spec, 1.0)
+        w, c, steps = elliptic.solve_regularized(spec, 1.0)
         assert 1 <= steps <= 5
         ref = flow.run(damped_flow_spec(grid, 2, 1, "1 + 0.2*x1", 1.0),
                        mode="steady", t_max=400.0, tol_steady=1e-8,
                        mean_shift=True)
         assert ref.status == "steady"
-        assert np.max(np.abs(u - ref.state.u)) <= 1e-6
+        assert np.max(np.abs(w + c - ref.state.u)) <= 1e-6
 
     def test_solved_data_takes_no_step(self):
         spec = laplace_spec(8, 16)
-        u, steps = elliptic.solve_regularized(spec, 1.0)
-        again, none = elliptic.solve_regularized(spec, 1.0, u_init=u)
+        w, c, steps = elliptic.solve_regularized(spec, 1.0)
+        solved = flow.ProblemSpec(spec.grid, 1, 0, f="1", phi="1",
+                                  u0=w + c,
+                                  require_nonnegative_initial_speed=False)
+        w2, c2, none = elliptic.solve_regularized(solved, 1.0)
         assert steps >= 1 and none == 0
-        assert np.max(np.abs(again - u)) <= 1e-12
+        assert np.max(np.abs((w2 + c2) - (w + c))) <= 1e-12
 
-    def test_u_init_outside_the_cone_cannot_start(self):
-        spec = laplace_spec(8, 16)
-        concave = -spec.u0_grid
-        with pytest.raises(elliptic.ConvergenceError, match="cannot start"):
-            elliptic.solve_regularized(spec, 1.0, u_init=concave)
+    def test_u0_outside_the_cone_is_refused(self):
+        # the solve starts from the closed u0, which the spec has already
+        # checked against the cone
+        with pytest.raises(symmfunc.AdmissibilityError):
+            flow.ProblemSpec(disk_grid(8, 16), 1, 0, f="1", phi="1",
+                             u0="-(x1^2 + x2^2)/2",
+                             require_nonnegative_initial_speed=False)
 
     @pytest.mark.parametrize("offset", [1e3, 1e6])
-    def test_constant_offset_of_u_init_is_removed(self, offset):
-        # the residual u_t - eps u is affine in a constant, so a shifted
-        # warm start reaches the same solution however large eps u is
+    def test_constant_offset_of_u0_is_removed(self, offset):
+        # the residual u_t(w) - eps w - eps c is affine in a constant, so
+        # shifted data reach the same solution however large eps u is
         spec = laplace_spec(8, 16)
-        u, _ = elliptic.solve_regularized(spec, 1.0)
-        again, _ = elliptic.solve_regularized(
-            spec, 1.0, u_init=spec.u0_grid + offset)
-        assert np.max(np.abs(again - u)) <= 1e-8
+        w, c, _ = elliptic.solve_regularized(spec, 1.0)
+        shifted = flow.ProblemSpec(spec.grid, 1, 0, f="1", phi="1",
+                                   u0=spec.u0_grid + offset,
+                                   require_nonnegative_initial_speed=False)
+        w2, c2, _ = elliptic.solve_regularized(shifted, 1.0)
+        assert np.max(np.abs((w2 + c2) - (w + c))) <= 1e-8
 
     @pytest.mark.parametrize("k, l", [(1, 0), (2, 0), (2, 1)])
     def test_closed_form_slopes_match_symmfunc(self, k, l):
@@ -152,9 +160,19 @@ class TestSolveRegularized:
                                  require_nonnegative_initial_speed=False)
         with pytest.raises(ValueError, match="f\\(x\\)"):
             elliptic.solve_regularized(bad_f, 1.0)
-        with pytest.raises(ValueError, match="positive"):
-            elliptic.solve_regularized(laplace_spec(8, 16), -1.0)
 
+    @pytest.mark.parametrize("eps", [0.0, -1.0, math.inf, math.nan])
+    def test_unusable_damping_named(self, eps):
+        # a damping that is not finite and positive is refused before
+        # any solve, under the name of the argument that carries it
+        spec = laplace_spec(6, 12)
+        with pytest.raises(geometry.ArgumentError,
+                           match="finite and positive") as exc:
+            elliptic.solve_regularized(spec, eps)
+        assert exc.value.field == "eps"
+        with pytest.raises(geometry.ArgumentError) as exc:
+            elliptic.translation_identity(spec, eps0=eps)
+        assert exc.value.field == "eps0"
 
     @pytest.mark.parametrize("f", [
         "exp(0.1*u)", exprparse.parse("exp(0.1*u)", slot="f")],
@@ -168,27 +186,26 @@ class TestSolveRegularized:
         assert exc.value.field == "f"
 
 
-class TestSpeedExtraction:
-    def test_worked_values(self):
-        grid = disk_grid(8, 16)
-        ones = np.full(grid.shape, 1.0)
-        ref = np.full(grid.shape, 0.6)
-        got = elliptic.s_epsilon(grid, ones, ref, 0.5, (0.0, 0.0))
-        assert abs(got - 0.2) <= 1e-15
-        assert elliptic.s_epsilon(grid, ones, ones, 0.7, (0.1, 0.2)) == 0.0
+class TestPin:
+    def test_center_crosses_pole(self):
+        g = geometry.build_grid(geometry.Disk(1.0), n_r=16, n_theta=32)
+        u = g.x**2 + g.y**2
+        got = elliptic._at_origin(u)
+        assert abs(got) <= g.dr**2
 
-    def test_translation_identity_exact(self):
-        grid = disk_grid(10, 20)
-        u = 0.5 * (grid.x**2 + grid.y**2)
-        for eps in (1.0, 0.25):
-            got = elliptic.s_epsilon(grid, u + 1.0 / eps, u, eps, (0.3, -0.1))
-            assert abs(got - 1.0) <= 1e-12
+    def test_linear_data_exact(self):
+        # the two nodes of the pin lie on one diameter, at equal distance
+        # from the origin
+        g = geometry.build_grid(geometry.Ellipse(1.3, 0.8), n_r=12,
+                                n_theta=24)
+        u = 3.0 + 2.0 * g.x - 1.0 * g.y
+        assert abs(elliptic._at_origin(u) - 3.0) <= 1e-14
 
 
 class TestEigenpair:
     def test_disk_speed_matches_oracle(self):
         spec = laplace_spec()
-        pair = elliptic.solve_eigenpair(spec, n_halvings=5)
+        pair = elliptic.solve_eigenpair(spec)
         oracle = elliptic.laplace_speed_oracle(spec.grid, "1", "1")
         assert abs(oracle - math.log(2.0)) <= 1e-12
         assert pair.status == "converged", pair.notes
@@ -202,48 +219,58 @@ class TestEigenpair:
     def test_scaling_f_shifts_speed_by_log_c(self):
         base = laplace_spec(10, 20, f="1")
         scaled = laplace_spec(10, 20, f="2")
-        p1 = elliptic.solve_eigenpair(base, n_halvings=3)
-        p2 = elliptic.solve_eigenpair(scaled, n_halvings=3)
+        p1 = elliptic.solve_eigenpair(base)
+        p2 = elliptic.solve_eigenpair(scaled)
         assert abs((p1.s - p2.s) - math.log(2.0)) <= 1e-6
 
-    @pytest.mark.parametrize("kwargs, name", [
-        ({"n_halvings": 0}, "n_halvings"), ({"n_halvings": -1}, "n_halvings"),
-        ({"eps0": 0.0}, "eps0"), ({"eps0": math.inf}, "eps0"),
-        ({"eps0": math.nan}, "eps0")])
-    def test_unusable_schedule_rejected(self, kwargs, name):
-        # the Richardson value needs two damping levels, each with a
-        # finite positive eps
-        with pytest.raises(ValueError, match=name):
-            elliptic.solve_eigenpair(laplace_spec(6, 12), **kwargs)
-
-    @pytest.mark.parametrize("kwargs, name", [
-        ({"n_halvings": 0}, "n_halvings"), ({"eps0": -1.0}, "eps0"),
-        ({"tol": 0.0}, "tol")])
-    def test_schedule_errors_name_their_argument(self, kwargs, name):
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan])
+    def test_unusable_tol_named(self, tol):
         with pytest.raises(geometry.ArgumentError) as exc:
-            elliptic.solve_eigenpair(laplace_spec(6, 12), **kwargs)
-        assert exc.value.field == name
+            elliptic.solve_eigenpair(laplace_spec(6, 12), tol=tol)
+        assert exc.value.field == "tol"
 
-    def test_damping_that_overflows_f_fails_the_solve(self):
-        # f e^{eps u} would overflow here; the residual u_t - eps u does
-        # not, but at 1e19 it cannot reach tol, so the first solve fails
-        # in Newton, without blaming the user's f
+    def test_bench_bump_disk_is_accurate(self):
+        # (2,1) on the disk: s = -log 2 with the profile |x|^2/2, which
+        # the difference stencils reproduce exactly
+        grid = disk_grid(10, 20)
+        pair = elliptic.solve_eigenpair(flow.ProblemSpec(
+            grid, 2, 1, f="1", phi="1",
+            u0="(x1^2 + x2^2)/2 + 0.08*(1 - x1^2 - x2^2)^2",
+            require_nonnegative_initial_speed=False))
+        assert pair.status == "converged", pair.notes
+        assert abs(pair.s + math.log(2.0)) <= 1e-7
+        assert pair.residual <= 1e-7
+        assert elliptic.check_uniqueness_up_to_constant(
+            pair.u_ell, 0.5 * (grid.x**2 + grid.y**2)) <= 1e-7
+
+    def test_ellipse_speed_matches_the_flow(self):
+        grid = geometry.build_grid(geometry.Ellipse(1.25, 0.8), n_r=16,
+                                   n_theta=32)
+        spec = flow.ProblemSpec(
+            grid, 2, 1, f="1", phi="1",
+            u0="(x1^2/1.25 + x2^2/0.8)/2 "
+               "+ 0.08*(1 - x1^2/1.5625 - x2^2/0.64)^2",
+            require_nonnegative_initial_speed=False)
+        pair = elliptic.solve_eigenpair(spec)
+        ref = flow.run(spec, mode="translating", tol_trans=1e-10)
+        assert ref.status == "translating"
+        assert pair.status == "converged", pair.notes
+        assert abs(pair.s - ref.records[-1].mean_ut) <= 1e-7
+
+    def test_damping_that_overflows_f_fails_the_solve(self, monkeypatch):
+        # f e^{eps u} would overflow here; the residual u_t - eps w -
+        # eps c does not, but at 1e20 its round-off floor lies far above
+        # tol, so the solve fails before its first linear solve, without
+        # blaming the user's f
+        calls = []
+        monkeypatch.setattr(flow, "_linearized_solve",
+                            lambda *a: calls.append(a))
         with pytest.raises(elliptic.ConvergenceError,
-                           match="Newton steps") as exc:
-            elliptic.solve_eigenpair(laplace_spec(6, 12), eps0=1e20)
+                           match="round-off floor") as exc:
+            elliptic.solve_regularized(laplace_spec(6, 12), 1e20)
+        assert calls == []
         assert "eps = 1e+20" in str(exc.value)
         assert "f must" not in str(exc.value)
-
-    def test_out_of_bound_value_is_noted_but_returned(self, monkeypatch):
-        spec = laplace_spec(8, 16)
-        want = elliptic.solve_eigenpair(spec, n_halvings=2)
-        monkeypatch.setattr(elliptic, "_model_bound", lambda spec: 0.1)
-        pair = elliptic.solve_eigenpair(spec, n_halvings=2)
-        assert want.notes == []
-        assert len(pair.notes) == 3
-        assert all("lies outside the model bound (-0.1, 0.1)" in note
-                   for note in pair.notes)
-        assert pair.s == want.s
 
     def test_constant_offset_of_u0_keeps_the_speed(self):
         # the profile is unique up to a constant: u0 + 1000 changes
@@ -263,14 +290,11 @@ class TestEigenpair:
 
     def test_summary_schema(self):
         spec = laplace_spec(10, 20)
-        pair = elliptic.solve_eigenpair(spec, n_halvings=2)
+        pair = elliptic.solve_eigenpair(spec)
         out = elliptic.eigen_summary(pair, oracle_s=math.log(2.0))
-        assert set(out) == {"s_hat", "epsilon_trace", "newton_iterations",
-                            "residual", "oracle_s", "status", "notes"}
-        assert len(out["epsilon_trace"]) == 3
-        assert len(out["newton_iterations"]) == 3
-        assert all(1 <= n <= 5 for n in out["newton_iterations"])
-        assert out["epsilon_trace"][0][0] == 1.0
+        assert set(out) == {"s_hat", "newton_iterations", "residual",
+                            "oracle_s", "status", "notes"}
+        assert 1 <= out["newton_iterations"] <= 5
         assert out["oracle_s"] == math.log(2.0)
 
 
