@@ -30,12 +30,14 @@ increasing in u_b; a step whose slope - d is not positive is refused.
 With a u-free phi the closure is affine in the interior values, and
 `hessian_blocks` folds its linear part into the Hessian weights: the
 closed Hessian as a block-tridiagonal linear map over the rings, the
-operator of the flow's implicit time step and
-of the eigen lane's Newton step.
+operator of the flow's implicit time step and of the eigen lane's
+Newton step.  It keeps only the nonzero weights, as one sparse table
+from which each linear solve assembles its blocks.
 
 The per-grid constants (chain-rule coefficients, boundary geometry,
-closure coefficients, Hessian blocks) are built once per grid and kept
-read-only in a small cache keyed on the grid object.
+closure coefficients, node coordinates, the Hessian table) are built
+once per grid and kept read-only in a small cache keyed on the grid
+object.
 """
 
 import functools
@@ -59,8 +61,10 @@ def _phantom_pad(u, nt):
 
 
 # Grid is a frozen dataclass with eq=False, so it hashes by identity and
-# a cache entry lives as long as the cache holds its grid.
-_per_grid = functools.lru_cache(maxsize=8)
+# a cache entry lives as long as the cache holds its grid.  Two entries:
+# a run, a converge level and an eigen solve each work on one grid, and
+# an entry whose grid no caller holds only keeps its arrays alive.
+_per_grid = functools.lru_cache(maxsize=2)
 
 
 def _read_only(*arrays):
@@ -261,8 +265,18 @@ def _polar_closure(grid):
 @_per_grid
 def _boundary_nodes(grid):
     """Coordinates of the closed nodes (the outer ring, u[-1]) and the
-    diagonal of the closure matrix M there."""
-    return _read_only(grid.x[-1], grid.y[-1], _polar_closure(grid)[0])
+    diagonal of the closure matrix M there.  The coordinates are copies,
+    so the fields that fold their x-only parts there (`exprparse`) see
+    arrays nothing can change."""
+    return _read_only(grid.x[-1].copy(), grid.y[-1].copy(),
+                      _polar_closure(grid)[0])
+
+
+@_per_grid
+def _interior_nodes(grid):
+    """Coordinates of the interior nodes (every ring inside the outer
+    one), copied like those of `_boundary_nodes`."""
+    return _read_only(grid.x[:-1].copy(), grid.y[:-1].copy())
 
 
 def _close_linear(grid, u, g, d=None):
@@ -299,21 +313,25 @@ def _closure_part(grid):
     return written, read, C
 
 
-# One entry: the blocks outweigh the other per-grid constants many times
-# over, and the damped solves of an eigen run share one grid.
-@functools.lru_cache(maxsize=1)
+@_per_grid
 def hessian_blocks(grid):
     """The discrete Hessian at interior nodes as a linear map of the
     interior values, with the Neumann closure of a u-free phi folded in:
     the map v -> hessian(apply_neumann(v)) - hessian(apply_neumann(0)).
 
-    Returns (xx, xy, yy), each of shape (n_p, 3, m, m) for the n_p
-    interior rings of m nodes: block [p, k] multiplies ring p - 1 + k of
-    the interior values, so h[p] = sum_k xx[p, k] @ v[p - 1 + k].  The
-    weights are the COO triplets of `difference_operators`; a triplet
-    that reads a closed node is spread over the interior nodes the
-    closure reads.  The pole phantom and the coupled ellipse closure
-    land in the diagonal and lower blocks of their rows.
+    The map is block tridiagonal over the n_p interior rings of m
+    nodes, and it is kept as one sparse table (idx, src, vals) of the
+    nonzero weights of xx, then of xy, then of yy.  idx is the flat
+    index of a weight in an (n_p, 3, m, m) array whose block [p, k]
+    multiplies ring p - 1 + k of the interior values, so the dense xx
+    map is np.bincount(idx[:n], vals[:n], minlength=n_p * 3 * m * m)
+    over its n entries.  src is the index of the weight's row node in
+    the concatenated raveled (F11, 2 F12, F22) of `flow._evaluate`, so
+    np.bincount(idx, vals * c[src]) assembles F11 Lxx + 2 F12 Lxy + F22
+    Lyy.  The weights are the COO triplets of `difference_operators`; a
+    triplet that reads a closed node is spread over the interior nodes
+    the closure reads.  The pole phantom and the coupled ellipse
+    closure land in the diagonal and lower blocks of their rows.
     """
     written, read, C = _closure_part(grid)
     # block row P and column T of each node in the layout of the interior
@@ -324,7 +342,7 @@ def hessian_blocks(grid):
     row_of = np.full(grid.x.size, -1)
     row_of[written] = np.arange(written.size)
 
-    def fold(op):
+    def fold(op, first_src):
         rows, cols, vals = op
         closed = row_of[cols] >= 0
         w = vals[closed, None] * C[row_of[cols[closed]]]
@@ -334,12 +352,15 @@ def hessian_blocks(grid):
         vals = np.concatenate((vals[~closed], w[hit]))
         k = P[cols] - P[rows] + 1
         idx = ((P[rows] * 3 + k) * m + T[rows]) * m + T[cols]
-        return np.bincount(idx, vals, minlength=n_p * 3 * m * m) \
-            .reshape(n_p, 3, m, m)
+        dense = np.bincount(idx, vals, minlength=n_p * 3 * m * m)
+        idx = np.flatnonzero(dense)
+        return idx, first_src + idx // (3 * m * m) * m + idx // m % m, \
+            dense[idx]
 
     # each triplet table is dropped once it is folded
     ops = list(difference_operators(grid)[2:])
-    return _read_only(*(fold(ops.pop(0)) for _ in range(3)))
+    parts = [fold(ops.pop(0), o * n_p * m) for o in range(3)]
+    return _read_only(*(np.concatenate(col) for col in zip(*parts)))
 
 
 _MAX_NEWTON = 50

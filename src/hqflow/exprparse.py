@@ -32,6 +32,15 @@ callable fn(x, y, u) carrying `depends_on_u`, True or False.  A field
 made from an expression keeps its AST as `expr`; fields of the f and
 phi slots also carry `du(x, y, u)`, their exact derivative in u, built
 once when the field is made.
+
+A field called on read-only node arrays folds each subtree free of u
+into its value there, once, and later calls on the same arrays evaluate
+only the rest: the solver calls f and phi at the same nodes every step.
+A fold is checked for domain errors when it is made and kept only when
+it succeeds; the parts that depend on u are checked on every call.  A
+writeable x or y may change between calls, so the whole expression is
+evaluated each time.  The fold is replaced as one tuple, so concurrent
+callers each see a consistent one.
 """
 
 import math
@@ -118,6 +127,14 @@ class Call:
 
 
 Expr = Num | Var | Neg | BinOp | Call
+
+
+@dataclass(frozen=True, eq=False)
+class _Value:
+    """A subtree free of u, folded to its value at a field's nodes; it
+    exists only inside fields and is not part of the grammar."""
+    value: object
+
 
 _TOKEN_RE = re.compile(
     r"""(?P<ws>\s+)
@@ -284,7 +301,7 @@ def eval(ast, env):
     naming the offending value rather than propagating non-finite
     results.
     """
-    if isinstance(ast, Num):
+    if isinstance(ast, Num | _Value):
         return ast.value
     if isinstance(ast, Var):
         try:
@@ -420,7 +437,10 @@ def as_field(obj, slot):
     allowed variables.
 
     The field is a vectorized callable fn(x, y, u) carrying
-    `depends_on_u`, and for f and phi also `du(x, y, u)`.  A field this
+    `depends_on_u`, and for f and phi also `du(x, y, u)`.  A field and
+    its `du` fold their x-only parts at the read-only node arrays they
+    are called on, so repeated calls there evaluate only the parts that
+    depend on u.  A field this
     function already made for the same slot is returned unchanged, so
     the flag and the derivative survive being passed on.
     """
@@ -450,20 +470,49 @@ def as_field(obj, slot):
 
 def _bind(ast):
     """`ast` as a vectorized callable of (x, y, u), broadcast to x, with
-    its `depends_on_u` and `expr`."""
+    its `depends_on_u` and `expr`; it folds the u-free subtrees at
+    read-only node arrays (see the module docstring)."""
     uses_u = "u" in free_vars(ast)
+    # (x, y, the folded tree) of the last call on read-only nodes
+    folded = None
 
     def fn(x, y, u=None):
+        nonlocal folded
         env = {"x1": np.asarray(x, dtype=float),
                "x2": np.asarray(y, dtype=float)}
         if uses_u:
             env["u"] = np.asarray(u, dtype=float)
-        val = eval(ast, env)
+        tree = ast
+        if _is_read_only(x) and _is_read_only(y):
+            last = folded
+            if last is None or last[0] is not x or last[1] is not y:
+                last = folded = (x, y, _fold(ast, env))
+            tree = last[2]
+        val = eval(tree, env)
         return np.broadcast_to(np.asarray(val, dtype=float), np.shape(x))
 
     fn.depends_on_u = uses_u
     fn.expr = ast
     return fn
+
+
+def _is_read_only(a):
+    return isinstance(a, np.ndarray) and not a.flags.writeable
+
+
+def _fold(ast, env):
+    """`ast` with each maximal subtree free of u replaced by its value
+    under `env`; raises EvalError where such a subtree is out of its
+    domain."""
+    if "u" not in free_vars(ast):
+        return _Value(eval(ast, env))
+    if isinstance(ast, Var):
+        return ast
+    if isinstance(ast, Neg):
+        return Neg(_fold(ast.arg, env))
+    if isinstance(ast, Call):
+        return Call(ast.func, _fold(ast.arg, env))
+    return BinOp(ast.op, _fold(ast.left, env), _fold(ast.right, env))
 
 
 _PREC_ADD, _PREC_MUL, _PREC_NEG, _PREC_POW, _PREC_ATOM = 1, 2, 3, 4, 5

@@ -109,7 +109,7 @@ class ProblemSpec:
         with _blame("u0"):
             raw = np.array(self.u0(grid.x, grid.y), dtype=float)
         bm = grid.boundary_mask
-        xb, yb = grid.x[bm], grid.y[bm]
+        xb, yb, _ = discretize._boundary_nodes(grid)
         with _blame("phi"):
             # the closure never checks a phi free of u
             if not np.all(np.isfinite(self.phi(xb, yb, raw[bm]))):
@@ -118,8 +118,8 @@ class ProblemSpec:
             u0c = discretize.apply_neumann(grid, raw, self.phi)
             ub = u0c[bm]
             phi_u = self.phi.du(xb, yb, ub)
-        sl = _INTERIOR
-        x_i, y_i, u_i = grid.x[sl], grid.y[sl], u0c[sl]
+        x_i, y_i = discretize._interior_nodes(grid)
+        u_i = u0c[_INTERIOR]
         with _blame("f"):
             fval = self.f(x_i, y_i, u_i)
             if not np.all(np.isfinite(fval)) or np.min(fval) <= 0.0:
@@ -239,7 +239,7 @@ def _evaluate(spec, u):
                 inv = 1.0 / trace
                 f11, f22 = f11 - inv, f22 - inv
             slopes = (f11, -2.0 * hxy / det, f22)
-        fval = spec.f(grid.x[sl], grid.y[sl], u[sl])
+        fval = spec.f(*discretize._interior_nodes(grid), u[sl])
         ut = np.log(q) - np.log(fval)
     ok = ok & np.isfinite(ut)
     return _FieldEval(ok, q, fval, ut, trace, det, slopes, (hxx, hxy, hyy))
@@ -274,8 +274,8 @@ def rhs(u, spec):
 
 def _log_f_slope(spec, u, ev):
     """f_u / f at the interior nodes of u, given its evaluation `ev`."""
-    sl = _INTERIOR
-    return spec.f.du(spec.grid.x[sl], spec.grid.y[sl], u[sl]) / ev.fval
+    return spec.f.du(*discretize._interior_nodes(spec.grid),
+                     u[_INTERIOR]) / ev.fval
 
 
 def _dt_cap(slope):
@@ -286,9 +286,8 @@ def _dt_cap(slope):
 def _block_thomas(rows, rhs):
     """Solve sum_k J[p, k] x[p - 1 + k] = rhs[p] for the block rows p of
     a block-tridiagonal system, by block elimination from the first row
-    down and substitution back up.  `rows` yields the block rows J[p],
-    each of shape (3, m, m), in order: an (n_p, 3, m, m) array, or a
-    generator that builds each row when the elimination reaches it."""
+    down and substitution back up.  `rows` is J, of shape
+    (n_p, 3, m, m)."""
     n_p = rhs.shape[0]
     upper, x = [], np.empty_like(rhs)
     for p, (lower, diag, up) in enumerate(rows):
@@ -314,23 +313,20 @@ def _linearized_solve(spec, slopes, diag, rhs):
     `discretize.hessian_blocks`; `diag` is a scalar or one value per
     interior node.  A Newton step of the damped problem passes its
     damping eps and its residual; a time step passes f_u/f + 1/dt and
-    u_t.  The blocks are solved by block elimination over the rings; a
-    singular block raises np.linalg.LinAlgError."""
-    blocks = discretize.hessian_blocks(spec.grid)
-    diag = np.broadcast_to(diag, slopes[0].shape)
-    i = np.arange(diag.shape[1])
-
-    def rows():
-        # sum_i c_i[:, None, :, None] * B_i - diag, one block row at a
-        # time, so no full-size matrix is ever held
-        for p in range(len(diag)):
-            row = np.zeros_like(blocks[0][p])
-            for c, B in zip(slopes, blocks):
-                row += c[p, None, :, None] * B[p]
-            row[1, i, i] -= diag[p]
-            yield row
-
-    return _block_thomas(rows(), -rhs)
+    u_t.  Every block row is assembled from the sparse table by one
+    np.bincount into an (n_p, 3, m, m) array, which is solved by block
+    elimination over the rings; a singular block raises
+    np.linalg.LinAlgError."""
+    idx, src, vals = discretize.hessian_blocks(spec.grid)
+    n_p, m = slopes[0].shape
+    c = np.concatenate([s.ravel() for s in slopes])
+    # bincount adds in input order, so each entry sums its xx, xy and yy
+    # terms in that order
+    J = np.bincount(idx, vals * c[src], minlength=n_p * 3 * m * m) \
+        .reshape(n_p, 3, m * m)
+    # the diagonal of each block [p, 1]
+    J[:, 1, ::m + 1] -= diag
+    return _block_thomas(J.reshape(n_p, 3, m, m), -rhs)
 
 
 @dataclass

@@ -124,17 +124,18 @@ def fij_fd(A, k, l, h=1e-6, h_min=1e-12):
     minus = np.empty(iu.size)
     todo = pairs
     while todo.size:
-        # One stacked eigensolve for every pending entry's +/- stencil.
+        # One stacked eigensolve and scoring for every pending entry's
+        # +/- stencil; an entry fails when either side leaves the cone.
         shift = step[todo, None, None] * E[todo]
         lam = np.linalg.eigvalsh(np.concatenate([A + shift, A - shift]))
-        failed = []
-        for t, p in enumerate(todo):
-            try:
-                plus[p] = _log_quotient_eigs(lam[t], k, l)
-                minus[p] = _log_quotient_eigs(lam[todo.size + t], k, l)
-            except ValueError:
-                failed.append(p)
-        todo = np.array(failed, dtype=int)
+        num = sigma_brute_rows(lam, k).reshape(2, -1)
+        den = sigma_brute_rows(lam, l).reshape(2, -1)
+        bad = ((num <= 0.0) | (den <= 0.0)).any(axis=0)
+        ratio = (num[:, ~bad] / den[:, ~bad]).tolist()
+        done = todo[~bad]
+        plus[done] = [math.log(v) for v in ratio[0]]
+        minus[done] = [math.log(v) for v in ratio[1]]
+        todo = todo[bad]
         step[todo] *= 0.5
         if np.any(step[todo] < h_min):
             raise ValueError("perturbation cannot stay in Gamma_k above "

@@ -1,6 +1,7 @@
 """Tests of the finite-difference operators and the Neumann closure."""
 
 import math
+import types
 import warnings
 
 import numpy as np
@@ -275,7 +276,8 @@ class TestGridCache:
                    discretize._polar_hessian_weights,
                    discretize._polar_boundary_geometry,
                    discretize._polar_closure,
-                   discretize._boundary_nodes):
+                   discretize._boundary_nodes,
+                   discretize._interior_nodes):
             first = fn(g)
             assert fn(g) is first
             arrays = [a for a in first if isinstance(a, np.ndarray)]
@@ -359,12 +361,15 @@ class TestStencils:
         assert len(discretize.difference_operators(g)) == 5
 
 
-def _apply_blocks(B, v):
-    """One map of `hessian_blocks` applied to interior values v."""
-    out = np.einsum("pij,pj->pi", B[:, 1], v)
-    out[1:] += np.einsum("pij,pj->pi", B[1:, 0], v[:-1])
-    out[:-1] += np.einsum("pij,pj->pi", B[:-1, 2], v[1:])
-    return out
+def _apply_blocks(table, v):
+    """The three maps (xx, xy, yy) of the `hessian_blocks` table applied
+    to interior values v: each weight multiplies the value of its column
+    node and lands on the row node of its slope index."""
+    idx, src, vals = table
+    n_p, m = v.shape
+    p, k, _, col = np.unravel_index(idx, (n_p, 3, m, m))
+    return np.bincount(src, vals * v[p - 1 + k, col],
+                       minlength=3 * n_p * m).reshape(3, n_p, m)
 
 
 BLOCK_GRIDS = {
@@ -388,9 +393,9 @@ class TestHessianBlocks:
         full = discretize.hessian(g, discretize.apply_neumann(g, u, phi))
         zero = discretize.hessian(
             g, discretize.apply_neumann(g, np.zeros(g.shape), phi))
-        for B, h, h0 in zip(discretize.hessian_blocks(g), full, zero):
+        maps = _apply_blocks(discretize.hessian_blocks(g), u[sl])
+        for got, h, h0 in zip(maps, full, zero):
             want = (h - h0)[sl]
-            got = _apply_blocks(B, u[sl])
             assert np.max(np.abs(got - want)) <= \
                 1e-13 * (1.0 + np.max(np.abs(h)))
 
@@ -406,22 +411,61 @@ class TestHessianBlocks:
                                  "phi")
         zero = discretize.hessian(
             g, discretize.apply_neumann(g, np.zeros(g.shape), phi))
-        for B, h0, want in zip(discretize.hessian_blocks(g), zero,
-                               (1 / a**2, 0.0, 1 / b**2)):
-            got = _apply_blocks(B, q[sl]) + h0[sl]
+        maps = _apply_blocks(discretize.hessian_blocks(g), q[sl])
+        for got, h0, want in zip(maps, zero, (1 / a**2, 0.0, 1 / b**2)):
+            got = got + h0[sl]
             assert np.max(np.abs(got - want)) <= 1e-10
 
     def test_cached_read_only_block_tridiagonal(self, name):
         g = BLOCK_GRIDS[name]()
         blocks = discretize.hessian_blocks(g)
         assert discretize.hessian_blocks(g) is blocks
-        shape = g.x[flow._INTERIOR].shape
-        for B in blocks:
-            assert B.shape == (shape[0], 3, shape[1], shape[1])
-            # nothing below the first block row or above the last
-            assert not B[0, 0].any() and not B[-1, 2].any()
+        n_p, m = g.x[flow._INTERIOR].shape
+        idx, src, vals = blocks
+        assert idx.shape == src.shape == vals.shape
+        assert 0 <= idx.min() and idx.max() < n_p * 3 * m * m
+        p, k, row, _ = np.unravel_index(idx, (n_p, 3, m, m))
+        # xx, then xy, then yy, each slope index at the weight's row node
+        assert np.all(np.diff(src // (n_p * m)) >= 0)
+        assert np.array_equal(src % (n_p * m), p * m + row)
+        # nothing below the first block row or above the last
+        assert not np.any((p == 0) & (k == 0))
+        assert not np.any((p == n_p - 1) & (k == 2))
+        for arr in blocks:
             with pytest.raises(ValueError):
-                B[...] = 0.0
+                arr[...] = 0
+
+    def test_assembly_matches_the_dense_sum(self, name):
+        # each block row of the solve is zeros + c0 B0 + c1 B1 + c2 B2 -
+        # diag, bit for bit, with B the dense blocks of the table
+        g = BLOCK_GRIDS[name]()
+        idx, src, vals = discretize.hessian_blocks(g)
+        n_p, m = g.x[flow._INTERIOR].shape
+        op = src // (n_p * m)
+        dense = [np.bincount(idx[op == o], vals[op == o],
+                             minlength=n_p * 3 * m * m)
+                 .reshape(n_p, 3, m, m) for o in range(3)]
+        rng = np.random.default_rng(5)
+        slopes = tuple(1.0 + rng.random((n_p, m)) for _ in range(3))
+        diag = 1.0 + rng.random((n_p, m))
+        rhs = rng.standard_normal((n_p, m))
+        rows = np.zeros((n_p, 3, m, m))
+        for c, B in zip(slopes, dense):
+            rows += c[:, None, :, None] * B
+        i = np.arange(m)
+        rows[:, 1, i, i] -= diag
+        spec = types.SimpleNamespace(grid=g)
+        assert np.array_equal(flow._linearized_solve(spec, slopes, diag, rhs),
+                              flow._block_thomas(rows, -rhs))
+
+
+@pytest.mark.parametrize("domain", [geometry.Disk(1.0),
+                                    geometry.Ellipse(1.4, 0.8)])
+def test_hessian_table_is_a_fraction_of_the_dense_blocks(domain):
+    g = geometry.build_grid(domain, n_r=32, n_theta=64)
+    n_p, m = g.x[flow._INTERIOR].shape
+    table = discretize.hessian_blocks(g)
+    assert sum(arr.nbytes for arr in table) < 3 * n_p * 3 * m * m * 8 / 4
 
 
 @pytest.mark.parametrize("name", sorted(BLOCK_GRIDS))
@@ -429,20 +473,18 @@ class TestExactClosure:
     """Newton steps of the closure take phi_u from the exact derivative
     of a parsed phi."""
 
-    def test_affine_phi_closes_in_one_step(self, name, monkeypatch):
+    def test_affine_phi_closes_in_one_step(self, name):
         g = BLOCK_GRIDS[name]()
-        ast = exprparse.parse("1 + x1/3 - u", slot="phi")
-        phi = exprparse.as_field(ast, "phi")
+        phi = exprparse.as_field("1 + x1/3 - u", "phi")
         calls = []
-        evaluate = exprparse.eval
 
-        def counted(node, env):
-            if node is ast:
-                calls.append(1)
-            return evaluate(node, env)
+        def counted(x, y, u):
+            calls.append(1)
+            return phi(x, y, u)
 
-        monkeypatch.setattr(exprparse, "eval", counted)
-        out = discretize.apply_neumann(g, _closure_input(g), phi)
+        # the same field (slot, flag, du and expr), counting its calls
+        counted.__dict__.update(phi.__dict__)
+        out = discretize.apply_neumann(g, _closure_input(g), counted)
         # phi at the start and after the one step that solves the relation
         assert len(calls) == 2
         assert np.max(np.abs(

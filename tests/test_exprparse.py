@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from hqflow import discretize, geometry
 from hqflow import exprparse as ep
 
 
@@ -177,6 +178,94 @@ class TestDiffU:
         d = ep.diff_u(ep.parse("u^0.5"))
         with pytest.raises(ep.EvalError, match="division by zero"):
             ep.eval(d, {"u": np.array([1.0, 0.0])})
+
+
+def _fixed(values):
+    """A read-only node array, as the solver's per-grid caches hold."""
+    arr = np.array(values, dtype=float)
+    arr.flags.writeable = False
+    return arr
+
+
+# the benchmark's manufactured problem, with amplitude 0.1 and direction
+# angle 0.7
+_EX = f"{math.cos(0.7):.17g}*x1 + {math.sin(0.7):.17g}*x2"
+_U_STAR = f"(x1^2 + x2^2)/2 + 0.1*exp(({_EX})/2)"
+MANUFACTURED = {
+    "f": f"((1 + 0.025*exp(({_EX})/2))/(2 + 0.025*exp(({_EX})/2)))"
+         f" * exp(u - ({_U_STAR}))",
+    "phi": f"1 + 0.05*({_EX})*exp(({_EX})/2) + ({_U_STAR}) - u",
+}
+
+
+class TestFold:
+    """Fields fold their x-only parts at read-only node arrays."""
+
+    @pytest.mark.parametrize("n_r", [4, 8, 16])
+    def test_bit_equal_to_eval_at_the_cached_nodes(self, n_r):
+        g = geometry.build_grid(geometry.Disk(1.0), n_r=n_r,
+                                n_theta=2 * n_r)
+        nodes = {"f": discretize._interior_nodes(g),
+                 "phi": discretize._boundary_nodes(g)[:2]}
+        rng = np.random.default_rng(n_r)
+        for slot, src in MANUFACTURED.items():
+            field = ep.as_field(src, slot)
+            x, y = nodes[slot]
+            for fn in (field, field.du):
+                # the first call folds, the later ones reuse the fold
+                for _ in range(3):
+                    u = rng.uniform(-1.0, 1.0, x.shape)
+                    want = ep.eval(fn.expr, {"x1": x, "x2": y, "u": u})
+                    assert np.array_equal(fn(x, y, u),
+                                          np.broadcast_to(want, x.shape))
+
+    def test_later_calls_evaluate_only_the_u_dependent_rest(self,
+                                                            monkeypatch):
+        field = ep.as_field("1 + x1/3 - u", "phi")
+        x, y = _fixed([0.5, 1.0]), _fixed([0.0, 0.0])
+        calls = []
+        evaluate = ep.eval
+
+        def counted(node, env):
+            calls.append(node)
+            return evaluate(node, env)
+
+        monkeypatch.setattr(ep, "eval", counted)
+        field(x, y, np.zeros(2))
+        calls.clear()
+        assert np.array_equal(field(x, y, np.ones(2)),
+                              [1.0 + 0.5 / 3 - 1.0, 1.0 + 1.0 / 3 - 1.0])
+        # the minus, the folded 1 + x1/3 and u
+        assert len(calls) == 3
+
+    def test_writeable_nodes_are_read_at_every_call(self):
+        field = ep.as_field("x1*u + x2", "f")
+        x, y, u = np.array([1.0, 2.0]), np.array([0.5, 0.5]), np.ones(2)
+        assert np.array_equal(field(x, y, u), [1.5, 2.5])
+        x[0] = 3.0
+        assert np.array_equal(field(x, y, u), [3.5, 2.5])
+
+    def test_new_read_only_nodes_fold_again(self):
+        field = ep.as_field("x1*u", "f")
+        y, u = _fixed([0.0, 0.0]), np.full(2, 2.0)
+        for values in ([1.0, 2.0], [5.0, 7.0], [1.0, 2.0]):
+            x = _fixed(values)
+            assert np.array_equal(field(x, y, u), 2.0 * x)
+
+    def test_x_only_domain_error_raises_at_every_call(self):
+        field = ep.as_field("log(x1 - 2) + u", "f")
+        x, y = _fixed([0.5, 1.0]), _fixed([0.0, 0.0])
+        for _ in range(2):
+            with pytest.raises(ep.EvalError, match="log of non-positive"):
+                field(x, y, np.ones(2))
+
+    def test_u_domain_error_after_a_successful_call(self):
+        field = ep.as_field("x1 + sqrt(u)", "phi")
+        x, y = _fixed([0.5, 1.0]), _fixed([0.0, 0.0])
+        assert np.array_equal(field(x, y, np.array([4.0, 9.0])),
+                              [2.5, 4.0])
+        with pytest.raises(ep.EvalError, match="sqrt of negative"):
+            field(x, y, np.array([4.0, -1.0]))
 
 
 def test_pythagorean_sweep():
