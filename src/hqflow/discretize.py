@@ -53,11 +53,17 @@ __all__ = [
 
 
 def _phantom_pad(u, nt):
-    """Prepend the phantom ring u(-r_0, theta) = u(r_0, theta + pi)."""
-    P = np.empty((u.shape[0] + 1, nt))
-    P[0] = np.roll(u[0], -(nt // 2))
-    P[1:] = u
-    return P
+    """u padded with the phantom ring u(-r_0, theta) = u(r_0, theta + pi)
+    in row 0 and one wrapped theta column on each side, so u[j, i] is
+    Q[j + 1, i + 1] and its angular neighbours are slices of Q."""
+    Q = np.empty((u.shape[0] + 1, nt + 2))
+    half = nt // 2
+    Q[0, 1:half + 1] = u[0, half:]
+    Q[0, half + 1:-1] = u[0, :half]
+    Q[1:, 1:-1] = u
+    Q[:, 0] = Q[:, nt]
+    Q[:, -1] = Q[:, 1]
+    return Q
 
 
 # Grid is a frozen dataclass with eq=False, so it hashes by identity and
@@ -114,11 +120,12 @@ def _polar_first(grid, u):
     """Native u_r (one-sided on the outer ring) and u_theta."""
     nr, nt = grid.shape
     dr, dt = grid.dr, grid.dtheta
-    P = _phantom_pad(u, nt)
+    Q = _phantom_pad(u, nt)
+    P = Q[:, 1:-1]
     ur = np.empty_like(u)
     ur[:-1] = (P[2:] - P[:-2]) / (2.0 * dr)
     ur[-1] = (3.0 * u[-1] - 4.0 * u[-2] + u[-3]) / (2.0 * dr)
-    ut = (np.roll(u, -1, axis=1) - np.roll(u, 1, axis=1)) / (2.0 * dt)
+    ut = (Q[1:, 2:] - Q[1:, :-2]) / (2.0 * dt)
     return ur, ut
 
 
@@ -141,9 +148,9 @@ def hessian(grid, u):
     hyy = np.zeros_like(u)
     nr, nt = grid.shape
     dr, dt = grid.dr, grid.dtheta
-    P = _phantom_pad(u, nt)
-    Pl = np.roll(P, -1, axis=1)
-    Pr = np.roll(P, 1, axis=1)
+    Q = _phantom_pad(u, nt)
+    # P[j] is ring j - 1; Pl and Pr hold the theta neighbours i + 1, i - 1
+    P, Pl, Pr = Q[:, 1:-1], Q[:, 2:], Q[:, :-2]
     ur = (P[2:nr + 1] - P[:nr - 1]) / (2.0 * dr)
     ut = (Pl[1:nr] - Pr[1:nr]) / (2.0 * dt)
     urr = (P[2:nr + 1] - 2.0 * P[1:nr] + P[:nr - 1]) / dr**2

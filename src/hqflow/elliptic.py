@@ -84,7 +84,8 @@ _MAX_HALVINGS = 30
 # magnitudes of its terms.
 _ROUNDOFF_ULPS = 64
 # The damping of the eigen solve.  Its speed is off by about -0.33 eps;
-# at eps = 1e-12 the block elimination of J - eps I breaks down.
+# at eps = 1e-12 the block elimination of J - eps I breaks down, with
+# inverted Schur complements as it did with block solves.
 _EIGEN_EPS = 1e-8
 
 

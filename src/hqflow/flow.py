@@ -10,14 +10,25 @@ steps (Hairer & Wanner, Solving ODEs II, IV.7): each step solves
 + F22 Lyy - diag(f_u/f) is the derivative of u_t, F the closed-form
 derivative of log q at the current Hessian and L the closed Hessian of
 `discretize.hessian_blocks`.  The boundary is then closed exactly by
-`discretize.apply_neumann`.  J folds in the closure of a u-free phi, so
-a phi that depends on u makes the step a W-method: J is approximate, but
-the fixed point u_t = 0 of the scheme is the exact one.  The step needs
-no stability bound: each dt is min(2 dt_prev, 0.25 / max(1, max f_u/f),
-t_max - t), so the first is the cap, and a step that would leave the
-cone or meets a singular system is retried with a halved dt, up to 20
-times, after which the state is declared diverged.  `_linearized_solve`
-is shared with the Newton solver of `elliptic.solve_regularized`.
+`discretize.apply_neumann`.
+
+The step is a W-method (Steihaug & Wolfbrandt, Math. Comp. 33, 1979): J
+may be inexact, but the fixed point u_t = 0 of the scheme is the exact
+one.  J folds in only the closure of a u-free phi, and a run keeps one
+block factorization of I/dt - J, with the F and f_u/f it was built from,
+while dt stays the same.  A step on that lagged factorization stands
+only if max u_t did not rise and min u_t did not fall (in steady mode,
+against max(max u_t, 0) and min(min u_t, 0) of the state before) and
+the stop rule's measure shrank, each up to round-off; otherwise J is
+factored at the current state and the step redone.  A kept step that
+shrank the measure by less than the last fresh step did, times 1.1,
+drops the factorization, so the next step refactors.  The step needs no
+stability bound: each dt is min(2 dt_prev, 0.25 / max(1, max f_u/f),
+t_max - t), so the first is the cap, and a step on a fresh factorization
+that would leave the cone or meets a singular system is retried with a
+halved dt, up to 20 times, after which the state is declared diverged.
+`_linearized_solve`, one factorization and one solve, is shared with the
+Newton solver of `elliptic.solve_regularized`.
 
 A run keeps its history once, as one MonitorRecord every
 `checkpoint_every` steps and one for its last state: extrema of u and
@@ -58,6 +69,13 @@ _DT_CAP = 0.25
 # A run refuses, before its first step, a t_max that would take more
 # steps than this at the largest dt.
 _MAX_STEPS = 1e8
+# A kept step on a lagged factorization that shrinks the stop measure by
+# less than the last fresh step did, times this, drops the factorization.
+_SLOW_CONTRACTION = 1.1
+# One evaluation of u_t is off by up to an ulp of max|u| times the
+# weights of the Hessian that reach a node, scaled by |F| there.  A step
+# on a lagged J compares extremes of two evaluations, so it allows four.
+_ROUNDOFF = 4.0 * float(np.finfo(float).eps)
 # The interior nodes: every ring inside the outer one, which holds the
 # boundary.  An index into u[_INTERIOR] is also the index of its node.
 _INTERIOR = (slice(0, -1), slice(None))
@@ -195,7 +213,7 @@ def _blame(field):
 
 class _FieldEval:
     __slots__ = ("ok", "ok_all", "q", "fval", "ut", "sigma1", "sigma2",
-                 "slopes", "hess")
+                 "slopes", "hess", "_ut_range")
 
     def __init__(self, ok, q, fval, ut, sigma1, sigma2, slopes, hess):
         self.ok = ok
@@ -207,6 +225,14 @@ class _FieldEval:
         self.sigma2 = sigma2
         self.slopes = slopes
         self.hess = hess
+        self._ut_range = None
+
+    @property
+    def ut_range(self):
+        """(max u_t, min u_t), reduced once."""
+        if self._ut_range is None:
+            self._ut_range = (float(np.max(self.ut)), float(np.min(self.ut)))
+        return self._ut_range
 
 
 def _evaluate(spec, u):
@@ -283,40 +309,46 @@ def _dt_cap(slope):
     return _DT_CAP / max(1.0, float(np.max(slope)))
 
 
-def _block_thomas(rows, rhs):
-    """Solve sum_k J[p, k] x[p - 1 + k] = rhs[p] for the block rows p of
-    a block-tridiagonal system, by block elimination from the first row
-    down and substitution back up.  `rows` is J, of shape
-    (n_p, 3, m, m)."""
-    n_p = rhs.shape[0]
-    upper, x = [], np.empty_like(rhs)
-    for p, (lower, diag, up) in enumerate(rows):
-        r = rhs[p]
+def _block_factor(rows):
+    """Factor the block-tridiagonal J of `rows`, shape (n_p, 3, m, m),
+    whose block [p, k] multiplies ring p - 1 + k, for block elimination
+    from the first ring down: per ring the lower block L_p, the inverse
+    S_p^-1 of the Schur complement S_p = D_p - L_p S_(p-1)^-1 U_(p-1)
+    and S_p^-1 U_p.  A singular S_p raises np.linalg.LinAlgError."""
+    n_p, _, m, _ = rows.shape
+    lower = rows[:, 0].copy()
+    s_inv = np.empty((n_p, m, m))
+    s_inv_up = np.empty((n_p - 1, m, m))
+    for p in range(n_p):
+        schur = rows[p, 1]
         if p:
-            diag = diag - lower @ upper[-1]
-            r = rhs[p] - lower @ x[p - 1]
+            schur = schur - lower[p] @ s_inv_up[p - 1]
+        s_inv[p] = np.linalg.inv(schur)
         if p < n_p - 1:
-            sol = np.linalg.solve(diag, np.column_stack((up, r)))
-            upper.append(sol[:, :-1])
-            x[p] = sol[:, -1]
-        else:
-            x[p] = np.linalg.solve(diag, r)
-    for p in range(n_p - 2, -1, -1):
-        x[p] -= upper[p] @ x[p + 1]
+            s_inv_up[p] = s_inv[p] @ rows[p, 2]
+    return lower, s_inv, s_inv_up
+
+
+def _block_solve(factors, rhs):
+    """Solve J x = rhs, of shape (n_p, m), from the `_block_factor` of J:
+    two m x m matvecs per ring going down, one coming back up."""
+    lower, s_inv, s_inv_up = factors
+    x = np.empty_like(rhs)
+    x[0] = s_inv[0] @ rhs[0]
+    for p in range(1, len(x)):
+        x[p] = s_inv[p] @ (rhs[p] - lower[p] @ x[p - 1])
+    for p in range(len(x) - 2, -1, -1):
+        x[p] -= s_inv_up[p] @ x[p + 1]
     return x
 
 
-def _linearized_solve(spec, slopes, diag, rhs):
-    """Solve (diag - F11 Lxx - 2 F12 Lxy - F22 Lyy) x = rhs for the
-    interior values x, with `slopes` the (F11, 2 F12, F22) of log q of
-    an evaluation (`_evaluate`) and L the closed Hessian of
+def _factorize(spec, slopes, diag):
+    """The `_block_factor` of F11 Lxx + 2 F12 Lxy + F22 Lyy - diag, with
+    `slopes` the (F11, 2 F12, F22) of log q of an evaluation
+    (`_evaluate`) and L the closed Hessian of
     `discretize.hessian_blocks`; `diag` is a scalar or one value per
-    interior node.  A Newton step of the damped problem passes its
-    damping eps and its residual; a time step passes f_u/f + 1/dt and
-    u_t.  Every block row is assembled from the sparse table by one
-    np.bincount into an (n_p, 3, m, m) array, which is solved by block
-    elimination over the rings; a singular block raises
-    np.linalg.LinAlgError."""
+    interior node.  Every block row is assembled from the sparse table
+    by one np.bincount into an (n_p, 3, m, m) array."""
     idx, src, vals = discretize.hessian_blocks(spec.grid)
     n_p, m = slopes[0].shape
     c = np.concatenate([s.ravel() for s in slopes])
@@ -326,7 +358,16 @@ def _linearized_solve(spec, slopes, diag, rhs):
         .reshape(n_p, 3, m * m)
     # the diagonal of each block [p, 1]
     J[:, 1, ::m + 1] -= diag
-    return _block_thomas(J.reshape(n_p, 3, m, m), -rhs)
+    return _block_factor(J.reshape(n_p, 3, m, m))
+
+
+def _linearized_solve(spec, slopes, diag, rhs):
+    """Solve (diag - F11 Lxx - 2 F12 Lxy - F22 Lyy) x = rhs for the
+    interior values x: factor by `_factorize`, then solve.  A Newton
+    step of the damped problem passes its damping eps and its residual;
+    a time step passes f_u/f + 1/dt and u_t.  A singular block raises
+    np.linalg.LinAlgError."""
+    return _block_solve(_factorize(spec, slopes, diag), -rhs)
 
 
 @dataclass
@@ -365,32 +406,125 @@ class MonitorRecord:
         return max(abs(self.max_ut), abs(self.min_ut))
 
 
-def _implicit_update(spec, state, ev, slope, dt):
+def _stop_measure(mode, ev):
+    """What the stop rule of `mode` reads of an evaluation: max|u_t| when
+    steady, osc(u_t) when translating."""
+    hi, lo = ev.ut_range
+    return max(hi, -lo) if mode == "steady" else hi - lo
+
+
+class _StepMatrix:
+    """The factored step matrix I/dt - J of a run, with the slopes F and
+    f_u/f it was built from, reused by later steps of the same dt.  A
+    step on a lagged J is a W-method step: its fixed point u_t = 0 does
+    not depend on J, only its contraction does.  `keeps` judges each
+    such step.  Counts the factorizations and linear solves of the run.
+    """
+
+    def __init__(self, spec, mode):
+        self.spec, self.mode = spec, mode
+        self.factors = self.dt = self.fresh = None
+        self.factorizations = self.solves = 0
+        # the sums of |weight| of each Hessian row of the closed xx, xy
+        # and yy maps
+        _, src, vals = discretize.hessian_blocks(spec.grid)
+        n = spec.grid.x[_INTERIOR].size
+        self.abs_rows = np.bincount(src, np.abs(vals), minlength=3 * n) \
+            .reshape((3,) + spec.grid.x[_INTERIOR].shape)
+
+    def roundoff(self, u, ev):
+        """The round-off allowed in comparing u_t at `u`, of evaluation
+        `ev`, with u_t of an earlier state (see _ROUNDOFF)."""
+        weight = sum(np.abs(c) * r for c, r in zip(ev.slopes, self.abs_rows))
+        return _ROUNDOFF * float(np.max(np.abs(u))) * float(np.max(weight))
+
+    def factor(self, ev, slope, dt):
+        self.factorizations += 1
+        return _factorize(self.spec, ev.slopes, slope + 1.0 / dt)
+
+    def solve(self, factors, ev):
+        self.solves += 1
+        return _block_solve(factors, -ev.ut)
+
+    def keep_fresh(self, factors, dt, ev, ev_new):
+        """Keep the factorization of an accepted fresh step, and how far
+        that step shrank the stop measure."""
+        self.factors, self.dt = factors, dt
+        self.fresh = (_stop_measure(self.mode, ev),
+                      _stop_measure(self.mode, ev_new))
+
+    def keeps(self, u_new, ev, ev_new):
+        """Whether a step on the lagged factorization, from the state of
+        `ev` to `u_new` of `ev_new`, is kept: max u_t did not rise, min
+        u_t did not fall (against 0 as well in steady mode) and the stop
+        measure shrank, each up to the round-off of u_t.  A kept step
+        that shrank the measure by less than the last fresh step did,
+        times _SLOW_CONTRACTION, drops the factorization.  No ratio is
+        formed, so a measure of 0 is fine."""
+        hi, lo = ev.ut_range
+        if self.mode == "steady":
+            hi, lo = max(hi, 0.0), min(lo, 0.0)
+        new_hi, new_lo = ev_new.ut_range
+        before = _stop_measure(self.mode, ev)
+        after = _stop_measure(self.mode, ev_new)
+
+        def holds(noise):
+            return (new_hi <= hi + noise and new_lo >= lo - noise
+                    and (after < before or after <= noise))
+
+        if not (holds(0.0) or holds(self.roundoff(u_new, ev_new))):
+            return False
+        fresh_before, fresh_after = self.fresh
+        if after * fresh_before > _SLOW_CONTRACTION * fresh_after * before:
+            self.factors = None
+        return True
+
+
+def _implicit_update(spec, state, ev, slope, dt, matrix=None):
     """One linearly-implicit Euler step from `state`, given its
     evaluation `ev` and its f_u/f `slope`: (I/dt - J) du = u_t on the
     interior, then the Neumann closure.
 
-    dt halves each time the result leaves the cone or the system is
-    singular, up to _MAX_HALVINGS times.  Returns the new state and its
-    evaluation; when every trial fails, or dt no longer advances t, the
-    old state marked diverged (carrying the last dt) and `ev`.
+    `matrix` is the run's _StepMatrix (a new one by default).  A step of
+    the dt of its kept factorization first solves with it, and that
+    step stands if `matrix.keeps` it.  Otherwise the step is redone
+    with J factored at `state`: dt halves each time the result leaves
+    the cone or the system is singular, up to _MAX_HALVINGS times, and
+    `matrix` keeps the factorization of the step that succeeds.
+    Returns the new state and its evaluation; when every trial fails,
+    or dt no longer advances t, the old state marked diverged (carrying
+    the last dt) and `ev`.
     """
+    if matrix is None:
+        matrix = _StepMatrix(spec, "steady")
+
+    def advance(du):
+        u_new = state.u.copy()
+        u_new[_INTERIOR] += du
+        u_new = discretize.apply_neumann(spec.grid, u_new, spec.phi)
+        return u_new, _evaluate(spec, u_new)
+
+    def accepted(u_new, ev_new, dt):
+        return FlowState(t=state.t + dt, u=u_new, dt=dt,
+                         step_count=state.step_count + 1), ev_new
+
+    if matrix.factors is not None and matrix.dt == dt \
+            and state.t + dt != state.t:
+        u_new, ev_new = advance(matrix.solve(matrix.factors, ev))
+        if ev_new.ok_all and matrix.keeps(u_new, ev, ev_new):
+            return accepted(u_new, ev_new, dt)
     for _ in range(_MAX_HALVINGS + 1):
         if state.t + dt == state.t:
             break
         try:
-            du = _linearized_solve(spec, ev.slopes, slope + 1.0 / dt,
-                                   ev.ut)
+            factors = matrix.factor(ev, slope, dt)
         except np.linalg.LinAlgError:
-            du = None
-        if du is not None:
-            u_new = state.u.copy()
-            u_new[_INTERIOR] += du
-            u_new = discretize.apply_neumann(spec.grid, u_new, spec.phi)
-            ev_new = _evaluate(spec, u_new)
+            factors = None
+        if factors is not None:
+            u_new, ev_new = advance(matrix.solve(factors, ev))
             if ev_new.ok_all:
-                return FlowState(t=state.t + dt, u=u_new, dt=dt,
-                                 step_count=state.step_count + 1), ev_new
+                matrix.keep_fresh(factors, dt, ev, ev_new)
+                return accepted(u_new, ev_new, dt)
         dt *= 0.5
     return FlowState(t=state.t, u=state.u, dt=dt,
                      step_count=state.step_count, diverged=True), ev
@@ -399,7 +533,6 @@ def _implicit_update(spec, state, ev, slope, dt):
 def _record(spec, state, ev, prev_u):
     """MonitorRecord of `state`, given its evaluation and the u of the
     previous record (None at the first)."""
-    ut = ev.ut
     gx, gy = discretize.gradient(spec.grid, state.u)
     hxx, hxy, hyy = ev.hess
     half = 0.5 * (hxx - hyy)
@@ -407,9 +540,9 @@ def _record(spec, state, ev, prev_u):
     disc = np.sqrt(half * half + hxy * hxy)
     return MonitorRecord(
         t=state.t,
-        max_ut=float(np.max(ut)),
-        min_ut=float(np.min(ut)),
-        mean_ut=float(np.mean(ut)),
+        max_ut=ev.ut_range[0],
+        min_ut=ev.ut_range[1],
+        mean_ut=float(np.mean(ev.ut)),
         min_u=float(np.min(state.u)),
         max_u=float(np.max(state.u)),
         sup_grad=float(np.max(np.hypot(gx, gy))),
@@ -423,12 +556,15 @@ def _record(spec, state, ev, prev_u):
 @dataclass
 class RunResult:
     """A finished run: last state, records (its only history), status,
-    mode and number of closed-form mean shifts."""
+    mode, number of closed-form mean shifts, and the factorizations
+    and linear solves of the step matrix that the run took."""
     state: FlowState
     records: list
     status: str
     mode: str
     shifts: int
+    factorizations: int = 0
+    linear_solves: int = 0
 
 
 def run(spec, mode="steady", t_max=50.0, tol_steady=1e-8, tol_trans=1e-8,
@@ -445,7 +581,10 @@ def run(spec, mode="steady", t_max=50.0, tol_steady=1e-8, tol_trans=1e-8,
     "t_max", or earlier with "diverged", also once dt no longer advances
     t.  A MonitorRecord is kept every `checkpoint_every` steps and at the
     end.  Every run ends: a t_max that would take more than 1e8 steps of
-    the largest dt raises ArgumentError("t_max").
+    the largest dt raises ArgumentError("t_max").  Steps of one dt share
+    a factorization of I/dt - J while each shrinks the stop measure (see
+    the module docstring); the result counts factorizations and linear
+    solves.
 
     With mean_shift=True, once the oscillation of u_t is tiny the
     remaining spatially constant part is removed in closed form through
@@ -483,18 +622,18 @@ def run(spec, mode="steady", t_max=50.0, tol_steady=1e-8, tol_trans=1e-8,
             f"take {n_steps:.3g} steps of the largest dt, more than the "
             f"budget of {_MAX_STEPS:.0e}")
     records = [_record(spec, state, ev, None)]
+    tol = tol_steady if mode == "steady" else tol_trans
+    matrix = _StepMatrix(spec, mode)
 
     def stopped():
-        if mode == "steady":
-            return float(np.max(np.abs(ev.ut))) < tol_steady
-        return _osc(ev.ut) < tol_trans
+        return _stop_measure(mode, ev) < tol
 
     prev_u = state.u
     shifts = 0
     status = mode if stopped() else "t_max"
     while status == "t_max" and state.t < t_max:
         dt = min(2.0 * state.dt, _dt_cap(slope), t_max - state.t)
-        state, ev = _implicit_update(spec, state, ev, slope, dt)
+        state, ev = _implicit_update(spec, state, ev, slope, dt, matrix)
         if state.diverged:
             status = "diverged"
             break
@@ -513,7 +652,8 @@ def run(spec, mode="steady", t_max=50.0, tol_steady=1e-8, tol_trans=1e-8,
             prev_u = state.u
     if records[-1].t < state.t:
         records.append(_record(spec, state, ev, prev_u))
-    return RunResult(state, records, status, mode, shifts)
+    return RunResult(state, records, status, mode, shifts,
+                     matrix.factorizations, matrix.solves)
 
 
 def decay_rate(result):

@@ -144,10 +144,19 @@ class TestSolveRegularized:
                 q = p - 1 + k
                 if 0 <= q < n_p:
                     dense[p * m:(p + 1) * m, q * m:(q + 1) * m] = J[p, k]
-        rhs = rng.standard_normal((n_p, m))
-        want = np.linalg.solve(dense, rhs.ravel()).reshape(n_p, m)
-        got = flow._block_thomas(J, rhs)
-        assert np.max(np.abs(got - want)) <= 1e-12
+        # one factorization serves every right side
+        factors = flow._block_factor(J)
+        for _ in range(2):
+            rhs = rng.standard_normal((n_p, m))
+            want = np.linalg.solve(dense, rhs.ravel()).reshape(n_p, m)
+            got = flow._block_solve(factors, rhs)
+            assert np.max(np.abs(got - want)) <= 1e-12
+        # a singular Schur complement (here S_2 = 0) raises, so a time
+        # step can halve dt
+        lower, _, s_inv_up = factors
+        J[2, 1] = lower[2] @ s_inv_up[1]
+        with pytest.raises(np.linalg.LinAlgError):
+            flow._block_factor(J)
 
     def test_rejects_u_dependent_fields(self):
         bad_phi = flow.ProblemSpec(disk_grid(8, 16), 1, 0, f="1",

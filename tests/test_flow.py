@@ -2,6 +2,7 @@
 route, the dt rule, guarded stepping, stop rules, monitors."""
 
 import math
+import types
 
 import numpy as np
 import pytest
@@ -572,6 +573,98 @@ class TestTranslatingRun:
                           tol_trans=0.0)
         assert result.status == "t_max"
         assert result.state.t >= 0.01 - 1e-12
+
+
+class TestLaggedFactorization:
+    """Steps of one dt reuse the factorization of I/dt - J, a W-method
+    step, while `_StepMatrix.keeps` them; a step it refuses is redone on
+    a fresh factorization."""
+
+    @staticmethod
+    def ev(spec, hi, lo):
+        """An evaluation with max u_t = hi and min u_t = lo."""
+        n = spec.grid.x[flow._INTERIOR].shape
+        return types.SimpleNamespace(
+            ut_range=(hi, lo), slopes=(np.ones(n), np.zeros(n), np.ones(n)))
+
+    def test_translating_rule(self):
+        spec = quadratic_disk_spec(n_r=8, n_t=16)
+        u = spec.u0_grid
+        matrix = flow._StepMatrix(spec, "translating")
+
+        def keeps(before, after):
+            return matrix.keeps(u, self.ev(spec, *before),
+                                self.ev(spec, *after))
+
+        # the fresh step shrank osc(u_t) from 1 to 0.8
+        matrix.keep_fresh("factors", 0.25, self.ev(spec, 1.0, 0.0),
+                          self.ev(spec, 0.9, 0.1))
+        # 0.8 -> 0.65 is within 1.1 times the fresh ratio: kept, and so
+        # is the factorization
+        assert keeps((0.9, 0.1), (0.85, 0.2))
+        assert matrix.factors == "factors"
+        # max u_t rises, min u_t falls, osc(u_t) stays: each is refused
+        assert not keeps((0.9, 0.1), (0.95, 0.5))
+        assert not keeps((0.9, 0.1), (0.5, 0.05))
+        assert not keeps((0.9, 0.1), (0.9, 0.1))
+        assert matrix.factors == "factors"
+        # 0.65 -> 0.64 is slow: the step stands, the factorization goes
+        assert keeps((0.85, 0.2), (0.84, 0.2))
+        assert matrix.factors is None
+
+    def test_steady_rule_measures_against_zero(self):
+        spec = quadratic_disk_spec(n_r=8, n_t=16)
+        u = spec.u0_grid
+        matrix = flow._StepMatrix(spec, "steady")
+        matrix.keep_fresh("factors", 0.25, self.ev(spec, 0.5, 0.2),
+                          self.ev(spec, 0.4, 0.1))
+        # u_t may fall to 0 but not below it, and max|u_t| must shrink
+        assert matrix.keeps(u, self.ev(spec, 0.5, 0.2),
+                            self.ev(spec, 0.3, 0.0))
+        assert not matrix.keeps(u, self.ev(spec, 0.5, 0.2),
+                                self.ev(spec, 0.3, -0.1))
+        assert not matrix.keeps(u, self.ev(spec, -0.2, -0.5),
+                                self.ev(spec, -0.1, -0.5))
+        assert matrix.factors == "factors"
+
+    @pytest.mark.parametrize("mode", ["steady", "translating"])
+    def test_zero_stop_measure(self, mode, monkeypatch):
+        # u_t exactly 0 makes the stop measure 0 before and after every
+        # step, fresh or lagged; the rule forms no ratio, so it neither
+        # divides by zero nor warns, and keeps the first factorization
+        spec = quadratic_disk_spec(n_r=8, n_t=16)
+        evaluate = flow._evaluate
+
+        def flat(spec, u):
+            ev = evaluate(spec, u)
+            ev.ut = np.zeros_like(ev.ut)
+            return ev
+
+        monkeypatch.setattr(flow, "_evaluate", flat)
+        tol = "tol_steady" if mode == "steady" else "tol_trans"
+        result = flow.run(spec, mode=mode, t_max=2.0, **{tol: 0.0})
+        assert result.status == "t_max" and result.state.step_count == 8
+        assert result.factorizations == 1 and result.linear_solves == 8
+        assert np.array_equal(result.state.u, spec.u0_grid)
+
+    def test_ellipse_run_refactors_rarely(self):
+        # the coupled closure of the 1.25 x 0.8 ellipse with (k, l) =
+        # (2, 1) is the case where a fixed refactoring stride of 5 breaks
+        # the gap monitor; the rule keeps every monitor at every record
+        a, b = 1.25, 0.8
+        grid = geometry.build_grid(geometry.Ellipse(a, b), n_r=32,
+                                   n_theta=64)
+        spec = flow.ProblemSpec(
+            grid, 2, 1, f="1", phi="1",
+            u0=f"(x1^2/{a} + x2^2/{b})/2 "
+               f"+ 0.08*(1 - x1^2/{a * a} - x2^2/{b * b})^2",
+            require_nonnegative_initial_speed=False)
+        result = flow.run(spec, mode="translating", t_max=40.0,
+                          tol_trans=1e-7, checkpoint_every=1)
+        assert result.status == "translating"
+        assert flow.monitor_report(result, spec)["all_ok"]["ok"]
+        assert result.factorizations < result.state.step_count / 2
+        assert result.linear_solves >= result.state.step_count
 
 
 class TestGapMonitor:
