@@ -418,7 +418,9 @@ def apply_neumann(grid, u, phi):
 
 def neumann_residual(grid, u, phi):
     """Residual (u_nu - phi) at boundary nodes, full grid shape, zeros
-    elsewhere."""
+    elsewhere.  `phi` is made a field by `exprparse.as_field`, as in
+    `apply_neumann`."""
+    phi = exprparse.as_field(phi, "phi")
     u = np.asarray(u, dtype=float)
     out = np.zeros_like(u)
     sq, ct = _polar_boundary_geometry(grid)

@@ -60,7 +60,6 @@ __all__ = [
 
 # a step that leaves the cone is retried with dt halved, this many times
 _MAX_HALVINGS = 20
-_SHIFT_GATE = 1e-7
 # dt starts at, and doubles back up to, _DT_CAP / max(1, max f_u/f).  An
 # implicit Euler step damps a mode of rate lam by 1 / (1 + lam dt), so at
 # the cap a mode of rate f_u/f decays at 4 log(1.25) = 0.89 of its true
@@ -299,7 +298,10 @@ def rhs(u, spec):
 
 
 def _log_f_slope(spec, u, ev):
-    """f_u / f at the interior nodes of u, given its evaluation `ev`."""
+    """f_u / f at the interior nodes of u, given its evaluation `ev`; the
+    scalar 0.0 when f does not depend on u."""
+    if not spec.f.depends_on_u:
+        return 0.0
     return spec.f.du(*discretize._interior_nodes(spec.grid),
                      u[_INTERIOR]) / ev.fval
 
@@ -556,19 +558,18 @@ def _record(spec, state, ev, prev_u):
 @dataclass
 class RunResult:
     """A finished run: last state, records (its only history), status,
-    mode, number of closed-form mean shifts, and the factorizations
-    and linear solves of the step matrix that the run took."""
+    mode, and the factorizations and linear solves of the step matrix
+    that the run took."""
     state: FlowState
     records: list
     status: str
     mode: str
-    shifts: int
     factorizations: int = 0
     linear_solves: int = 0
 
 
 def run(spec, mode="steady", t_max=50.0, tol_steady=1e-8, tol_trans=1e-8,
-        checkpoint_every=1, mean_shift=False):
+        checkpoint_every=1):
     """Integrate until the stop rule fires.
 
     The stop rule reads every step.  mode "steady": stop when max|u_t|
@@ -585,14 +586,6 @@ def run(spec, mode="steady", t_max=50.0, tol_steady=1e-8, tol_trans=1e-8,
     a factorization of I/dt - J while each shrinks the stop measure (see
     the module docstring); the result counts factorizations and linear
     solves.
-
-    With mean_shift=True, once the oscillation of u_t is tiny the
-    remaining spatially constant part is removed in closed form through
-    the u-slope of log f; this collapses the slow constant mode of
-    strongly u-damped problems without touching the shape dynamics (and
-    is off by default since it distorts decay-rate measurements).  A
-    translating run has f(x), whose u-slope is 0, so it refuses
-    mean_shift=True with ArgumentError("mean_shift").
     """
     if mode not in ("steady", "translating"):
         raise ArgumentError("mode", f"must be steady or translating, got "
@@ -602,10 +595,6 @@ def run(spec, mode="steady", t_max=50.0, tol_steady=1e-8, tol_trans=1e-8,
         raise ArgumentError(
             "mode", "must be steady when f or phi depends on u: the "
             "translating stop rule needs f(x) and phi(x)")
-    if mode == "translating" and mean_shift:
-        raise ArgumentError(
-            "mean_shift", "must be false in translating mode: f(x) has "
-            "f_u/f = 0, so no shift can act")
     if checkpoint_every < 1:
         raise ArgumentError("checkpoint_every", f"must be at least 1, got "
                             f"{checkpoint_every!r}")
@@ -629,7 +618,6 @@ def run(spec, mode="steady", t_max=50.0, tol_steady=1e-8, tol_trans=1e-8,
         return _stop_measure(mode, ev) < tol
 
     prev_u = state.u
-    shifts = 0
     status = mode if stopped() else "t_max"
     while status == "t_max" and state.t < t_max:
         dt = min(2.0 * state.dt, _dt_cap(slope), t_max - state.t)
@@ -638,13 +626,6 @@ def run(spec, mode="steady", t_max=50.0, tol_steady=1e-8, tol_trans=1e-8,
             status = "diverged"
             break
         slope = _log_f_slope(spec, state.u, ev)
-        if mean_shift and _osc(ev.ut) < _SHIFT_GATE:
-            mean_slope = float(np.mean(slope))
-            if mean_slope > 1e-12:
-                state.u = state.u + float(np.mean(ev.ut)) / mean_slope
-                ev = _evaluate(spec, state.u)
-                slope = _log_f_slope(spec, state.u, ev)
-                shifts += 1
         if stopped():
             status = mode
         if state.step_count % checkpoint_every == 0:
@@ -652,8 +633,8 @@ def run(spec, mode="steady", t_max=50.0, tol_steady=1e-8, tol_trans=1e-8,
             prev_u = state.u
     if records[-1].t < state.t:
         records.append(_record(spec, state, ev, prev_u))
-    return RunResult(state, records, status, mode, shifts,
-                     matrix.factorizations, matrix.solves)
+    return RunResult(state, records, status, mode, matrix.factorizations,
+                     matrix.solves)
 
 
 def decay_rate(result):

@@ -77,7 +77,6 @@ CONFIGS = {
     "order_ladder": MANUFACTURED + (
         f'problem.u0 = "{U_STAR}"\n'
         "grid.n_r = 8\ngrid.n_theta = 16\n"
-        "flow.mean_shift = true\n"
         f'converge.u_star = "{U_STAR}"\n'),
     "k2l0_flow": BASE_QUOTIENT.format(k=2, l=0, n_r=32, n_theta=64),
     "k2l1_flow": BASE_QUOTIENT.format(k=2, l=1, n_r=32, n_theta=64),

@@ -58,7 +58,6 @@ problem.require_nonnegative_initial_speed = false
 grid.n_r = 8
 grid.n_theta = 16
 flow.t_max = 40.0
-flow.mean_shift = true
 converge.u_star = "(x1^2 + x2^2)/2 + 0.1*exp(x1/2)"
 """
 
@@ -141,6 +140,21 @@ def write_cfg(tmp_path, text, name="run.cfg"):
     return str(path)
 
 
+def artifacts(out):
+    """The artifacts under `out` by name, without their metadata: the
+    "meta" of a JSON file and the "#" lines of a CSV file."""
+    found = {}
+    for path in sorted(out.iterdir()):
+        text = path.read_text()
+        if path.suffix == ".json":
+            found[path.name] = {k: v for k, v in json.loads(text).items()
+                                if k != "meta"}
+        else:
+            found[path.name] = [ln for ln in text.splitlines()
+                                if not ln.startswith("#")]
+    return found
+
+
 def run_module(args, tmp_path, timeout=None):
     """`python -m hqflow.cli ARGS` in tmp_path, importing the same hqflow
     as this process, whether it comes from an install or from
@@ -203,6 +217,36 @@ class TestConfigParsing:
             "## Config format", 1)[1].split("\n## ", 1)[0]
         keys = re.findall(r"^    ([a-z_]+\.[a-z_0-9]+) = ", section, re.M)
         assert sorted(keys) == sorted(cli.KNOWN_KEYS)
+
+    @pytest.mark.parametrize("workload, kwargs, command, line", [
+        ("Eigen", {"grid": (8, 16)}, ["eigen"], "eigen.n_halvings = 6\n"),
+        ("Manufactured", {"base_grid": (4, 8)},
+         ["converge", "--levels", "2"], "flow.mean_shift = true\n")],
+        ids=["eigen", "manufactured"])
+    def test_bench_config_with_retired_key_exit_0(self, tmp_path, monkeypatch,
+                                                  workload, kwargs, command,
+                                                  line):
+        # the benchmark's eigen and manufactured configs still set
+        # eigen.n_halvings and flow.mean_shift, which nothing reads: each
+        # loads, and changes no artifact
+        spec = importlib.util.spec_from_file_location(
+            "bench_workloads", pathlib.Path(__file__).resolve().parents[1]
+            / "hqbench" / "workloads.py")
+        bench = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(bench)
+        text = next(iter(getattr(bench, workload)(
+            1, tmp_path / "bench", **kwargs).configs.values()))
+        assert line in text
+        runs = []
+        for name, cfg_text in (("with", text),
+                               ("without", text.replace(line, ""))):
+            out = tmp_path / name
+            cfg = tmp_path / f"{name}.cfg"
+            cfg.write_text(cfg_text)
+            monkeypatch.setenv("HQFLOW_OUT", str(out))
+            assert cli.main([command[0], str(cfg), *command[1:]]) == 0
+            runs.append(artifacts(out))
+        assert runs[0] == runs[1]
 
 
 @pytest.fixture(scope="module")
@@ -340,12 +384,16 @@ class TestFlowCommand:
         assert "config error at flow.mode: must be steady" \
             in capsys.readouterr().err
 
-    def test_mean_shift_cannot_translate_exit_2(self, tmp_path, capsys):
-        # the shift acts through f_u/f, which is 0 for a translating run
+    def test_mean_shift_is_read_by_nothing_exit_0(self, tmp_path,
+                                                  monkeypatch, flow_run):
+        # flow.mean_shift is a known key that nothing reads: a
+        # translating run that sets it writes the artifacts of one that
+        # does not
+        _, plain, _ = flow_run
         cfg = write_cfg(tmp_path, FLOW_CFG + "flow.mean_shift = true\n")
-        assert cli.main(["flow", cfg]) == 2
-        assert "config error at flow.mean_shift: must be false" \
-            in capsys.readouterr().err
+        monkeypatch.setenv("HQFLOW_OUT", str(tmp_path / "o"))
+        assert cli.main(["flow", cfg]) == 0
+        assert artifacts(tmp_path / "o") == artifacts(plain)
 
     @pytest.mark.parametrize("cfl", ["0", "-0.1", "nan", "5e-324", "0.4"])
     def test_unusable_cfl_exit_2(self, tmp_path, capsys, cfl):
@@ -491,32 +539,6 @@ class TestEigenCommand:
         assert "epsilon_trace" not in d
         assert 1 <= d["newton_iterations"] <= 5
         assert (tmp_path / "o" / "profile.csv").exists()
-
-    def test_bench_config_with_retired_key_exit_0(self, tmp_path,
-                                                  monkeypatch):
-        # the benchmark's eigen config still sets eigen.n_halvings, which
-        # nothing reads: it loads, and changes no artifact
-        spec = importlib.util.spec_from_file_location(
-            "bench_workloads", pathlib.Path(__file__).resolve().parents[1]
-            / "hqbench" / "workloads.py")
-        bench = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(bench)
-        text = next(iter(bench.Eigen(1, tmp_path / "bench",
-                                     grid=(8, 16)).configs.values()))
-        assert "eigen.n_halvings = 6\n" in text
-        runs = []
-        for name, cfg_text in (("with", text), ("without", text.replace(
-                "eigen.n_halvings = 6\n", ""))):
-            out = tmp_path / name
-            cfg = tmp_path / f"{name}.cfg"
-            cfg.write_text(cfg_text)
-            monkeypatch.setenv("HQFLOW_OUT", str(out))
-            assert cli.main(["eigen", str(cfg)]) == 0
-            d = json.loads((out / "summary.json").read_text())
-            rows = [ln for ln in (out / "profile.csv").read_text()
-                    .splitlines() if not ln.startswith("#")]
-            runs.append((d["s_hat"], rows))
-        assert runs[0] == runs[1]
 
     def test_translation_identity_reported(self, tmp_path, monkeypatch):
         cfg = write_cfg(tmp_path, EIGEN_CFG

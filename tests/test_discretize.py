@@ -131,10 +131,13 @@ class TestNeumannClosure:
         # the radial slope; the closure must still solve the relation
         g = geometry.build_grid(geometry.Ellipse(1.4, 0.8), n_r=4,
                                 n_theta=n_theta)
-        phi = exprparse.as_field("1 + x1/3 - u", "phi")
+        text = "1 + x1/3 - u"
+        phi = exprparse.as_field(text, "phi")
         out = discretize.apply_neumann(g, _closure_input(g), phi)
-        assert np.max(np.abs(
-            discretize.neumann_residual(g, out, phi))) <= 1e-12
+        # the residual, like the closure, takes phi as a field or a string
+        for given in (phi, text):
+            assert np.max(np.abs(
+                discretize.neumann_residual(g, out, given))) <= 1e-12
 
     def test_power_slope_at_zero_stops_the_closure(self):
         # phi = 1 - u^0.5 has the slope -0.5 u^(-0.5), a division by zero

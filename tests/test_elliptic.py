@@ -72,8 +72,7 @@ class TestSolveRegularized:
         w, c, steps = elliptic.solve_regularized(spec, 1.0)
         assert 1 <= steps <= 5
         ref = flow.run(damped_flow_spec(grid, 2, 1, "1 + 0.2*x1", 1.0),
-                       mode="steady", t_max=400.0, tol_steady=1e-8,
-                       mean_shift=True)
+                       mode="steady", t_max=400.0, tol_steady=1e-8)
         assert ref.status == "steady"
         assert np.max(np.abs(w + c - ref.state.u)) <= 1e-6
 

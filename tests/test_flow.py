@@ -224,6 +224,27 @@ class TestDtSelection:
         result = flow.run(spec, mode="steady", t_max=1.0, tol_steady=0.0)
         assert result.records[1].t == cap
 
+    def test_u_free_f_takes_no_derivative(self, monkeypatch):
+        # f_u/f of an f free of u is the scalar 0, which gives the same
+        # dt cap and step matrix as the zeros that f = 1 + 0*u gives
+        u0 = "(x1^2 + x2^2)/2 + 0.08*(1 - x1^2 - x2^2)^2"
+
+        def run(f):
+            spec = flow.ProblemSpec(disk_grid(8, 16), 1, 0, f=f, phi="1",
+                                    u0=u0,
+                                    require_nonnegative_initial_speed=False)
+
+            def refused(*args):
+                raise AssertionError("f.du called for a u-free f")
+
+            if not spec.f.depends_on_u:
+                monkeypatch.setattr(spec.f, "du", refused)
+            return flow.run(spec, mode="steady", t_max=2.0, tol_steady=0.0)
+
+        free, zero = run("1"), run("1 + 0*u")
+        assert free.records == zero.records
+        assert free.factorizations == zero.factorizations
+
     def test_dt_doubles_up_to_the_cap(self, monkeypatch):
         # f = u^4 has f_u/f = 4/u, so the cap grows as u rises from its
         # least value 0.0032: more than twofold over the first steps,
@@ -463,11 +484,9 @@ class TestTranslatingRun:
         ({"mode": "translating", "f": "exp(0.1*u)"}, "mode"),
         ({"checkpoint_every": -1}, "checkpoint_every"),
         ({"t_max": math.inf}, "t_max"),
-        ({"mode": "translating", "phi": "1 - 0.5*u"}, "mode"),
-        ({"mode": "translating", "mean_shift": True}, "mean_shift")])
+        ({"mode": "translating", "phi": "1 - 0.5*u"}, "mode")])
     def test_setting_errors_name_their_argument(self, kwargs, field):
-        # the translating stop rule needs f and phi free of u, and the
-        # mean shift acts through f_u/f, which is then 0
+        # the translating stop rule needs f and phi free of u
         data = {"f": "1", "phi": "1"}
         settings = {}
         for key, value in kwargs.items():
@@ -565,7 +584,7 @@ class TestTranslatingRun:
             assert r.min_ut <= r.mean_ut <= r.max_ut
             assert r.osc_ut == r.max_ut - r.min_ut
             assert r.max_abs_ut == max(abs(r.max_ut), abs(r.min_ut))
-        assert result.mode == "translating" and result.shifts == 0
+        assert result.mode == "translating"
 
     def test_t_max_status(self):
         spec = quadratic_disk_spec(n_r=8, n_t=16)
@@ -678,7 +697,7 @@ class TestGapMonitor:
                                    sup_hess=1.0, min_quotient=1.0,
                                    osc_u=1.0, gap_osc=g)
                 for t, g in zip(times, [None] + gaps)]
-        return flow.RunResult(None, recs, "translating", "translating", 0)
+        return flow.RunResult(None, recs, "translating", "translating")
 
     def test_raw_gap_growing_with_dt_passes(self):
         spec = quadratic_disk_spec(n_r=8, n_t=16)
