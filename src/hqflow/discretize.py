@@ -10,9 +10,13 @@ u(r, theta + pi).
 
 Hessian values are produced for interior nodes only (the flow never
 needs boundary Hessians; boundary values are slaved to the closure),
-and the returned arrays hold zeros on the boundary rows.
-`difference_operators` holds the same weights as COO triplets of flat
-node indices, built apart from the array operators as their reference.
+and the returned arrays hold zeros on the boundary rows.  Summed per
+node, the chain-rule terms make one 9-point stencil: the weights of
+(hxx, hxy, hyy) on the nodes (j + dj, i + di), dj, di in {-1, 0, 1},
+built once per grid with the phantom resolved.  `hessian` gathers and
+contracts it; `hessian_blocks` places it in the blocks of the implicit
+step.  `difference_operators` holds the same weights as COO triplets
+of flat node indices, built apart from both as their reference.
 
 The closure relation (one-sided normal derivative) = phi(x, u_b) reads
 M u_b + (inner-row terms) = phi(x, u_b).  M is the diagonal `slope` on
@@ -28,16 +32,16 @@ it with one evaluation of phi.  For phi_u <= 0 the relation is strictly
 increasing in u_b; a step whose slope - d is not positive is refused.
 
 With a u-free phi the closure is affine in the interior values, and
-`hessian_blocks` folds its linear part into the Hessian weights: the
-closed Hessian as a block-tridiagonal linear map over the rings, the
-operator of the flow's implicit time step and of the eigen lane's
-Newton step.  It keeps only the nonzero weights, as one sparse table
-from which each linear solve assembles its blocks.
+`hessian_blocks` folds its linear part into the stencil of the last
+interior ring: the closed Hessian as a block-tridiagonal linear map
+over the rings, the operator of the flow's implicit time step and of
+the eigen lane's Newton step.  It keeps only the nonzero weights, as
+one sparse table from which each linear solve assembles its blocks.
 
-The per-grid constants (chain-rule coefficients, boundary geometry,
-closure coefficients, node coordinates, the Hessian table) are built
-once per grid and kept read-only in a small cache keyed on the grid
-object.
+The per-grid constants (chain-rule coefficients, the Hessian stencil,
+boundary geometry, closure coefficients, node coordinates, the Hessian
+table) are built once per grid and kept read-only in a small cache
+keyed on the grid object.
 """
 
 import functools
@@ -97,23 +101,45 @@ def _polar_coeffs(grid):
 
 
 @_per_grid
-def _polar_hessian_weights(grid):
-    """Interior-row weights of the polar Hessian, products of the
-    chain-rule coefficients: those of u_r and u_theta in gx and gy, of
-    gx and gy in the map-curvature terms m_rt and m_tt, and of u_rr,
-    m_rt and m_tt in hxx, hxy and hyy.  Each product is formed in the
-    order the unfactored expression would form it, so the Hessian's
-    values do not depend on the caching."""
+def _hessian_stencil(grid):
+    """The 9-point Hessian stencil of the interior nodes: the weights W,
+    shape (3, 9, n_p, m), of (hxx, hxy, hyy) on the slots s = 3 (dj + 1)
+    + di + 1 (slot 4 is the node itself), and taps, shape (9, n_p, m),
+    the flat index of the node u[j + dj, i + di] each slot reads, with
+    the pole phantom u(-r, theta) = u(r, theta + pi) resolved.  W sums
+    per slot the chain-rule terms of the Hessian: the native u_rr, u_rt
+    and u_tt, and the u_r and u_theta of gx and gy in the map-curvature
+    terms m_rt and m_tt."""
     a, b, r, ct, st, rx, ry, tx, ty = _polar_coeffs(grid)
-    shape = (grid.shape[0] - 1, grid.shape[1])
-    r, ct, st = r[:-1], np.broadcast_to(ct, shape), np.broadcast_to(st, shape)
-    rx, ry = np.broadcast_to(rx, shape), np.broadcast_to(ry, shape)
-    tx, ty = tx[:-1], ty[:-1]
-    return _read_only(
-        rx, tx, ry, ty, a * st, b * ct, a * r * ct, b * r * st,
-        rx * rx, 2.0 * rx * tx, tx * tx,
-        rx * ry, rx * ty + tx * ry, tx * ty,
-        ry * ry, 2.0 * ry * ty, ty * ty)
+    nr, m = grid.shape
+    dr, dt = grid.dr, grid.dtheta
+    r, tx, ty = r[:-1], tx[:-1], ty[:-1]
+    dj, di = np.indices((3, 3)).reshape(2, 9, 1, 1) - 1
+
+    def native(*taps):
+        """The slot weights of sum_k w_k u[j + dj_k, i + di_k]."""
+        return sum(np.where((dj == j) & (di == i), wk, 0.0)
+                   for j, i, wk in taps)
+
+    cr, c_t, w = 1.0 / (2.0 * dr), 1.0 / (2.0 * dt), 1.0 / (4.0 * dr * dt)
+    second = ((1, 1.0), (0, -2.0), (-1, 1.0))
+    ur = native((1, 0, cr), (-1, 0, -cr))
+    ut = native((0, 1, c_t), (0, -1, -c_t))
+    urr = native(*((s, 0, k / dr**2) for s, k in second))
+    urt = native((1, 1, w), (1, -1, -w), (-1, 1, -w), (-1, -1, w))
+    utt = native(*((0, s, k / dt**2) for s, k in second))
+    gx, gy = rx * ur + tx * ut, ry * ur + ty * ut
+    # subtract the curvature of the map: M = H_(r,theta) - gx*X - gy*Y
+    # with X, Y the second-derivative tensors of x(r,th), y(r,th)
+    m_rt = urt + a * st * gx - b * ct * gy
+    m_tt = utt + a * r * ct * gx + b * r * st * gy
+    W = np.stack([rx * rx * urr + 2.0 * rx * tx * m_rt + tx * tx * m_tt,
+                  rx * ry * urr + (rx * ty + tx * ry) * m_rt + tx * ty * m_tt,
+                  ry * ry * urr + 2.0 * ry * ty * m_rt + ty * ty * m_tt])
+    J, I = np.indices((nr - 1, m))
+    jj, ii = J + dj, I + di
+    ii = np.where(jj < 0, ii + m // 2, ii) % m
+    return _read_only(W, np.maximum(jj, 0) * m + ii)
 
 
 def _polar_first(grid, u):
@@ -137,39 +163,24 @@ def gradient(grid, u):
 
 
 def hessian(grid, u):
-    """Cartesian Hessian components (hxx, hxy, hyy) at interior nodes.
+    """Cartesian Hessian components (hxx, hxy, hyy) at interior nodes,
+    h = sum_s W_s (u[taps_s] - u[node]) over the slots of the cached
+    stencil (`_hessian_stencil`).  The differences are centered on the
+    node, so a constant cancels exactly.
 
     Boundary rows are zero; the flow slaves boundary values to the
-    Neumann closure and never differentiates twice there.
+    Neumann closure and never differentiates twice there.  Raises
+    ValueError when u does not have the grid's shape.
     """
     u = np.asarray(u, dtype=float)
-    hxx = np.zeros_like(u)
-    hxy = np.zeros_like(u)
-    hyy = np.zeros_like(u)
-    nr, nt = grid.shape
-    dr, dt = grid.dr, grid.dtheta
-    Q = _phantom_pad(u, nt)
-    # P[j] is ring j - 1; Pl and Pr hold the theta neighbours i + 1, i - 1
-    P, Pl, Pr = Q[:, 1:-1], Q[:, 2:], Q[:, :-2]
-    ur = (P[2:nr + 1] - P[:nr - 1]) / (2.0 * dr)
-    ut = (Pl[1:nr] - Pr[1:nr]) / (2.0 * dt)
-    urr = (P[2:nr + 1] - 2.0 * P[1:nr] + P[:nr - 1]) / dr**2
-    urt = (Pl[2:nr + 1] - Pr[2:nr + 1] - Pl[:nr - 1] + Pr[:nr - 1]) \
-        / (4.0 * dr * dt)
-    utt = (Pl[1:nr] - 2.0 * P[1:nr] + Pr[1:nr]) / dt**2
-    (rx, tx, ry, ty, k_rt_x, k_rt_y, k_tt_x, k_tt_y,
-     xx_rr, xx_rt, xx_tt, xy_rr, xy_rt, xy_tt,
-     yy_rr, yy_rt, yy_tt) = _polar_hessian_weights(grid)
-    gx = rx * ur + tx * ut
-    gy = ry * ur + ty * ut
-    # subtract the curvature of the map: M = H_(r,theta) - gx*X - gy*Y
-    # with X, Y the second-derivative tensors of x(r,th), y(r,th)
-    m_rt = urt + k_rt_x * gx - k_rt_y * gy
-    m_tt = utt + k_tt_x * gx + k_tt_y * gy
-    hxx[:-1] = xx_rr * urr + xx_rt * m_rt + xx_tt * m_tt
-    hxy[:-1] = xy_rr * urr + xy_rt * m_rt + xy_tt * m_tt
-    hyy[:-1] = yy_rr * urr + yy_rt * m_rt + yy_tt * m_tt
-    return hxx, hxy, hyy
+    if u.shape != grid.shape:
+        raise ValueError(f"u has shape {u.shape}, not {grid.shape}")
+    W, taps = _hessian_stencil(grid)
+    diff = u.ravel()[taps]
+    diff -= u[:-1]
+    h = np.zeros((3,) + u.shape)
+    np.einsum("ksjm,sjm->kjm", W, diff, out=h[:, :-1])
+    return h[0], h[1], h[2]
 
 
 def difference_operators(grid):
@@ -181,8 +192,9 @@ def difference_operators(grid):
     and its weights add, so an operator applies to a field u as
     np.bincount(rows, vals * u.ravel()[cols], minlength=u.size).  The
     weights come from the native difference formulas and the chain rule
-    of the map, not from `gradient` or `hessian`, which they reproduce
-    to round-off; they serve as the explicit reference for both.
+    of the map, not from `gradient`, `hessian` or the stencil that
+    `hessian` and `hessian_blocks` share, which they reproduce to
+    round-off; they serve as the explicit reference for all three.
     """
     n_t = grid.shape[1]
     J, I = np.indices(grid.shape)
@@ -301,25 +313,6 @@ def _close_linear(grid, u, g, d=None):
         u[-1] = np.linalg.solve(A - np.diag(d), rhs)
 
 
-def _closure_part(grid):
-    """The linear part of the closure with a u-free phi: the flat indices
-    of the nodes it writes (the outer ring) and of the interior nodes it
-    reads (the two rings inside it), and the matrix C with u[written] =
-    C u[read] + (the part from phi).  Column e of C is the closure of the
-    unit field at read node e with g = 0."""
-    nr, nt = grid.shape
-    written = np.arange((nr - 1) * nt, nr * nt)
-    read = np.arange((nr - 3) * nt, (nr - 1) * nt)
-    zero = np.zeros(written.size)
-    C = np.empty((written.size, read.size))
-    for col, e in enumerate(read):
-        u = np.zeros(grid.shape)
-        u.flat[e] = 1.0
-        _close_linear(grid, u, zero)
-        C[:, col] = u[-1]
-    return written, read, C
-
-
 @_per_grid
 def hessian_blocks(grid):
     """The discrete Hessian at interior nodes as a linear map of the
@@ -335,39 +328,45 @@ def hessian_blocks(grid):
     over its n entries.  src is the index of the weight's row node in
     the concatenated raveled (F11, 2 F12, F22) of `flow._evaluate`, so
     np.bincount(idx, vals * c[src]) assembles F11 Lxx + 2 F12 Lxy + F22
-    Lyy.  The weights are the COO triplets of `difference_operators`; a
-    triplet that reads a closed node is spread over the interior nodes
-    the closure reads.  The pole phantom and the coupled ellipse
-    closure land in the diagonal and lower blocks of their rows.
+    Lyy.  The weights are the slots of `_hessian_stencil` at their block
+    indices; the pole phantom lands in the diagonal block of the first
+    ring.  On the last ring the slots that read the outer ring are
+    folded through the closure u[-1] = C[0] u[-3] + C[1] u[-2] + (the
+    part from phi), diagonal on the disk; on the ellipse C is dense and
+    so are that ring's blocks [p, 0] and [p, 1].
     """
-    written, read, C = _closure_part(grid)
-    # block row P and column T of each node in the layout of the interior
-    # values u[interior], -1 off the interior
-    P, T = (np.where(grid.boundary_mask, -1, A).ravel()
-            for A in np.indices(grid.shape))
-    n_p, m = P.max() + 1, T.max() + 1
-    row_of = np.full(grid.x.size, -1)
-    row_of[written] = np.arange(written.size)
+    W, taps = _hessian_stencil(grid)
+    n_p, m = taps.shape[1:]
+    slope, c1, c2, _, inverse = _polar_closure(grid)
+    if inverse is None:
+        C = np.diag(-c2 / slope), np.diag(-c1 / slope)
+    else:
+        C = inverse * -c2, inverse * -c1
+    p, i = np.indices((n_p, m))
+    col = taps % m
+    idx = ((p * 3 + taps // m - p + 1) * m + i) * m + col
+    # the last ring's blocks [p, 0] and [p, 1]: its slots on rings p - 1
+    # and p, plus the dj = 1 slots through C[0] and C[1]
+    last = np.stack([np.einsum("ksi,sij->kij", W[:, 6:, -1], c[col[6:, -1]])
+                     for c in C], axis=1)
+    for k in range(2):
+        last[:, k, i[0], col[3 * k:3 * k + 3, -1]] += W[:, 3 * k:3 * k + 3, -1]
+    last_idx = ((3 * (n_p - 1) + np.arange(2)[:, None, None]) * m
+                + i[0, :, None]) * m + i[0]
 
-    def fold(op, first_src):
-        rows, cols, vals = op
-        closed = row_of[cols] >= 0
-        w = vals[closed, None] * C[row_of[cols[closed]]]
-        hit = np.nonzero(w)
-        rows = np.concatenate((rows[~closed], rows[closed][hit[0]]))
-        cols = np.concatenate((cols[~closed], read[hit[1]]))
-        vals = np.concatenate((vals[~closed], w[hit]))
-        k = P[cols] - P[rows] + 1
-        idx = ((P[rows] * 3 + k) * m + T[rows]) * m + T[cols]
-        dense = np.bincount(idx, vals, minlength=n_p * 3 * m * m)
-        idx = np.flatnonzero(dense)
-        return idx, first_src + idx // (3 * m * m) * m + idx // m % m, \
-            dense[idx]
+    def flat(inner, ring):
+        """`inner` on every ring but the last, then `ring`, op by op."""
+        return np.concatenate(
+            (np.broadcast_to(inner, (3, 9, n_p - 1, m)).reshape(3, -1),
+             np.broadcast_to(ring, (3, 2, m, m)).reshape(3, -1)),
+            axis=1).ravel()
 
-    # each triplet table is dropped once it is folded
-    ops = list(difference_operators(grid)[2:])
-    parts = [fold(ops.pop(0), o * n_p * m) for o in range(3)]
-    return _read_only(*(np.concatenate(col) for col in zip(*parts)))
+    vals = flat(W[:, :, :-1], last)
+    keep = vals != 0.0
+    src = np.arange(3 * n_p * m).reshape(3, n_p, m)
+    return _read_only(flat(idx[:, :-1], last_idx)[keep],
+                      flat(src[:, None, :-1], src[:, None, -1, :, None])[keep],
+                      vals[keep])
 
 
 _MAX_NEWTON = 50

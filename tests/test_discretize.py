@@ -1,6 +1,7 @@
 """Tests of the finite-difference operators and the Neumann closure."""
 
 import math
+import tracemalloc
 import types
 import warnings
 
@@ -27,6 +28,27 @@ class TestPolarOperators:
         gx, gy = discretize.gradient(g, u)
         assert np.max(np.abs(gx - g.x)) <= 1e-13
         assert np.max(np.abs(gy - g.y)) <= 1e-13
+        # a field of another shape, even of the grid's size, is refused
+        for wrong in (u.T, u.ravel(), u[:-1]):
+            with pytest.raises(ValueError, match="shape"):
+                discretize.hessian(g, wrong)
+
+    @pytest.mark.parametrize("dom", [geometry.Disk(1.0),
+                                     geometry.Ellipse(1.25, 0.8)])
+    def test_constants_cancel(self, dom):
+        # the stencil differences are centered on each node: a constant
+        # gives exactly 0, and an offset of 100 only costs the rounding
+        # of q + 100, q = ((x/a)^2 + (y/b)^2)/2 with D^2 q = diag(1/a^2,
+        # 1/b^2)
+        g = geometry.build_grid(dom, n_r=64, n_theta=128)
+        for h in discretize.hessian(g, np.full(g.shape, 1000.0)):
+            assert not h.any()
+        a, b = dom.a, dom.b
+        q = 0.5 * ((g.x / a) ** 2 + (g.y / b) ** 2)
+        inner = g.interior_mask
+        for h, want in zip(discretize.hessian(g, q + 100.0),
+                           (1 / a**2, 0.0, 1 / b**2)):
+            assert np.max(np.abs(h[inner] - want)) <= 1e-9
 
     def test_hessian_second_order_away_from_pole(self):
         dom = geometry.Ellipse(1.3, 0.9)
@@ -276,7 +298,7 @@ class TestGridCache:
     def test_cached_coefficients_are_shared_and_read_only(self):
         g = geometry.build_grid(geometry.Ellipse(1.4, 0.8), n_r=8, n_theta=16)
         for fn in (discretize._polar_coeffs,
-                   discretize._polar_hessian_weights,
+                   discretize._hessian_stencil,
                    discretize._polar_boundary_geometry,
                    discretize._polar_closure,
                    discretize._boundary_nodes,
@@ -358,7 +380,7 @@ class TestStencils:
             raise AssertionError("array operator called")
 
         for name in ("gradient", "hessian", "_polar_first",
-                     "_polar_hessian_weights"):
+                     "_hessian_stencil"):
             monkeypatch.setattr(discretize, name, refuse)
         g = geometry.build_grid(geometry.Ellipse(1.4, 0.8), n_r=6, n_theta=12)
         assert len(discretize.difference_operators(g)) == 5
@@ -401,6 +423,15 @@ class TestHessianBlocks:
             want = (h - h0)[sl]
             assert np.max(np.abs(got - want)) <= \
                 1e-13 * (1.0 + np.max(np.abs(h)))
+        # and against the COO weights of `difference_operators`, which
+        # do not go through the stencil that the table and `hessian` share
+        closed = discretize.apply_neumann(g, u, phi) \
+            - discretize.apply_neumann(g, np.zeros(g.shape), phi)
+        for got, op in zip(maps, discretize.difference_operators(g)[2:]):
+            want = _apply(op, closed)[sl]
+            scale = 1.0 + np.max(np.abs(closed)) * np.max(
+                _row_sums(op, g.x.size)[1])
+            assert np.max(np.abs(got - want)) <= 1e-14 * scale
 
     def test_exact_on_quadratics(self, name):
         # q = ((x/a)^2 + (y/b)^2)/2 has D^2 q = diag(1/a^2, 1/b^2), and
@@ -470,6 +501,21 @@ def test_hessian_table_is_a_fraction_of_the_dense_blocks(domain):
     n_p, m = g.x[flow._INTERIOR].shape
     table = discretize.hessian_blocks(g)
     assert sum(arr.nbytes for arr in table) < 3 * n_p * 3 * m * m * 8 / 4
+
+
+@pytest.mark.parametrize("domain", [geometry.Disk(1.0),
+                                    geometry.Ellipse(1.4, 0.8)])
+def test_hessian_table_builds_in_a_few_tables_of_memory(domain):
+    # the first call of a grid builds its stencil and closure too; the
+    # dense (n_p, 3, m, m) blocks alone would be 1.7 to 2.4 tables here
+    g = geometry.build_grid(domain, n_r=32, n_theta=64)
+    tracemalloc.start()
+    try:
+        table = discretize.hessian_blocks(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * sum(arr.nbytes for arr in table)
 
 
 @pytest.mark.parametrize("name", sorted(BLOCK_GRIDS))
