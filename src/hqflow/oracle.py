@@ -13,9 +13,10 @@ admissibility while still producing sign-mixed spectra, which the cone
 lemmas need.  Acceptance rates at k = n/2 run roughly 40-80% for the
 plain cone test, 10-40% with a negative-entry filter, and a few percent
 with the pinch filter; samplers give up after 1e6 rejections.  Each
-chunk of candidates is drawn whole; the arrowhead sampler eigensolves
-it in slices and stops once it has kept enough, so only the matrices it
-tested count as rejections.
+chunk of candidates is drawn whole; both samplers test it in slices
+sized from the shortfall and the acceptance seen so far (the arrowhead
+sampler eigensolves each slice), and stop once they have kept enough.
+Only the candidates they tested count as rejections.
 """
 
 import functools
@@ -34,7 +35,7 @@ __all__ = [
 _MAX_N = 12
 _MAX_REJECT = 10**6
 _BOX_LO, _BOX_HI = -1.0, 3.0
-# Fewest arrowhead matrices eigensolved at once.
+# Fewest candidates of a chunk tested at once.
 _SLICE_MIN = 64
 
 
@@ -110,39 +111,67 @@ def fij_fd(A, k, l, h=1e-6, h_min=1e-12):
     perturbation advances the pair derivative by h); diagonal entries
     perturb by the full h.  If a perturbed matrix leaves Gamma_k the
     step is halved, down to h_min.
+
+    A may also be an (m, n, n) stack with l one order per matrix (or
+    one for all); the stencils of every matrix then share one
+    eigensolve per halving round.  A single matrix whose base or
+    stencil leaves the cone raises ValueError; in a stack, that
+    matrix's F is all nan instead.
     """
     A = np.asarray(A, dtype=float)
-    n = A.shape[0]
-    if not in_gamma_brute(np.linalg.eigvalsh(A), k):
+    if A.ndim == 3:
+        return _fd_stack(A, k, np.broadcast_to(l, A.shape[:1]), h, h_min)[0]
+    F, base_ok, held = _fd_stack(A[None], k, np.array([l]), h, h_min)
+    if not base_ok[0]:
         raise ValueError("base matrix is not admissible")
+    if not held[0]:
+        raise ValueError("perturbation cannot stay in Gamma_k above "
+                         f"h_min={h_min}")
+    return F[0]
+
+
+def _fd_stack(A, k, ls, h, h_min):
+    """(F, base_ok, held) of fij_fd over a stack; F is nan for the
+    matrices whose base is outside Gamma_k (base_ok False) or whose
+    stencil cannot stay inside above h_min (held False)."""
+    m, n, _ = A.shape
+    base_ok = np.array([in_gamma_brute(lam, k)
+                        for lam in np.linalg.eigvalsh(A)], dtype=bool)
     iu, ju = np.triu_indices(n)
     pairs = np.arange(iu.size)
     E = np.zeros((iu.size, n, n))
     E[pairs, iu, ju] = E[pairs, ju, iu] = np.where(iu == ju, 1.0, 0.5)
-    step = np.full(iu.size, float(h))
-    plus = np.empty(iu.size)
-    minus = np.empty(iu.size)
-    todo = pairs
-    while todo.size:
+    step = np.full((m, iu.size), float(h))
+    plus = np.zeros((m, iu.size))
+    minus = np.zeros((m, iu.size))
+    held = base_ok.copy()
+    # the pending (matrix, entry) stencils
+    mat, ent = np.nonzero(np.repeat(base_ok[:, None], iu.size, axis=1))
+    while mat.size:
         # One stacked eigensolve and scoring for every pending entry's
         # +/- stencil; an entry fails when either side leaves the cone.
-        shift = step[todo, None, None] * E[todo]
-        lam = np.linalg.eigvalsh(np.concatenate([A + shift, A - shift]))
+        shift = step[mat, ent][:, None, None] * E[ent]
+        lam = np.linalg.eigvalsh(np.concatenate([A[mat] + shift,
+                                                 A[mat] - shift]))
         num = sigma_brute_rows(lam, k).reshape(2, -1)
-        den = sigma_brute_rows(lam, l).reshape(2, -1)
+        den = np.empty(lam.shape[0])
+        lrow = np.tile(ls[mat], 2)
+        for lv in set(lrow.tolist()):
+            sel = lrow == lv
+            den[sel] = sigma_brute_rows(lam[sel], lv)
+        den = den.reshape(2, -1)
         bad = ((num <= 0.0) | (den <= 0.0)).any(axis=0)
         ratio = (num[:, ~bad] / den[:, ~bad]).tolist()
-        done = todo[~bad]
-        plus[done] = [math.log(v) for v in ratio[0]]
-        minus[done] = [math.log(v) for v in ratio[1]]
-        todo = todo[bad]
-        step[todo] *= 0.5
-        if np.any(step[todo] < h_min):
-            raise ValueError("perturbation cannot stay in Gamma_k above "
-                             f"h_min={h_min}")
-    F = np.zeros((n, n))
-    F[iu, ju] = F[ju, iu] = (plus - minus) / (2.0 * step)
-    return F
+        plus[mat[~bad], ent[~bad]] = [math.log(v) for v in ratio[0]]
+        minus[mat[~bad], ent[~bad]] = [math.log(v) for v in ratio[1]]
+        mat, ent = mat[bad], ent[bad]
+        step[mat, ent] *= 0.5
+        held[mat[step[mat, ent] < h_min]] = False
+        mat, ent = mat[held[mat]], ent[held[mat]]
+    F = np.zeros((m, n, n))
+    F[:, iu, ju] = F[:, ju, iu] = (plus - minus) / (2.0 * step)
+    F[~held] = np.nan
+    return F, base_ok, held
 
 
 def _apply_filters(rows, min_negative, pinch):
@@ -190,27 +219,55 @@ def sample_gamma_k(n, k, rng, min_negative=False, pinch=None):
                                 min_negative=min_negative, pinch=pinch)[0]
 
 
+def _sample_sliced(draw, keep, count, shape):
+    """The first `count` candidates that `keep` passes, in drawn order.
+
+    `draw()` returns one chunk of candidates of the given `shape`, drawn
+    whole, so the RNG stream does not depend on how much of it is
+    tested.  Each chunk is tested in slices until enough are kept; a
+    slice holds twice the candidates the shortfall needs at the
+    acceptance rate seen so far (twice the shortfall at first), and at
+    least _SLICE_MIN.  Since `keep` judges each candidate on its own,
+    the kept candidates are those a whole-chunk test keeps.
+    """
+    accepted = [np.empty((0, *shape))]
+    have = 0
+    rejected = 0
+    while have < count:
+        batch = draw()
+        start = 0
+        while start < batch.shape[0] and have < count:
+            size = 2 * (count - have) * (have + rejected + 1) // (have + 1)
+            part = batch[start:start + max(_SLICE_MIN, size)]
+            start += part.shape[0]
+            kept = keep(part)
+            rejected += part.shape[0] - kept.shape[0]
+            if rejected > _MAX_REJECT:
+                raise ValueError("sampling constraint too tight: "
+                                 f"{rejected} rejections without {count} "
+                                 "accepts")
+            accepted.append(kept)
+            have += kept.shape[0]
+    return np.concatenate(accepted)[:count]
+
+
 def sample_gamma_k_batch(n, k, rng, count, min_negative=False, pinch=None,
                          chunk=512):
-    """`count` eigenvalue lists from Gamma_k; see sample_gamma_k."""
+    """`count` eigenvalue lists from Gamma_k; see sample_gamma_k.
+
+    Each chunk of box rows is tested in slices (see _sample_sliced),
+    which keeps the rows a whole-chunk test keeps, since the cone test
+    and the filters work row by row.
+    """
     if n > _MAX_N:
         raise ValueError(f"sampling limited to n <= {_MAX_N}, got {n}")
     if not 1 <= k <= n:
         raise ValueError(f"cone order k={k} out of range for n={n}")
-    accepted = [np.empty((0, n))]
-    have = 0
-    rejected = 0
-    while have < count:
-        rows = rng.uniform(_BOX_LO, _BOX_HI, size=(chunk, n))
-        rows = rows[_rows_in_gamma(rows, k)]
-        kept = _apply_filters(rows, min_negative, pinch)
-        rejected += chunk - len(kept)
-        if rejected > _MAX_REJECT:
-            raise ValueError("sampling constraint too tight: "
-                             f"{rejected} rejections without {count} accepts")
-        accepted.append(kept)
-        have += len(kept)
-    return np.concatenate(accepted)[:count]
+    return _sample_sliced(
+        lambda: rng.uniform(_BOX_LO, _BOX_HI, size=(chunk, n)),
+        lambda rows: _apply_filters(rows[_rows_in_gamma(rows, k)],
+                                    min_negative, pinch),
+        count, (n,))
 
 
 def sample_arrowhead(n, k, rng):
@@ -225,35 +282,24 @@ def sample_arrowhead_batch(n, k, rng, count, chunk=512):
     The lower-right diagonal is uniform in [0, 3], the (1,1) entry in
     [-1, -0.05] and the wings in [-1, 1]; acceptance tests numpy's
     eigenvalues with brute-force sigma values.  Each chunk is tested in
-    slices of at least twice the shortfall, which keeps the matrices a
-    whole-chunk test keeps, since eigvalsh works matrix by matrix.
+    slices (see _sample_sliced), which keeps the matrices a whole-chunk
+    test keeps, since eigvalsh works matrix by matrix.
     """
     if n > _MAX_N:
         raise ValueError(f"sampling limited to n <= {_MAX_N}, got {n}")
     if not 1 <= k <= n:
         raise ValueError(f"cone order k={k} out of range for n={n}")
-    accepted = [np.empty((0, n, n))]
-    have = 0
-    rejected = 0
     idx = np.arange(1, n)
-    while have < count:
+
+    def draw():
         A = np.zeros((chunk, n, n))
         A[:, idx, idx] = rng.uniform(0.0, 3.0, (chunk, n - 1))
         A[:, 0, 0] = -rng.uniform(0.05, 1.0, chunk)
         wings = rng.uniform(-1.0, 1.0, (chunk, n - 1))
         A[:, 0, 1:] = wings
         A[:, 1:, 0] = wings
-        # the chunk is drawn whole, so the stream does not depend on
-        # how much of it is tested
-        start = 0
-        while start < chunk and have < count:
-            part = A[start:start + max(_SLICE_MIN, 2 * (count - have))]
-            start += part.shape[0]
-            kept = part[_rows_in_gamma(np.linalg.eigvalsh(part), k)]
-            rejected += part.shape[0] - kept.shape[0]
-            if rejected > _MAX_REJECT:
-                raise ValueError("sampling constraint too tight: "
-                                 f"arrowhead n={n} k={k}")
-            accepted.append(kept)
-            have += kept.shape[0]
-    return np.concatenate(accepted)[:count]
+        return A
+
+    return _sample_sliced(
+        draw, lambda A: A[_rows_in_gamma(np.linalg.eigvalsh(A), k)],
+        count, (n, n))

@@ -672,6 +672,39 @@ class TestVerifyCommand:
         assert "config error at --trials" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    def test_negative_seed_exit_2(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("HQFLOW_OUT", str(tmp_path))
+        assert cli.main(["verify", "--seed", "-1", "--trials", "5"]) == 2
+        err = capsys.readouterr().err
+        assert "config error at --seed: must be nonnegative, got -1" in err
+        assert not (tmp_path / "verify.json").exists()
+        proc = run_module(["verify", "--seed", "-3", "--self-test"], tmp_path,
+                          timeout=120)
+        assert proc.returncode == 2
+        assert "config error at --seed" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("option,value", [
+        ("--seed", "-1"), ("--seed", "0"), ("--seed", "99999999999999999999"),
+        ("--seed", "-99999999999999999999"), ("--seed", "1.5"),
+        ("--seed", "bogus"), ("--trials", "-1"), ("--trials", "0"),
+        ("--trials", "2"), ("--trials", "1e3"), ("--trials", "nan")])
+    def test_option_values_end_in_documented_exits(self, tmp_path,
+                                                     monkeypatch, capsys,
+                                                     option, value):
+        monkeypatch.setenv("HQFLOW_OUT", str(tmp_path))
+        args = ["verify", "--trials", "2", option, value]
+        try:
+            code = cli.main(args)
+        except SystemExit as exc:   # argparse refuses a non-integer
+            code = exc.code
+            assert "invalid int value" in capsys.readouterr().err
+        else:
+            if code == 2:
+                assert (f"config error at {option}:"
+                        in capsys.readouterr().err)
+        assert code in (0, 2)
+
     def test_self_test_flag(self, tmp_path, monkeypatch):
         monkeypatch.setenv("HQFLOW_OUT", str(tmp_path))
         assert cli.main(["verify", "--trials", "40", "--self-test"]) == 0

@@ -206,6 +206,114 @@ class TestArrowheadSlices:
         assert sizes == [oracle._SLICE_MIN]
 
 
+def _gamma_rows_whole_chunks(n, k, rng, count, min_negative=False,
+                             pinch=None, chunk=512):
+    """The cone sampler as it once ran: every drawn chunk is tested
+    whole."""
+    accepted = [np.empty((0, n))]
+    have = 0
+    while have < count:
+        rows = rng.uniform(-1.0, 3.0, size=(chunk, n))
+        rows = rows[oracle._rows_in_gamma(rows, k)]
+        kept = oracle._apply_filters(rows, min_negative, pinch)
+        accepted.append(kept)
+        have += len(kept)
+    return np.concatenate(accepted)[:count]
+
+
+class TestGammaSlices:
+    @pytest.mark.parametrize("filters", [
+        {}, {"min_negative": True}, {"pinch": (0.1, 0.1)}])
+    @pytest.mark.parametrize("n,k,count,chunk", [
+        (2, 1, 1, 512), (4, 2, 40, 512), (8, 5, 30, 512),
+        (3, 2, 700, 512),               # needs more than one chunk
+        (6, 4, 50, 128),                # several chunks, sliced 100 + 28
+        (4, 3, 90, 40),                 # chunks smaller than a slice
+    ])
+    def test_matches_whole_chunk_testing(self, n, k, count, chunk, filters):
+        seed = 1000 * n + 10 * k + count
+        rng_got = np.random.default_rng(seed)
+        rng_want = np.random.default_rng(seed)
+        got = oracle.sample_gamma_k_batch(n, k, rng_got, count, chunk=chunk,
+                                          **filters)
+        want = _gamma_rows_whole_chunks(n, k, rng_want, count, chunk=chunk,
+                                        **filters)
+        assert got.shape == (count, n)
+        assert got.tobytes() == want.tobytes()
+        assert rng_got.random() == rng_want.random()
+
+    def test_cone_tests_only_the_rows_it_tests(self, monkeypatch):
+        sizes = []
+        rows_in_gamma = oracle._rows_in_gamma
+
+        def counted(rows, k):
+            sizes.append(rows.shape[0])
+            return rows_in_gamma(rows, k)
+        monkeypatch.setattr(oracle, "_rows_in_gamma", counted)
+        oracle.sample_gamma_k_batch(4, 2, np.random.default_rng(3), 1)
+        assert sizes == [oracle._SLICE_MIN]
+        sizes.clear()
+        oracle.sample_gamma_k_batch(4, 2, np.random.default_rng(3), 100)
+        assert sizes[0] == 200 and sum(sizes) <= 512
+        # a slice that keeps few rows widens the next one past twice
+        # the shortfall
+        sizes.clear()
+        oracle.sample_gamma_k_batch(8, 7, np.random.default_rng(4), 20,
+                                    min_negative=True)
+        assert sizes[0] == oracle._SLICE_MIN
+        assert sizes[1] > 2 * 20
+
+
+def _fd_one_matrix_at_a_time(A, k, ls, fd=oracle.fij_fd):
+    """fij_fd of a stack, called matrix by matrix; nan where the single
+    call raises."""
+    F = np.full(A.shape, np.nan)
+    for p, (M, l) in enumerate(zip(A, np.broadcast_to(ls, A.shape[:1]))):
+        try:
+            F[p] = fd(M, k, int(l))
+        except ValueError:
+            pass
+    return F
+
+
+class TestFijFdStack:
+    def test_matches_the_single_matrix_calls(self):
+        rng = np.random.default_rng(22)
+        mats = [np.diag([1.0, 1.0, -0.5 + 1e-7]),    # halves some steps
+                np.diag([1.0, 1.0, -0.5 + 1e-13]),   # cannot stay: nan
+                np.diag([1.0, -2.0, -2.0])]          # base outside: nan
+        for _ in range(5):
+            lam = oracle.sample_gamma_k(3, 2, rng)
+            q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+            A = (q * lam) @ q.T
+            mats.append(0.5 * (A + A.T))
+        A = np.array(mats)
+        ls = np.array([0, 1, 1, 0, 1, 1, 0, 1])
+        got = oracle.fij_fd(A, 2, ls)
+        want = _fd_one_matrix_at_a_time(A, 2, ls)
+        assert np.array_equal(got, want, equal_nan=True)
+        nan = np.isnan(got).all(axis=(1, 2))
+        assert nan.tolist() == [False, True, True] + [False] * 5
+        assert not np.isnan(got[~nan]).any()
+        with pytest.raises(ValueError, match="h_min"):
+            oracle.fij_fd(A[1], 2, 1)
+        with pytest.raises(ValueError, match="not admissible"):
+            oracle.fij_fd(A[2], 2, 1)
+        # the first matrix needs a halved step for the (3, 3) entry
+        assert np.array_equal(got[0], TestFijFd._fd_one_entry_at_a_time(
+            A[0], 2, 0))
+
+    def test_one_order_for_the_whole_stack(self):
+        rng = np.random.default_rng(23)
+        lams = oracle.sample_gamma_k_batch(4, 3, rng, 6)
+        q, _ = np.linalg.qr(rng.standard_normal((6, 4, 4)))
+        A = (q * lams[:, None, :]) @ np.swapaxes(q, -1, -2)
+        A = 0.5 * (A + np.swapaxes(A, -1, -2))
+        assert np.array_equal(oracle.fij_fd(A, 3, 2),
+                              _fd_one_matrix_at_a_time(A, 3, 2),
+                              equal_nan=True)
+
+
 def _filters_one_by_one(rows, min_negative, pinch):
     """The per-row constraint filter loop the sampler once ran."""
     out = []

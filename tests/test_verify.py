@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from hqflow import geometry, symmfunc, verify
+from hqflow import geometry, oracle, symmfunc, verify
+from test_oracle import _fd_one_matrix_at_a_time, _gamma_rows_whole_chunks
 
 
 @pytest.fixture(scope="module")
@@ -66,10 +67,19 @@ class TestRunSuite:
         with pytest.raises(ValueError, match="nonnegative"):
             verify.run_suite(trials=-1)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            verify.run_suite(trials=1, seed=-1)
+        with pytest.raises(ValueError, match="nonnegative"):
+            verify.self_test(seed=-1)
+
     def test_argument_errors_name_their_argument(self):
         with pytest.raises(geometry.ArgumentError) as exc:
             verify.run_suite(trials=-1)
         assert exc.value.field == "trials"
+        with pytest.raises(geometry.ArgumentError) as exc:
+            verify.run_suite(trials=1, seed=-1)
+        assert exc.value.field == "seed"
         with pytest.raises(geometry.ArgumentError) as exc:
             verify.run_suite(trials=1, names=["no_such_property"])
         assert exc.value.field == "names"
@@ -234,3 +244,35 @@ class TestShadowCalc:
         assert np.array_equal(calc.d_quotient(lam, 2, 1),
                               d_quotient(lam, 2, 1))
         assert len(calls) == 1
+
+
+# The properties that draw from the cone sampler or call the FD oracle.
+_BATCHED = ["descending_minor_chain", "sorted_product_bound",
+            "leading_entry_share", "normalized_quotient_monotone",
+            "negative_entry_deletion", "negative_entry_gradient",
+            "pinched_deletion", "pinched_gradient", "midpoint_concavity",
+            "derivative_matrix_definite", "derivative_matrix_matches_fd"]
+
+
+class TestOracleBatching:
+    @pytest.mark.parametrize("seed,trials", [(0, 200), (5, 37)])
+    def test_margins_match_whole_chunks_and_single_matrices(
+            self, monkeypatch, seed, trials):
+        got = verify.results_to_dict(
+            verify.run_suite(trials=trials, seed=seed, names=_BATCHED))
+        used = set()
+
+        def whole_chunks(*args, **kwargs):
+            used.add("sample")
+            return _gamma_rows_whole_chunks(*args, **kwargs)
+
+        def one_at_a_time(*args):
+            used.add("fd")
+            return _fd_one_matrix_at_a_time(*args)
+
+        monkeypatch.setattr(oracle, "sample_gamma_k_batch", whole_chunks)
+        monkeypatch.setattr(oracle, "fij_fd", one_at_a_time)
+        want = verify.results_to_dict(
+            verify.run_suite(trials=trials, seed=seed, names=_BATCHED))
+        assert used == {"sample", "fd"}
+        assert got == want
