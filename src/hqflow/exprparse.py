@@ -36,8 +36,10 @@ once when the field is made.
 A field called on read-only node arrays folds each subtree free of u
 into its value there, once, and later calls on the same arrays evaluate
 only the rest: the solver calls f and phi at the same nodes every step.
-A fold is checked for domain errors when it is made and kept only when
-it succeeds; the parts that depend on u are checked on every call.  A
+A field free of u is all fold: later calls return the value it kept,
+broadcast to x and read-only, without evaluating anything.  A fold is
+checked for domain errors when it is made and kept only when it
+succeeds; the parts that depend on u are checked on every call.  A
 writeable x or y may change between calls, so the whole expression is
 evaluated each time.  The fold is replaced as one tuple, so concurrent
 callers each see a consistent one.
@@ -440,7 +442,8 @@ def as_field(obj, slot):
     `depends_on_u`, and for f and phi also `du(x, y, u)`.  A field and
     its `du` fold their x-only parts at the read-only node arrays they
     are called on, so repeated calls there evaluate only the parts that
-    depend on u.  A field this
+    depend on u, and a field free of u returns the value it kept.  A
+    field this
     function already made for the same slot is returned unchanged, so
     the flag and the derivative survive being passed on.
     """
@@ -473,27 +476,37 @@ def _bind(ast):
     its `depends_on_u` and `expr`; it folds the u-free subtrees at
     read-only node arrays (see the module docstring)."""
     uses_u = "u" in free_vars(ast)
-    # (x, y, the folded tree) of the last call on read-only nodes
+    # (x, y, the folded tree) of the last call on read-only nodes; for a
+    # field free of u, the tree is its value there, broadcast to x
     folded = None
 
-    def fn(x, y, u=None):
-        nonlocal folded
+    def env_of(x, y, u):
         env = {"x1": np.asarray(x, dtype=float),
                "x2": np.asarray(y, dtype=float)}
         if uses_u:
             env["u"] = np.asarray(u, dtype=float)
-        tree = ast
-        if _is_read_only(x) and _is_read_only(y):
-            last = folded
-            if last is None or last[0] is not x or last[1] is not y:
-                last = folded = (x, y, _fold(ast, env))
-            tree = last[2]
-        val = eval(tree, env)
-        return np.broadcast_to(np.asarray(val, dtype=float), np.shape(x))
+        return env
+
+    def fn(x, y, u=None):
+        nonlocal folded
+        if not (_is_read_only(x) and _is_read_only(y)):
+            return _shaped(eval(ast, env_of(x, y, u)), x)
+        last = folded
+        if last is None or last[0] is not x or last[1] is not y:
+            tree = _fold(ast, env_of(x, y, u))
+            last = folded = (x, y, tree if uses_u else _shaped(tree.value, x))
+        if not uses_u:
+            return last[2]
+        return _shaped(eval(last[2], env_of(x, y, u)), x)
 
     fn.depends_on_u = uses_u
     fn.expr = ast
     return fn
+
+
+def _shaped(val, x):
+    """A value of a field as floats broadcast to the shape of x."""
+    return np.broadcast_to(np.asarray(val, dtype=float), np.shape(x))
 
 
 def _is_read_only(a):

@@ -316,32 +316,35 @@ def _block_factor(rows):
     whose block [p, k] multiplies ring p - 1 + k, for block elimination
     from the first ring down: per ring the lower block L_p, the inverse
     S_p^-1 of the Schur complement S_p = D_p - L_p S_(p-1)^-1 U_(p-1)
-    and S_p^-1 U_p.  A singular S_p raises np.linalg.LinAlgError."""
-    n_p, _, m, _ = rows.shape
-    lower = rows[:, 0].copy()
-    s_inv = np.empty((n_p, m, m))
-    s_inv_up = np.empty((n_p - 1, m, m))
-    for p in range(n_p):
-        schur = rows[p, 1]
+    and S_p^-1 U_p: three lists of m x m arrays, one entry per ring
+    (S^-1 U has none for the last).  The rings are walked as lists with
+    `.dot`: on small grids, indexing stacked (n_p, m, m) arrays costs
+    about as much as the products.  A singular S_p raises
+    np.linalg.LinAlgError."""
+    n_p = len(rows)
+    # a copy, so that the factors do not hold on to all of `rows`
+    lower = list(rows[:, 0].copy())
+    s_inv, s_inv_up = [], []
+    for p, (diag, up) in enumerate(zip(rows[:, 1], rows[:, 2])):
         if p:
-            schur = schur - lower[p] @ s_inv_up[p - 1]
-        s_inv[p] = np.linalg.inv(schur)
+            diag = diag - lower[p].dot(s_inv_up[-1])
+        s_inv.append(np.linalg.inv(diag))
         if p < n_p - 1:
-            s_inv_up[p] = s_inv[p] @ rows[p, 2]
+            s_inv_up.append(s_inv[-1].dot(up))
     return lower, s_inv, s_inv_up
 
 
 def _block_solve(factors, rhs):
     """Solve J x = rhs, of shape (n_p, m), from the `_block_factor` of J:
-    two m x m matvecs per ring going down, one coming back up."""
+    two m x m matvecs per ring going down, one coming back up, each a
+    `.dot` of one block of its lists."""
     lower, s_inv, s_inv_up = factors
-    x = np.empty_like(rhs)
-    x[0] = s_inv[0] @ rhs[0]
-    for p in range(1, len(x)):
-        x[p] = s_inv[p] @ (rhs[p] - lower[p] @ x[p - 1])
+    x = [s_inv[0].dot(rhs[0])]
+    for lo, s, b in zip(lower[1:], s_inv[1:], rhs[1:]):
+        x.append(s.dot(b - lo.dot(x[-1])))
     for p in range(len(x) - 2, -1, -1):
-        x[p] -= s_inv_up[p] @ x[p + 1]
-    return x
+        x[p] = x[p] - s_inv_up[p].dot(x[p + 1])
+    return np.array(x)
 
 
 def _factorize(spec, slopes, diag):
@@ -420,13 +423,16 @@ class _StepMatrix:
     f_u/f it was built from, reused by later steps of the same dt.  A
     step on a lagged J is a W-method step: its fixed point u_t = 0 does
     not depend on J, only its contraction does.  `keeps` judges each
-    such step.  Counts the factorizations and linear solves of the run.
+    such step.  Counts the factorizations and linear solves of the run,
+    its dt halvings and its lagged steps refused (out of the cone, or
+    not kept).
     """
 
     def __init__(self, spec, mode):
         self.spec, self.mode = spec, mode
         self.factors = self.dt = self.fresh = None
         self.factorizations = self.solves = 0
+        self.halvings = self.lagged_rejected = 0
         # the sums of |weight| of each Hessian row of the closed xx, xy
         # and yy maps
         _, src, vals = discretize.hessian_blocks(spec.grid)
@@ -515,6 +521,7 @@ def _implicit_update(spec, state, ev, slope, dt, matrix=None):
         u_new, ev_new = advance(matrix.solve(matrix.factors, ev))
         if ev_new.ok_all and matrix.keeps(u_new, ev, ev_new):
             return accepted(u_new, ev_new, dt)
+        matrix.lagged_rejected += 1
     for _ in range(_MAX_HALVINGS + 1):
         if state.t + dt == state.t:
             break
@@ -528,6 +535,7 @@ def _implicit_update(spec, state, ev, slope, dt, matrix=None):
                 matrix.keep_fresh(factors, dt, ev, ev_new)
                 return accepted(u_new, ev_new, dt)
         dt *= 0.5
+        matrix.halvings += 1
     return FlowState(t=state.t, u=state.u, dt=dt,
                      step_count=state.step_count, diverged=True), ev
 
@@ -558,14 +566,17 @@ def _record(spec, state, ev, prev_u):
 @dataclass
 class RunResult:
     """A finished run: last state, records (its only history), status,
-    mode, and the factorizations and linear solves of the step matrix
-    that the run took."""
+    mode, and what its step matrix counted: factorizations, linear
+    solves, dt halvings and lagged steps refused.  The counts are not
+    written to any artifact."""
     state: FlowState
     records: list
     status: str
     mode: str
     factorizations: int = 0
     linear_solves: int = 0
+    halvings: int = 0
+    lagged_rejected: int = 0
 
 
 def run(spec, mode="steady", t_max=50.0, tol_steady=1e-8, tol_trans=1e-8,
@@ -584,8 +595,8 @@ def run(spec, mode="steady", t_max=50.0, tol_steady=1e-8, tol_trans=1e-8,
     end.  Every run ends: a t_max that would take more than 1e8 steps of
     the largest dt raises ArgumentError("t_max").  Steps of one dt share
     a factorization of I/dt - J while each shrinks the stop measure (see
-    the module docstring); the result counts factorizations and linear
-    solves.
+    the module docstring); the result counts factorizations, linear
+    solves, dt halvings and refused lagged steps.
     """
     if mode not in ("steady", "translating"):
         raise ArgumentError("mode", f"must be steady or translating, got "
@@ -634,7 +645,7 @@ def run(spec, mode="steady", t_max=50.0, tol_steady=1e-8, tol_trans=1e-8,
     if records[-1].t < state.t:
         records.append(_record(spec, state, ev, prev_u))
     return RunResult(state, records, status, mode, matrix.factorizations,
-                     matrix.solves)
+                     matrix.solves, matrix.halvings, matrix.lagged_rejected)
 
 
 def decay_rate(result):

@@ -172,7 +172,8 @@ def export_csv(grid, u, path, metadata=()):
         raise ValueError("field shape does not match grid")
     lines = [f"# {m}" for m in metadata]
     lines.append("x,y,u")
-    for xv, yv, uv in zip(grid.x.ravel(), grid.y.ravel(), u.ravel()):
-        lines.append(f"{xv:.17g},{yv:.17g},{uv:.17g}")
+    # Python floats format faster than numpy scalars, to the same text
+    lines.extend(map("{:.17g},{:.17g},{:.17g}".format, grid.x.ravel().tolist(),
+                     grid.y.ravel().tolist(), u.ravel().tolist()))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")

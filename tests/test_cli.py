@@ -434,6 +434,44 @@ class TestFlowCommand:
         assert d["final_osc_ut"] == max_ut - min_ut
         assert min_ut <= d["speed"] <= max_ut
 
+    def test_run_counters_stay_out_of_the_artifacts(self, tmp_path,
+                                                    monkeypatch):
+        # the forced-halving data of test_flow's TestStep, run to just
+        # past the cone exit: the run halves dt and refuses lagged
+        # steps, and its summary and CSVs read as those of any run
+        cfg = write_cfg(tmp_path, """\
+problem.k = 2
+problem.l = 0
+problem.domain = disk
+problem.f = "1e-5*exp(40*x2^2)"
+problem.phi = "x1^2 + 1e-5*x2^2"
+problem.u0 = "(x1^2 + 1e-5*x2^2)/2"
+problem.require_nonnegative_initial_speed = false
+grid.n_r = 8
+grid.n_theta = 16
+flow.t_max = 1.3e-7
+""")
+        results = []
+        run = flow.run
+        monkeypatch.setattr(
+            flow, "run", lambda *a, **kw: results.append(run(*a, **kw))
+            or results[-1])
+        monkeypatch.setenv("HQFLOW_OUT", str(tmp_path / "o"))
+        assert cli.main(["flow", cfg]) == 4
+        (result,) = results
+        assert result.halvings > 0 and result.lagged_rejected > 0
+        d = json.loads((tmp_path / "o" / "summary.json").read_text())
+        assert list(d) == ["meta", "status", "mode", "t_final", "steps",
+                           "final_max_abs_ut", "final_osc_ut", "speed",
+                           "decay_rate", "monitor_tol", "amplitude_bound",
+                           "quotient_floor", "mesh_size", "monitors"]
+        heads = {name: [ln for ln in (tmp_path / "o" / name).read_text()
+                        .splitlines() if not ln.startswith("#")][0]
+                 for name in ("monitors.csv", "final.csv")}
+        assert heads == {"monitors.csv": "t,max_ut,min_ut,min_u,max_u,"
+                         "sup_grad,sup_hess,min_quotient,osc,status",
+                         "final.csv": "x,y,u"}
+
     def test_steady_summary_has_decay_rate_after_speed(self, tmp_path,
                                                        monkeypatch):
         cfg = write_cfg(tmp_path, fuzz_config({"flow.mode": "steady"}))
@@ -830,6 +868,42 @@ class TestEntryPoint:
         with pytest.raises(SystemExit) as exc:
             cli.main(["melt"])
         assert exc.value.code == 2
+
+    def test_import_builds_no_parser(self, tmp_path):
+        # the parser is built by the first call of main, so importing
+        # the module costs nothing of it
+        pkg_root = os.path.dirname(os.path.dirname(hqflow.__file__))
+        probe = subprocess.run(
+            [sys.executable, "-c", "import hqflow.cli; "
+             "print(hqflow.cli._parser.cache_info().currsize)"],
+            capture_output=True, text=True, cwd=tmp_path, timeout=120,
+            env=dict(os.environ, PYTHONPATH=os.pathsep.join(filter(
+                None, [pkg_root, os.environ.get("PYTHONPATH")]))))
+        assert probe.returncode == 0, probe.stderr
+        assert probe.stdout.strip() == "0"
+
+    def test_one_parser_serves_every_call(self, tmp_path, monkeypatch,
+                                          capsys):
+        # a usage error and --help leave the parser fit for the runs
+        # that follow, and both runs write the same bytes
+        cli._parser.cache_clear()
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["flow"])
+        assert exc.value.code == 2
+        assert "usage: hqflow flow" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["--help"])
+        assert exc.value.code == 0
+        assert "usage: hqflow" in capsys.readouterr().out
+        cfg = write_cfg(tmp_path, FLOW_CFG)
+        for name in ("first", "second"):
+            monkeypatch.setenv("HQFLOW_OUT", str(tmp_path / name))
+            assert cli.main(["flow", cfg]) == 0
+        for name in ("monitors.csv", "final.csv", "summary.json"):
+            assert (tmp_path / "first" / name).read_bytes() == \
+                (tmp_path / "second" / name).read_bytes()
+        info = cli._parser.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 3, 1)
 
 
 # Raw values for one key: numbers at and past the edges of their range,

@@ -238,6 +238,40 @@ class TestFold:
         # the minus, the folded 1 + x1/3 and u
         assert len(calls) == 3
 
+    @pytest.mark.parametrize("src", ["1", "x1^2 + sin(x2)",
+                                     "exp(x1/2)*x2 - 3", "-x1"])
+    def test_u_free_field_returns_its_kept_value(self, src, monkeypatch):
+        g = geometry.build_grid(geometry.Disk(1.0), n_r=8, n_theta=16)
+        x, y = discretize._interior_nodes(g)
+        field = ep.as_field(src, "f")
+        first = field(x, y, np.zeros(x.shape))
+        want = np.broadcast_to(
+            np.asarray(ep.eval(field.expr, {"x1": x, "x2": y}), dtype=float),
+            x.shape)
+        assert first.tobytes() == want.tobytes()
+        assert not first.flags.writeable
+        slope = field.du(x, y)
+        calls = []
+        evaluate = ep.eval
+        monkeypatch.setattr(ep, "eval",
+                            lambda node, env: calls.append(node)
+                            or evaluate(node, env))
+        # the value kept by the fold, whatever u is: nothing is evaluated
+        for u in (np.ones(x.shape), None):
+            assert field(x, y, u) is first
+        assert field.du(x, y) is slope
+        assert calls == []
+
+    def test_u_free_field_on_writeable_nodes_is_evaluated_each_call(self):
+        field = ep.as_field("x1 + 2*x2", "phi")
+        x, y = np.array([1.0, 2.0]), np.array([0.5, 0.5])
+        first = field(x, y)
+        assert np.array_equal(first, [2.0, 3.0])
+        x[0] = 3.0
+        second = field(x, y)
+        assert second is not first
+        assert np.array_equal(second, [4.0, 3.0])
+
     def test_writeable_nodes_are_read_at_every_call(self):
         field = ep.as_field("x1*u + x2", "f")
         x, y, u = np.array([1.0, 2.0]), np.array([0.5, 0.5]), np.ones(2)
@@ -256,6 +290,14 @@ class TestFold:
         field = ep.as_field("log(x1 - 2) + u", "f")
         x, y = _fixed([0.5, 1.0]), _fixed([0.0, 0.0])
         for _ in range(2):
+            with pytest.raises(ep.EvalError, match="log of non-positive"):
+                field(x, y, np.ones(2))
+
+    def test_u_free_domain_error_raises_at_every_call(self):
+        # a fold that raises is not kept, so no value of it is either
+        field = ep.as_field("log(x1 - 2)", "f")
+        x, y = _fixed([0.5, 1.0]), _fixed([0.0, 0.0])
+        for _ in range(3):
             with pytest.raises(ep.EvalError, match="log of non-positive"):
                 field(x, y, np.ones(2))
 

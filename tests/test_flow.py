@@ -382,17 +382,21 @@ class TestStep:
         shift = new.u - (state.u - 0.1)
         assert np.max(np.abs(shift - 0.1 / (1.0 + 4.0 * dt))) <= 1e-12
 
-    def test_forced_large_dt_diverges(self):
+    @staticmethod
+    def forced_spec():
         # Quadratic data on the disk: D^2 u0 = diag(1, 1e-5), phi = x.grad
         # u0 its normal derivative, and f makes u_t = -40 x2^2, so D^2 u_t
         # = diag(0, -80); the linearization holds only while dt is tiny:
         # the exact flow leaves the cone at t = 1.25e-7, and a step from
         # dt = 1 does so after every one of its 20 halvings.
-        spec = flow.ProblemSpec(disk_grid(8, 16), 2, 0,
+        return flow.ProblemSpec(disk_grid(8, 16), 2, 0,
                                 f="1e-5*exp(40*x2^2)",
                                 phi="x1^2 + 1e-5*x2^2",
                                 u0="(x1^2 + 1e-5*x2^2)/2",
                                 require_nonnegative_initial_speed=False)
+
+    def test_forced_large_dt_diverges(self):
+        spec = self.forced_spec()
         state, ev = start(spec)
         slope = flow._log_f_slope(spec, state.u, ev)
         out, _ = flow._implicit_update(spec, state, ev, slope, 1.0)
@@ -407,6 +411,25 @@ class TestStep:
         result = flow.run(spec, mode="steady", t_max=1.0)
         assert result.status == "diverged"
         assert result.state.step_count == 0
+
+    def test_forced_run_counts_its_halvings(self):
+        # every trial of the first step, from the cap 0.25, leaves the
+        # cone and halves dt; no step stands, so no lagged step is tried
+        result = flow.run(self.forced_spec(), mode="steady", t_max=1.0)
+        assert result.status == "diverged"
+        assert result.halvings == flow._MAX_HALVINGS + 1
+        assert result.state.dt == 0.25 * 2.0 ** -result.halvings
+        assert result.factorizations == result.halvings
+        assert result.linear_solves == result.halvings
+        assert result.lagged_rejected == 0
+        # a run to just past the exit at 1.25e-7 halves its steps there,
+        # and refuses some lagged ones; each trial, fresh or lagged, is
+        # one solve
+        result = flow.run(self.forced_spec(), mode="steady", t_max=1.3e-7)
+        assert result.status == "t_max" and result.state.t == 1.3e-7
+        assert result.halvings > 0 and result.lagged_rejected > 0
+        assert result.linear_solves == result.state.step_count \
+            + result.halvings + result.lagged_rejected
 
 
 class TestManufacturedSteady:
@@ -684,6 +707,11 @@ class TestLaggedFactorization:
         assert flow.monitor_report(result, spec)["all_ok"]["ok"]
         assert result.factorizations < result.state.step_count / 2
         assert result.linear_solves >= result.state.step_count
+        # no step halved dt, so a step takes one solve, and a refused
+        # lagged step one more
+        assert result.halvings == 0
+        assert result.linear_solves == \
+            result.state.step_count + result.lagged_rejected
 
 
 class TestGapMonitor:
@@ -782,3 +810,73 @@ class TestMonitorCsv:
         flow.write_monitor_csv(tmp_path / "again.csv", result,
                                metadata=["grid=disk 8x16"])
         assert (tmp_path / "again.csv").read_text() == text
+
+
+def _factor_by_indexing(rows):
+    """The block elimination of `flow._block_factor` as the loops over
+    stacked (n_p, m, m) arrays that it replaced, kept as the bit-for-bit
+    reference of the list walk."""
+    n_p, _, m, _ = rows.shape
+    lower = rows[:, 0].copy()
+    s_inv = np.empty((n_p, m, m))
+    s_inv_up = np.empty((n_p - 1, m, m))
+    for p in range(n_p):
+        schur = rows[p, 1]
+        if p:
+            schur = schur - lower[p] @ s_inv_up[p - 1]
+        s_inv[p] = np.linalg.inv(schur)
+        if p < n_p - 1:
+            s_inv_up[p] = s_inv[p] @ rows[p, 2]
+    return lower, s_inv, s_inv_up
+
+
+def _solve_by_indexing(factors, rhs):
+    """`flow._block_solve` over the stacked factors of
+    `_factor_by_indexing`, as it was written before."""
+    lower, s_inv, s_inv_up = factors
+    x = np.empty_like(rhs)
+    x[0] = s_inv[0] @ rhs[0]
+    for p in range(1, len(x)):
+        x[p] = s_inv[p] @ (rhs[p] - lower[p] @ x[p - 1])
+    for p in range(len(x) - 2, -1, -1):
+        x[p] -= s_inv_up[p] @ x[p + 1]
+    return x
+
+
+@pytest.mark.parametrize("k, l", [(1, 0), (2, 1)])
+@pytest.mark.parametrize("name", sorted(LINEARIZED_GRIDS))
+def test_block_elimination_bits_equal_the_indexed_loops(name, k, l,
+                                                        monkeypatch):
+    """`_block_factor` and `_block_solve` walk lists of ring blocks and
+    give the bits of the loops over stacked arrays, on the rows a time
+    step factors; a singular Schur complement still raises."""
+    grid = LINEARIZED_GRIDS[name]()
+    a, b = grid.domain.a, grid.domain.b
+    spec = flow.ProblemSpec(
+        grid, k, l, f="1", phi="1",
+        u0=f"(x1^2/{a} + x2^2/{b})/2 "
+           f"+ 0.1*(1 - x1^2/{a * a} - x2^2/{b * b})^2",
+        require_nonnegative_initial_speed=False)
+    block_factor = flow._block_factor
+    seen = []
+    monkeypatch.setattr(flow, "_block_factor",
+                        lambda rows: seen.append(rows) or block_factor(rows))
+    ev = flow._evaluate(spec, spec.u0_grid)
+    flow._factorize(spec, ev.slopes, 1.0 / 0.25)
+    (rows,) = seen
+    got = block_factor(rows)
+    want = _factor_by_indexing(rows)
+    assert [len(f) for f in got] == [len(f) for f in want]
+    for g, w in zip(got, want):
+        assert np.array(g).tobytes() == w.tobytes()
+    rng = np.random.default_rng(4)
+    for rhs in (-ev.ut, rng.standard_normal(ev.ut.shape)):
+        x = flow._block_solve(got, rhs)
+        assert x.shape == rhs.shape
+        assert x.tobytes() == _solve_by_indexing(want, rhs).tobytes()
+    # S_2 = D_2 - L_2 S_1^-1 U_1 made exactly 0
+    lower, _, s_inv_up = got
+    rows = rows.copy()
+    rows[2, 1] = lower[2] @ s_inv_up[1]
+    with pytest.raises(np.linalg.LinAlgError):
+        block_factor(rows)

@@ -110,6 +110,24 @@ class TestExportCsv:
         geo.export_csv(g, u, p2)
         assert p1.read_bytes() == p2.read_bytes()
 
+    @pytest.mark.parametrize("dtype", [float, np.float32, np.int64])
+    def test_rows_match_numpy_scalar_formatting(self, tmp_path, dtype):
+        # the rows are formatted from Python floats; they read as the
+        # numpy scalars did, also for signed zeros, extremes and non-finite
+        g = geo.build_grid(geo.Ellipse(1.25, 0.8), n_r=4, n_theta=8)
+        special = [-0.0, 5e-324, -1.7976931348623157e308, 1e-300, 0.1,
+                   1.0 / 3.0, 2.0 ** 60, np.inf, -np.inf, np.nan]
+        if dtype is np.int64:
+            u = np.arange(g.x.size, dtype=dtype).reshape(g.shape) - 7
+        else:
+            with np.errstate(over="ignore"):
+                u = np.resize(np.array(special), g.shape).astype(dtype)
+        path = tmp_path / "snap.csv"
+        geo.export_csv(g, u, path)
+        want = ["x,y,u"] + [f"{xv:.17g},{yv:.17g},{uv:.17g}" for xv, yv, uv
+                            in zip(g.x.ravel(), g.y.ravel(), u.ravel())]
+        assert path.read_text() == "\n".join(want) + "\n"
+
     def test_shape_mismatch_rejected(self):
         g = geo.build_grid(geo.Disk(1.0), n_r=4, n_theta=8)
         with pytest.raises(ValueError, match="shape"):
