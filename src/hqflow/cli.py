@@ -37,7 +37,6 @@ damped solve failed; 4 the flow hit its time horizon.
 """
 
 import argparse
-import functools
 import hashlib
 import json
 import math
@@ -508,11 +507,7 @@ def _argument_key(command, field):
     return next((key for key in keys if key in KNOWN_KEYS), None)
 
 
-@functools.cache
-def _parser():
-    """The argument parser, built on the first call of `main` and kept
-    for the process: building it costs about 30 times what parsing
-    does."""
+def main(argv=None):
     parser = argparse.ArgumentParser(
         prog="hqflow",
         description="Finite-difference laboratory for Neumann problems of "
@@ -541,11 +536,8 @@ def _parser():
     p.add_argument("config", help="path to a flat key = value config file")
     p.add_argument("--levels", type=int, default=3,
                    help="number of grid levels, each refining by 2")
-    return parser
 
-
-def main(argv=None):
-    args = _parser().parse_args(argv)
+    args = parser.parse_args(argv)
     handlers = {"flow": cmd_flow, "eigen": cmd_eigen,
                 "verify": cmd_verify, "converge": cmd_converge}
     try:

@@ -869,24 +869,10 @@ class TestEntryPoint:
             cli.main(["melt"])
         assert exc.value.code == 2
 
-    def test_import_builds_no_parser(self, tmp_path):
-        # the parser is built by the first call of main, so importing
-        # the module costs nothing of it
-        pkg_root = os.path.dirname(os.path.dirname(hqflow.__file__))
-        probe = subprocess.run(
-            [sys.executable, "-c", "import hqflow.cli; "
-             "print(hqflow.cli._parser.cache_info().currsize)"],
-            capture_output=True, text=True, cwd=tmp_path, timeout=120,
-            env=dict(os.environ, PYTHONPATH=os.pathsep.join(filter(
-                None, [pkg_root, os.environ.get("PYTHONPATH")]))))
-        assert probe.returncode == 0, probe.stderr
-        assert probe.stdout.strip() == "0"
-
-    def test_one_parser_serves_every_call(self, tmp_path, monkeypatch,
-                                          capsys):
-        # a usage error and --help leave the parser fit for the runs
-        # that follow, and both runs write the same bytes
-        cli._parser.cache_clear()
+    def test_calls_in_one_process_write_the_same_bytes(self, tmp_path,
+                                                       monkeypatch, capsys):
+        # a usage error and --help leave the process fit for the runs
+        # that follow, and two runs in one process write the same bytes
         with pytest.raises(SystemExit) as exc:
             cli.main(["flow"])
         assert exc.value.code == 2
@@ -902,8 +888,6 @@ class TestEntryPoint:
         for name in ("monitors.csv", "final.csv", "summary.json"):
             assert (tmp_path / "first" / name).read_bytes() == \
                 (tmp_path / "second" / name).read_bytes()
-        info = cli._parser.cache_info()
-        assert (info.misses, info.hits, info.currsize) == (1, 3, 1)
 
 
 # Raw values for one key: numbers at and past the edges of their range,
