@@ -34,6 +34,14 @@ Exit codes: 0 success; 1 a measured property failed (verify suite, or
 convergence orders off target); 2 config or argument error; 3 a run
 diverged, reached a state where f or phi cannot be evaluated, or a
 damped solve failed; 4 the flow hit its time horizon.
+
+Importing this module loads only ``geometry`` of hqflow.  Each command
+loads the modules it runs when it starts: ``flow`` and ``converge``
+load ``exprparse``, ``discretize`` and ``flow``; ``eigen`` loads those
+and ``elliptic``; ``verify`` loads ``symmfunc``, ``oracle`` and
+``verify``, and no solver module.  Without a bytecode cache every
+module loaded is compiled, so a process that loads only its command's
+modules starts sooner (README "Command line" gives the times).
 """
 
 import argparse
@@ -45,7 +53,9 @@ import sys
 
 import numpy as np
 
-from . import elliptic, exprparse, flow, geometry, symmfunc, verify
+# Only what every command shares; each handler, and each helper that
+# one command needs, imports its own modules where it starts.
+from . import geometry
 
 __all__ = [
     "ConfigError", "load_config", "parse_config_text",
@@ -157,6 +167,7 @@ class Config:
         return raw
 
     def expr(self, path, slot):
+        from . import exprparse
         try:
             return exprparse.parse(self.str_(path), slot=slot)
         except exprparse.ParseError as exc:
@@ -172,7 +183,8 @@ def load_config(path):
         raise ConfigError("config", str(exc)) from exc
     digest = hashlib.sha256(data).hexdigest()
     try:
-        text = data.decode("utf-8")
+        # a byte-order mark, as some editors save, is not part of a key
+        text = data.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
         raise ConfigError("config", f"not valid UTF-8: {exc}") from exc
     pairs = parse_config_text(text)
@@ -211,6 +223,7 @@ def _options(cfg, section, **getters):
 
 
 def build_spec(cfg, grid):
+    from . import flow
     try:
         return flow.ProblemSpec(
             grid, cfg.int_("problem.k"), cfg.int_("problem.l"),
@@ -219,7 +232,7 @@ def build_spec(cfg, grid):
             **_options(cfg, "problem", growth_rate=Config.float_,
                        damping_rate=Config.float_,
                        require_nonnegative_initial_speed=Config.bool_))
-    except symmfunc.AdmissibilityError as exc:
+    except geometry.AdmissibilityError as exc:
         raise ConfigError("problem.u0", str(exc)) from exc
 
 
@@ -270,10 +283,17 @@ def _write_json(path, payload):
 
 
 def _out_dir(cfg):
-    out = os.environ.get("HQFLOW_OUT")
+    """The artifact directory, made if missing: HQFLOW_OUT, else
+    output.dir; one that cannot be made is a config error at its source."""
+    source, out = "HQFLOW_OUT", os.environ.get("HQFLOW_OUT")
     if out is None:
+        source = "output.dir"
         out = "." if cfg is None else cfg.str_("output.dir", ".")
-    os.makedirs(out, exist_ok=True)
+    try:
+        os.makedirs(out, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(source, f"cannot make directory {out!r}: "
+                                  f"{exc.strerror or exc}") from exc
     return out
 
 
@@ -300,6 +320,7 @@ _ROUNDOFF_ULPS = 64
 
 
 def cmd_flow(args):
+    from . import flow
     cfg = load_config(args.config)
     dom = build_domain(cfg)
     grid = build_grid(cfg, dom)
@@ -343,6 +364,7 @@ def cmd_flow(args):
 
 
 def cmd_eigen(args):
+    from . import elliptic
     cfg = load_config(args.config)
     dom = build_domain(cfg)
     grid = build_grid(cfg, dom)
@@ -393,8 +415,10 @@ def cmd_eigen(args):
 
 
 def cmd_verify(args):
+    from . import verify
     trials = args.trials
     seed = args.seed
+    out = _out_dir(None)
     results = verify.run_suite(trials=trials, seed=seed)
     all_ok = all(r.ok for r in results.values())
     vacuous = any(r.vacuous for r in results.values())
@@ -415,7 +439,6 @@ def cmd_verify(args):
         if not detected:
             print("self-test: the suite failed to flag a corrupted "
                   "sigma implementation", file=sys.stderr)
-    out = _out_dir(None)
     _write_json(os.path.join(out, "verify.json"), payload)
     if vacuous:
         print("warning: zero trials requested; every property passes "
@@ -430,6 +453,7 @@ def cmd_verify(args):
 
 def _exact_solution(u_star, grid):
     """converge.u_star at the grid nodes, checked before the level runs."""
+    from . import exprparse
     try:
         truth = exprparse.eval(u_star, {"x1": grid.x, "x2": grid.y})
     except exprparse.EvalError as exc:
@@ -440,6 +464,7 @@ def _exact_solution(u_star, grid):
 
 
 def cmd_converge(args):
+    from . import flow
     cfg = load_config(args.config)
     if args.levels < 2:
         raise ConfigError("--levels", "need at least 2 grid levels")

@@ -50,8 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import discretize, exprparse
-from .geometry import ArgumentError
-from .symmfunc import AdmissibilityError
+from .geometry import AdmissibilityError, ArgumentError
 
 __all__ = [
     "ProblemSpec", "FlowState", "MonitorRecord", "RunResult", "rhs", "run",

@@ -7,7 +7,10 @@ outermost ring.  Radial nodes sit at r_j = (j + 1/2) dr with no node at
 the pole; values across the pole follow the phantom rule
 u(-r, theta) = u(r, theta + pi), which needs an even angular count.
 
-Domains and grids are immutable after construction.
+Domains and grids are immutable after construction.  The two errors
+that several modules raise live here too: ArgumentError, and
+AdmissibilityError, which symmfunc re-exports; the flow raises it
+without loading symmfunc.
 """
 
 import math
@@ -16,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "Disk", "Ellipse", "Grid", "ArgumentError",
+    "Disk", "Ellipse", "Grid", "ArgumentError", "AdmissibilityError",
     "boundary_integral", "build_grid", "export_csv",
     "area_weights", "mesh_size",
 ]
@@ -30,6 +33,23 @@ class ArgumentError(ValueError):
         super().__init__(f"{field} {reason}")
         self.field = field
         self.reason = reason
+
+
+class AdmissibilityError(ValueError):
+    """Eigenvalues left the Garding cone Gamma_k.
+
+    Carries the first failing order `m` and the value sigma_m that was
+    not positive (within the requested slack).
+    """
+
+    def __init__(self, m, value, node=None):
+        msg = f"not in Gamma_k: sigma_{m} = {value:.6g} <= 0"
+        if node is not None:
+            msg += f" at node {tuple(node)}"
+        super().__init__(msg)
+        self.m = m
+        self.value = value
+        self.node = node
 
 
 def _check_sizes(dom, *fields):

@@ -27,29 +27,15 @@ import math
 
 import numpy as np
 
+# the flow raises it too, and imports it from geometry, not from here
+from .geometry import AdmissibilityError
+
 __all__ = [
     "AdmissibilityError",
     "sigma", "elementary_all", "omit_each", "sigma_omit", "sigma_omit2",
     "in_gamma_k", "require_gamma_k",
     "quotient", "d_quotient", "eigen_sym", "log_quotient_matrix",
 ]
-
-
-class AdmissibilityError(ValueError):
-    """Eigenvalues left the Garding cone Gamma_k.
-
-    Carries the first failing order `m` and the value sigma_m that was
-    not positive (within the requested slack).
-    """
-
-    def __init__(self, m, value, node=None):
-        msg = f"not in Gamma_k: sigma_{m} = {value:.6g} <= 0"
-        if node is not None:
-            msg += f" at node {tuple(node)}"
-        super().__init__(msg)
-        self.m = m
-        self.value = value
-        self.node = node
 
 
 def _as_lam(lam):

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import importlib.util
 import io
 import itertools
@@ -155,18 +156,23 @@ def artifacts(out):
     return found
 
 
-def run_module(args, tmp_path, timeout=None):
-    """`python -m hqflow.cli ARGS` in tmp_path, importing the same hqflow
-    as this process, whether it comes from an install or from
-    PYTHONPATH=src; cwd=tmp_path keeps the working directory from
-    supplying it instead."""
+def run_python(args, tmp_path, timeout=None):
+    """`python ARGS` in tmp_path, importing the same hqflow as this
+    process, whether it comes from an install or from PYTHONPATH=src;
+    cwd=tmp_path keeps the working directory from supplying it
+    instead."""
     pkg_root = os.path.dirname(os.path.dirname(hqflow.__file__))
     env = dict(os.environ, HQFLOW_OUT=str(tmp_path))
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [pkg_root, env.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-m", "hqflow.cli", *args], capture_output=True,
+        [sys.executable, *args], capture_output=True,
         text=True, cwd=tmp_path, env=env, timeout=timeout)
+
+
+def run_module(args, tmp_path, timeout=None):
+    """`python -m hqflow.cli ARGS` in tmp_path, as `run_python`."""
+    return run_python(["-m", "hqflow.cli", *args], tmp_path, timeout)
 
 
 class TestConfigParsing:
@@ -206,6 +212,16 @@ class TestConfigParsing:
         path = write_cfg(tmp_path, "problem.bogus = 3\n")
         assert cli.main(["flow", path]) == 2
         assert "problem.bogus" in capsys.readouterr().err
+
+    def test_byte_order_mark_is_not_part_of_a_key(self, tmp_path):
+        # some editors start a UTF-8 file with a byte-order mark; the
+        # digest stays that of the bytes on disk
+        raw = b"\xef\xbb\xbf" + FLOW_CFG.encode("utf-8")
+        path = tmp_path / "bom.cfg"
+        path.write_bytes(raw)
+        cfg = cli.load_config(str(path))
+        assert cfg.pairs == cli.parse_config_text(FLOW_CFG)
+        assert cfg.digest == hashlib.sha256(raw).hexdigest()
 
     def test_missing_file_exits_2(self, capsys):
         assert cli.main(["flow", "/no/such/file.cfg"]) == 2
@@ -751,13 +767,13 @@ class TestVerifyCommand:
 
     def test_failing_property_exit_1(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("HQFLOW_OUT", str(tmp_path))
-        from hqflow.verify import PropertyResult
+        from hqflow import verify
 
         def fake(trials=None, seed=0, names=None):
-            return {"deletion_identity": PropertyResult(
+            return {"deletion_identity": verify.PropertyResult(
                 "deletion_identity", "identity", 10, 9, 3e-4, 1e-12)}
 
-        monkeypatch.setattr(cli.verify, "run_suite", fake)
+        monkeypatch.setattr(verify, "run_suite", fake)
         assert cli.main(["verify", "--trials", "10"]) == 1
         assert "deletion_identity" in capsys.readouterr().err
 
@@ -846,23 +862,100 @@ class TestConvergeCommand:
         assert "converge.u_star" in capsys.readouterr().err
 
 
+class TestOutputDirectory:
+    """An artifact directory that cannot be made is a config error at
+    its source, HQFLOW_OUT or output.dir, raised before any work."""
+
+    def test_flow_hqflow_out_is_a_file(self, tmp_path, monkeypatch, capsys):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        monkeypatch.setenv("HQFLOW_OUT", str(blocker))
+        monkeypatch.setattr(flow, "run", fail_if_called)
+        assert cli.main(["flow", write_cfg(tmp_path, FUZZ_CFG)]) == 2
+        assert "config error at HQFLOW_OUT: cannot make directory" in \
+            capsys.readouterr().err
+
+    def test_flow_output_dir_is_a_file(self, tmp_path, monkeypatch, capsys):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        monkeypatch.delenv("HQFLOW_OUT", raising=False)
+        monkeypatch.setattr(flow, "run", fail_if_called)
+        cfg = write_cfg(tmp_path, FUZZ_CFG
+                        + f'output.dir = "{blocker}"\n')
+        assert cli.main(["flow", cfg]) == 2
+        assert "config error at output.dir: cannot make directory" in \
+            capsys.readouterr().err
+
+    def test_verify_hqflow_out_is_a_file(self, tmp_path, monkeypatch,
+                                         capsys):
+        from hqflow import verify
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        monkeypatch.setenv("HQFLOW_OUT", str(blocker))
+        monkeypatch.setattr(verify, "run_suite", fail_if_called)
+        assert cli.main(["verify", "--trials", "2"]) == 2
+        assert "config error at HQFLOW_OUT: cannot make directory" in \
+            capsys.readouterr().err
+
+
+def fail_if_called(*args, **kwargs):
+    raise AssertionError("called before the output directory was checked")
+
+
+# The hqflow modules a fresh process holds after `import hqflow.cli`
+# and one command: what every command shares, and each command's own.
+SHARED_MODULES = {"hqflow.cli", "hqflow.geometry"}
+SOLVER_MODULES = SHARED_MODULES | {"hqflow.exprparse", "hqflow.discretize",
+                                   "hqflow.flow"}
+COMMAND_MODULES = {
+    "import": SHARED_MODULES,
+    "help": SHARED_MODULES,
+    "flow": SOLVER_MODULES,
+    "converge": SOLVER_MODULES,
+    "eigen": SOLVER_MODULES | {"hqflow.elliptic"},
+    "verify": SHARED_MODULES | {"hqflow.symmfunc", "hqflow.oracle",
+                                "hqflow.verify"},
+}
+
+# Runs `hqflow ARGV` in the process when given an ARGV, then prints its
+# exit code and the loaded hqflow.* and scipy modules as JSON.
+MODULE_PROBE = """\
+import json, sys
+from hqflow import cli
+code = None
+if sys.argv[1:]:
+    try:
+        code = cli.main(sys.argv[1:])
+    except SystemExit as exc:
+        code = exc.code
+print(json.dumps([code, sorted(m for m in sys.modules
+                               if m.startswith(("hqflow.", "scipy")))]))
+"""
+
+
 class TestEntryPoint:
     def test_module_invocation(self, tmp_path):
         proc = run_module(["verify", "--trials", "0"], tmp_path)
         assert proc.returncode == 0
         assert "vacuously" in proc.stderr
 
-    def test_import_loads_no_scipy(self, tmp_path):
-        # scipy raises the peak memory and the import time of every run
-        pkg_root = os.path.dirname(os.path.dirname(hqflow.__file__))
-        probe = subprocess.run(
-            [sys.executable, "-c", "import sys, hqflow.cli; print(sorted("
-             "m for m in sys.modules if m.startswith('scipy')))"],
-            capture_output=True, text=True, cwd=tmp_path, timeout=120,
-            env=dict(os.environ, PYTHONPATH=os.pathsep.join(filter(
-                None, [pkg_root, os.environ.get("PYTHONPATH")]))))
+    @pytest.mark.parametrize("case", sorted(COMMAND_MODULES))
+    def test_each_command_loads_only_its_modules(self, tmp_path, case):
+        # a fresh process loads the hqflow modules its command runs and
+        # no others; no scipy either, which would raise the peak memory
+        # and the import time of every run
+        argv = {"import": [], "help": ["--help"],
+                "flow": ["flow", write_cfg(tmp_path, FUZZ_CFG)],
+                "eigen": ["eigen", write_cfg(tmp_path, EIGEN_FUZZ_CFG)],
+                "converge": ["converge", write_cfg(tmp_path, CONV_FUZZ_CFG),
+                             "--levels", "2"],
+                "verify": ["verify", "--trials", "2"]}[case]
+        probe = run_python(["-c", MODULE_PROBE, *argv], tmp_path,
+                           timeout=120)
         assert probe.returncode == 0, probe.stderr
-        assert probe.stdout.strip() == "[]"
+        code, loaded = json.loads(probe.stdout.splitlines()[-1])
+        assert code == (None if case == "import" else 0), probe.stderr
+        assert set(loaded) == COMMAND_MODULES[case]
 
     def test_unknown_subcommand_exits_2(self):
         with pytest.raises(SystemExit) as exc:
